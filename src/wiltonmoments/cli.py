@@ -209,7 +209,9 @@ def _parse_points(args, seed: int) -> list[float]:
     if getattr(args, "grid", None):
         lo, hi, n = str(args.grid).split(":")
         return [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
-    if getattr(args, "sample", None):
+    if getattr(args, "sample", None) is not None:
+        if args.sample <= 0:
+            raise SystemExit2(f"--sample must be positive, got {args.sample}")
         return [float(v) for v in cf_dynamics.sample_gauss_measure(args.sample, seed)]
     raise SystemExit2("one of --x / --grid / --sample is required")
 
@@ -301,18 +303,12 @@ def _cmd_moment(args, config: RunConfig) -> tuple[int, str]:
 
 
 def _cmd_cotangent(args, config: RunConfig) -> tuple[int, str]:
-    seed = config.seed
-    summary = cotangent.c0_sweep(
-        args.b, args.a0, args.a1, args.kmax,
-        sample=args.sample, seed=seed, threads=config.threads,
-    )
+    b = args.b
+    rs = cotangent.sweep_residues(b, args.a0, args.a1, args.sample, config.seed)
+    vals = cotangent.c0_values(b, rs, threads=config.threads)
+    summary = cotangent.DistributionSummary.from_values(b, args.a0, args.a1, vals, args.kmax)
     if args.per_r:
-        rs = cotangent._coprime_residues(args.b, args.a0, args.a1)
-        if args.sample is not None and args.sample < rs.size:
-            rng = np.random.default_rng(seed)
-            rs = np.sort(rng.choice(rs, size=args.sample, replace=False))
-        vals = cotangent.c0_values(args.b, rs)
-        rows = [[int(r), float(v), float(v) / args.b] for r, v in zip(rs, vals)]
+        rows = [[int(r), float(v), float(v) / b] for r, v in zip(rs, vals)]
         _emit(_csv(["r", "c0", "c0_over_b"], rows), args.per_r)
     if config.output_format == "csv":
         rows = [[summary.b, summary.a0, summary.a1, summary.count]

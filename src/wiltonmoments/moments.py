@@ -170,6 +170,8 @@ def moment(
         )
     if method not in ("mc", "mc_stratified"):
         raise ValueError(f"unknown moment method {method!r}")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
 
     x, t, comp, n1, n2, repair_rng = _mixture_samples(K, samples, seed)
     g, _, ok = g_batch(x, cfg)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wiltonmoments.cli import run, _to_json
+from wiltonmoments import cotangent
+from wiltonmoments.cli import run, _csv, _to_json
 
 
 def run_capture(argv, capsys):
@@ -70,6 +71,12 @@ class TestWiltonCmd:
         val = float(lines[1].split(",")[1])
         assert val == pytest.approx(0.2974052637, abs=1e-6)
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_sample_is_named(self, n, capsys):
+        assert run(["wilton", "--sample", n]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --sample must be positive, got {n}\n"
+
     def test_sampled(self, capsys):
         status, out = run_capture(["--seed", "5", "wilton", "--sample", "10"], capsys)
         assert status == 0
@@ -103,6 +110,12 @@ class TestMomentCmd:
     def test_needs_k(self, capsys):
         assert run(["moment", "--samples", "100"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_samples_is_usage_error(self, samples, capsys):
+        assert run(["moment", "--k", "2", "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 class TestCotangentCmd:
     def test_summary_json(self, capsys):
@@ -124,6 +137,39 @@ class TestCotangentCmd:
         lines = per_r.read_text().strip().split("\n")
         assert lines[0] == "r,c0,c0_over_b"
         assert len(lines) == 1 + 5  # coprime r in [6, 10]
+
+    @pytest.mark.parametrize("b", [1009, 1007])  # prime, and 1007 = 19 * 53
+    def test_per_r_is_the_summary_pass(self, b, tmp_path, capsys, monkeypatch):
+        calls = []
+        c0_values = cotangent.c0_values
+
+        def spy(*args, **kwargs):
+            calls.append(c0_values(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(cotangent, "c0_values", spy)
+        per_r = tmp_path / "rows.csv"
+        status, out = run_capture(
+            ["cotangent-dist", "--b", str(b), "--kmax", "2", "--per-r", str(per_r)],
+            capsys,
+        )
+        assert status == 0
+        assert len(calls) == 1
+        m2 = json.loads(out)["normalized_moments"][0]
+        text = per_r.read_text()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        csv_m2 = math.fsum((float(c) / b) ** 2 for _, c, _ in rows) / len(rows)
+        assert csv_m2 == pytest.approx(m2, rel=1e-12)
+        rs = np.array([int(r) for r, _, _ in rows])
+        vals = c0_values(b, rs)
+        assert np.array_equal(vals, calls[0])
+        expected = [[int(r), float(v), float(v) / b] for r, v in zip(rs, vals)]
+        assert text == _csv(["r", "c0", "c0_over_b"], expected)
+
+    def test_b_above_bound_is_usage_error(self, capsys):
+        assert run(["cotangent-dist", "--b", str(10**7 + 19)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
 
 class TestVerifyCmd:

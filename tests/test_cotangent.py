@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from wiltonmoments.cotangent import (
+    MAX_B,
     DistributionSummary,
     RationalPoint,
+    _direct_values,
+    _is_prime,
+    _primitive_root,
     c0,
     c0_sweep,
     c0_values,
     neumaier_sum,
+    sweep_residues,
 )
 
 
@@ -89,9 +94,60 @@ class TestSweep:
         with pytest.raises(ValueError):
             c0_sweep(11, 0.9, 0.5, 1)
 
+    def test_no_coprime_residue(self):
+        with pytest.raises(ValueError):
+            c0_sweep(6, 0.5, 0.6, 1)  # only r = 3, and gcd(3, 6) = 3
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_bad_sample(self, sample):
+        with pytest.raises(ValueError):
+            c0_sweep(101, 0.5, 1.0, 1, sample=sample)
+
     def test_to_dict(self):
         d = c0_sweep(7, 0.5, 1.0, 1).to_dict()
         assert set(d) == {"b", "a0", "a1", "count", "normalized_moments"}
+
+
+class TestPrimePath:
+    @pytest.mark.parametrize("b", [3, 5, 7, 101, 1009, 10007, 65537])
+    def test_matches_direct_oracle(self, b):
+        # 10007 - 1 = 2 * 5003 takes the Bluestein FFT, 65537 - 1 = 2^16 the radix-2 one
+        rs = np.arange(1, b, dtype=np.int64)
+        if b > 20_000:
+            # the direct sums over all 65536 residues take about 45 s
+            rs = np.sort(np.random.default_rng(b).choice(rs, size=2048, replace=False))
+        oracle = np.array([c0(RationalPoint(int(r), b)) for r in rs])
+        assert np.max(np.abs(c0_values(b, rs) - oracle)) <= 1e-12 * b
+
+    @pytest.mark.parametrize("b", [3, 101, 10007, 65537])
+    def test_antisymmetry_exact(self, b):
+        rs = np.arange(1, b, dtype=np.int64)
+        assert np.array_equal(c0_values(b, rs), -c0_values(b, b - rs))
+
+    def test_primitive_root_matches_sympy(self):
+        from sympy import primerange
+        from sympy.ntheory import primitive_root
+
+        assert [n for n in range(10_000) if _is_prime(n)] == list(primerange(10_000))
+        for p in primerange(10_000):
+            assert _primitive_root(p) == primitive_root(p)
+
+    def test_composite_takes_direct_route(self):
+        rs = sweep_residues(1007, 0.5, 1.0)  # 1007 = 19 * 53
+        assert np.array_equal(c0_values(1007, rs), _direct_values(1007, rs))
+
+    def test_b_bound_checked_before_allocating(self):
+        b = MAX_B + 19  # prime: the FFT path would hold about 1 GB
+        with pytest.raises(ValueError, match="exceeds"):
+            c0_values(b, np.array([1]))
+        with pytest.raises(ValueError, match="exceeds"):
+            c0_sweep(b, 0.5, 1.0, 1)
+
+    def test_sweep_equals_reduction_of_values(self):
+        for b in (1009, 1007):
+            rs = sweep_residues(b, 0.5, 1.0)
+            s = DistributionSummary.from_values(b, 0.5, 1.0, c0_values(b, rs), 3)
+            assert s == c0_sweep(b, 0.5, 1.0, 3)
 
 
 class TestNeumaier:
