@@ -45,15 +45,14 @@ class ToleranceConfig:
     """
 
     abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
     max_terms: int = 200
     max_orbit_depth: int = 40
     rational_guard: float = 1e-15
     extended_precision: bool = False
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.abs_tol <= 0.0:
+            raise ValueError("abs_tol must be positive")
         if self.rational_guard <= 0.0:
             raise ValueError("rational_guard must be positive")
         if self.max_terms < 1:
@@ -166,11 +165,13 @@ def orbit_arrays(
 def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CFExpansion:
     """Expand x in (0, 1) to the requested orbit depth.
 
-    Partial quotients come from a_k = floor(1/alpha_{k-1}); convergents
+    Iterates, betas and gammas are those of orbit_arrays (or, with
+    cfg.extended_precision, of a 60-digit orbit rounded to float64), and
+    each partial quotient is a_{k+1} = floor(1/alpha_k).  Convergents
     follow p_{k+1} = a_{k+1} p_k + p_{k-1} (same for q) from p_0/q_0 = 0/1,
     in exact integers since q_k grows at least like Fibonacci.  Expansion
-    stops early, with the truncated flag set, if an iterate falls below
-    cfg.rational_guard.
+    stops early, with the truncated flag set, if an iterate alpha_k with
+    k >= 1 falls below cfg.rational_guard; x itself is always iterate 0.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"cf_expand needs x in (0, 1), got {x}")
@@ -179,12 +180,22 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
     if depth > cfg.max_orbit_depth:
         raise ValueError(f"depth {depth} exceeds max_orbit_depth {cfg.max_orbit_depth}")
 
+    guard = cfg.rational_guard
     if cfg.extended_precision:
-        quotients, iterates, truncated = _orbit_extended(x, depth, cfg.rational_guard)
+        quotients, iterates, betas, gammas, truncated = _orbit_extended(x, depth, guard)
     else:
-        quotients, iterates, truncated = _orbit_double(x, depth, cfg.rational_guard)
+        # orbit_arrays guards alpha_0 too; a sub-guard x stays iterate 0 here
+        alphas, beta_arr, gamma_arr, truncated = orbit_arrays(x, depth, min(guard, x))
+        low = np.flatnonzero(alphas[1:] < guard)
+        if low.size:
+            n = int(low[0]) + 1
+            alphas, beta_arr, gamma_arr = alphas[:n], beta_arr[: n + 1], gamma_arr[:n]
+            truncated = True
+        # a truncated orbit keeps the quotient that led below the guard
+        n_q = len(alphas) if truncated else len(alphas) - 1
+        quotients = [int(q) for q in np.floor(1.0 / alphas[:n_q])]
+        iterates, betas, gammas = alphas.tolist(), beta_arr.tolist(), gamma_arr.tolist()
 
-    d = len(quotients)
     p_prev, q_prev = 1, 0
     p_cur, q_cur = 0, 1
     convergents = [(0, 1)]
@@ -193,15 +204,9 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         convergents.append((p_cur, q_cur))
 
-    betas = [1.0]
-    gammas = []
-    for al in iterates:
-        gammas.append(betas[-1] * (-math.log(al)))
-        betas.append(betas[-1] * al)
-
     return CFExpansion(
         point=x,
-        depth=d,
+        depth=len(quotients),
         partial_quotients=quotients,
         iterates=iterates,
         convergents=convergents,
@@ -211,27 +216,9 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
     )
 
 
-def _orbit_double(x: float, depth: int, guard: float):
-    iterates = [x]
-    quotients: list[int] = []
-    a = x
-    truncated = False
-    for _ in range(depth):
-        z = 1.0 / a
-        q = math.floor(z)
-        a = z - q
-        if a < guard:
-            # the quotient is still determined; only the next iterate is not
-            quotients.append(int(q))
-            truncated = True
-            break
-        quotients.append(int(q))
-        iterates.append(a)
-    return quotients, iterates, truncated
-
-
 def _orbit_extended(x: float, depth: int, guard: float):
-    # 60-digit working precision; results are rounded back to float64.
+    # 60-digit working precision; iterates are rounded back to float64 and
+    # betas/gammas follow from them as in orbit_arrays.
     import mpmath
 
     with mpmath.workdps(60):
@@ -243,13 +230,17 @@ def _orbit_extended(x: float, depth: int, guard: float):
             z = 1 / a
             q = int(mpmath.floor(z))
             a = z - q
+            quotients.append(q)
             if a < guard:
-                quotients.append(q)
                 truncated = True
                 break
-            quotients.append(q)
             iterates.append(float(a))
-    return quotients, iterates, truncated
+    betas = [1.0]
+    gammas = []
+    for al in iterates:
+        gammas.append(betas[-1] * (-math.log(al)))
+        betas.append(betas[-1] * al)
+    return quotients, iterates, betas, gammas, truncated
 
 
 def gauss_measure(iv: Interval) -> float:

@@ -2,14 +2,17 @@
 
 Subcommands: eval, cf, wilton, moment, cotangent-dist, verify.  Settings
 resolve as flags > environment (WM_SEED, WM_THREADS, WM_ABS_TOL) >
-defaults.  JSON output carries 17 significant digits, CSV 12, always with
-'.' as the decimal separator, a header row, and LF line endings.
+defaults.  JSON output comes from the json module: floats round-trip
+exactly and nan/inf are written as null.  CSV carries 12 significant
+digits; both use '.' as the decimal separator and LF line endings, and CSV
+has a header row.
 Exit codes: 0 success, 1 computation or verification failure, 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -26,34 +29,24 @@ from .cf_dynamics import (
 )
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits (round-trip exact)."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  "{k}": {_to_json(v, indent + 2).lstrip()}' for k, v in obj.items()
-        )
-        return f"{pad}{{\n{items}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(f"{pad}  {_to_json(v, indent + 2).lstrip()}" for v in obj)
-        return f"{pad}[\n{items}\n{pad}]" if obj else f"{pad}[]"
-    if isinstance(obj, bool):
-        return f"{pad}{'true' if obj else 'false'}"
+def _finite(obj):
+    # JSON has no nan or inf; they become null
     if isinstance(obj, float):
-        return f"{pad}{_fmt17(obj)}"
-    if isinstance(obj, int):
-        return f"{pad}{obj}"
-    if obj is None:
-        return f"{pad}null"
-    return f"{pad}\"{obj}\""
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _to_json(obj) -> str:
+    """JSON text; floats round-trip exactly, non-finite floats are null."""
+    return json.dumps(_finite(obj), indent=2, allow_nan=False)
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -187,7 +180,6 @@ def _config_from_args(args) -> RunConfig:
     )
     tolerance = ToleranceConfig(
         abs_tol=abs_tol,
-        rel_tol=abs_tol,
         max_terms=args.max_terms,
         max_orbit_depth=args.max_orbit_depth,
         rational_guard=args.rational_guard,

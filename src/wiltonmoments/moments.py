@@ -149,8 +149,8 @@ def moment(
     quad_log_substitution: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
     """
-    if K <= 0.0:
-        raise ValueError("K must be positive")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
     if method in ("quad", "quad_log_substitution"):
         def f(x):
             g, _, ok = g_batch(x, cfg)

@@ -36,6 +36,7 @@ and makes |psi| = O(x^2) so tiny arguments cost nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ from .cf_dynamics import (
     ToleranceConfig,
     orbit_arrays,
 )
-from .wilton import wilton
+from .wilton import _orbit_series, wilton
 
 PI2_OVER_36 = math.pi * math.pi / 36.0
 
@@ -120,22 +121,17 @@ def _g_asym(y):
     return out
 
 
-_G_CUM: np.ndarray | None = None
-
-
+@functools.cache
 def _g_cum() -> np.ndarray:
     # cum[k] = G(k) for k = 1.._G_CUT; cum[0] is never dereferenced because
     # the partial-segment formula carries any y in (0, 1) up to u = 1.
-    global _G_CUM
-    if _G_CUM is None:
-        cum = np.zeros(_G_CUT + 1)
-        cum[_G_CUT] = float(_g_asym(np.float64(_G_CUT)))
-        for i in range(_G_CUT - 1, 0, -1):
-            mi = float(i)
-            seg = float(_seg_anti(mi + 1.0, mi) - _seg_anti(mi, mi))
-            cum[i] = seg + cum[i + 1]
-        _G_CUM = cum
-    return _G_CUM
+    cum = np.zeros(_G_CUT + 1)
+    cum[_G_CUT] = float(_g_asym(np.float64(_G_CUT)))
+    for i in range(_G_CUT - 1, 0, -1):
+        mi = float(i)
+        seg = float(_seg_anti(mi + 1.0, mi) - _seg_anti(mi, mi))
+        cum[i] = seg + cum[i + 1]
+    return cum
 
 
 def g_tail_integral(y):
@@ -273,6 +269,10 @@ def phi2(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
 
 def _psi_with_err(lam: float, tol: float) -> tuple[float, float]:
     """psi(lam) = (lam^2/2) Phi2(1/lam) - J(1/lam) for lam in (0, 1]."""
+    if lam < 1e-9:
+        # |psi| <= (pi^2/72) lam^2 + G-tail, far below any working tolerance
+        # (and lam^2 may underflow)
+        return 0.0, 1.4e-19
     T = 1.0 / lam
     phi_tol = tol / (lam * lam)
     pval, perr = _phi2_core(T, phi_tol)
@@ -281,20 +281,15 @@ def _psi_with_err(lam: float, tol: float) -> tuple[float, float]:
     return half_l2 * pval - jval, half_l2 * perr + jerr
 
 
-_A1_CACHE: tuple[float, float] | None = None
-
-
+@functools.cache
 def a1_constant() -> tuple[float, float]:
     """Self-consistent A(1) = 1 + pi^2/36 - 2 J(1), with error bound.
 
     Independent of the closed form log(2 pi) - gamma, which tests compare
     against.
     """
-    global _A1_CACHE
-    if _A1_CACHE is None:
-        jval, jerr = _j_tail(1.0, 5e-12)
-        _A1_CACHE = (1.0 + PI2_OVER_36 - 2.0 * jval, 2.0 * jerr)
-    return _A1_CACHE
+    jval, jerr = _j_tail(1.0, 5e-12)
+    return 1.0 + PI2_OVER_36 - 2.0 * jval, 2.0 * jerr
 
 
 def _a_with_err(lam: float, tol: float) -> tuple[float, float]:
@@ -375,31 +370,23 @@ def _f_with_err(x: float, tol: float) -> tuple[float, float]:
     if not 0.0 < x <= 1.0:
         raise ValueError(f"f_func needs x in (0, 1], got {x}")
     a1, a1e = a1_constant()
-    if x < 1e-9:
-        # |psi| <= (pi^2/72) x^2 + G-tail, far below any working tolerance
-        return 0.5 * a1 - 0.5 * x, 0.5 * a1e + 1.4e-19
     psi, psie = _psi_with_err(x, tol)
     return 0.5 * a1 - 0.5 * x - psi, 0.5 * a1e + psie
 
 
-_SUPF_CACHE: float | None = None
-
-
+@functools.cache
 def sup_f_bound() -> float:
     """Upper bound for sup |F| on (0, 1]: dense-scan maximum plus 10%.
 
     Computed once; the scan runs at a coarse tolerance that the safety
     margin dwarfs.
     """
-    global _SUPF_CACHE
-    if _SUPF_CACHE is None:
-        grid = np.linspace(1e-4, 1.0, 10_000)
-        vals, _ = _psi_vec(grid, 1e-4)
-        a1, _ = a1_constant()
-        f = 0.5 * a1 - 0.5 * grid - vals
-        m = max(float(np.max(np.abs(f))), 0.5 * a1)  # endpoint limit F(0+) = A(1)/2
-        _SUPF_CACHE = 1.1 * (m + 1e-4)
-    return _SUPF_CACHE
+    grid = np.linspace(1e-4, 1.0, 10_000)
+    vals, _ = _psi_vec(grid, 1e-4)
+    a1, _ = a1_constant()
+    f = 0.5 * a1 - 0.5 * grid - vals
+    m = max(float(np.max(np.abs(f))), 0.5 * a1)  # endpoint limit F(0+) = A(1)/2
+    return 1.1 * (m + 1e-4)
 
 
 def _psi_vec(xs: np.ndarray, tol_f: float) -> tuple[np.ndarray, np.ndarray]:
@@ -598,9 +585,10 @@ def g_func(
 ) -> GEval:
     """Evaluate g(x) by the requested route.
 
-    wilton_plus_H returns W(x) + H(x) with a rigorous-by-construction error
-    bound; direct_series returns -2 times a Cesaro average of 64 partial
-    sums of Phi1 with a heuristic error.  The orbit route is primary; the
+    wilton_plus_H returns W(x) + H(x); its error is W's tail_bound (a
+    truncation heuristic plus a first-order orbit-rounding term, see
+    wilton) plus the H series bound.  direct_series returns -2 times a
+    Cesaro average of 64 partial sums of Phi1 with a heuristic error.  The orbit route is primary; the
     series route exists as an independent cross-check.
     """
     if method == "wilton_plus_H":
@@ -664,14 +652,9 @@ class _FTable:
         return out
 
 
-_FTABLE: _FTable | None = None
-
-
+@functools.cache
 def _ftable() -> _FTable:
-    global _FTABLE
-    if _FTABLE is None:
-        _FTABLE = _FTable()
-    return _FTABLE
+    return _FTable()
 
 
 _SMALLX_CUT = 1e-13
@@ -685,26 +668,27 @@ def g_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized g = W + H over an array of points.
 
-    The Wilton sum and the H sum share one fused orbit sweep; F comes from
-    the interpolation table, whose construction tolerance enters the
-    reported per-point error bound.  Below 1e-13 the exact relation
+    The Wilton sum and the H sum share one compacting orbit sweep
+    (wilton._orbit_series, the loop wilton_batch also runs); a point stops
+    once the W rule holds at w_tol and the H tail 2 beta sup|F| is below
+    h_tol, within max(max_terms, 80) steps.  F comes from the interpolation
+    table, whose construction tolerance enters the reported per-point error
+    bound.  Below 1e-13 the exact relation
     g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to
     g(x) = log(1/x) - A(1) + O(720 x), so those points skip the orbit
     entirely (a double cannot resolve {1/x} there anyway).
 
-    Returns (values, err_bounds, ok); not-ok points hit the rational guard
-    mid-orbit or the term budget, and should be resampled or excluded.
+    Returns (values, err_bounds, ok); not-ok points (value 0) hit the
+    rational guard mid-orbit or the term budget, and should be resampled or
+    excluded.
     """
     tab = _ftable()
     supf = sup_f_bound()
     a1, a1e = a1_constant()
     x = np.asarray(xs, dtype=np.float64)
     n = x.shape[0]
-    guard = cfg.rational_guard
-
-    gsum = np.zeros(n)
-    err = np.zeros(n)
-    ok = np.zeros(n, dtype=bool)
+    out = (np.zeros(n), np.zeros(n), None, np.zeros(n, dtype=bool))
+    gsum, err, _, ok = out
 
     small = (x > 0.0) & (x < _SMALLX_CUT)
     if small.any():
@@ -713,60 +697,8 @@ def g_batch(
         ok[small] = True
 
     idx = np.flatnonzero((x >= _SMALLX_CUT) & (x < 1.0))
-    alpha = x[idx]
-    beta = np.ones(idx.size)
-    val = np.zeros(idx.size)
-    ierr = np.zeros(idx.size)
-    beta_sum = np.zeros(idx.size)
-    prev_alpha = alpha.copy()
-    prev_g = -np.log(alpha)
-    sign = 1.0
-    k = 0
-    max_iter = max(cfg.max_terms, 80)
-    while idx.size and k < max_iter:
-        beta_next = beta * alpha
-        z = 1.0 / alpha
-        alpha_next = z - np.floor(z)
-        hit = alpha_next <= guard  # mid-orbit guard trip: drop as not-ok
-
-        g_next = np.where(hit, 0.0, beta_next * (-np.log(np.where(hit, 0.5, alpha_next))))
-        w_done = (k >= 1) & (prev_g < w_tol) & (g_next <= w_tol) & (g_next <= prev_g)
-        stop = ~hit & w_done & (2.0 * beta * supf < h_tol)
-        if stop.any():
-            done = idx[stop]
-            gsum[done] = val[stop]
-            err[done] = (
-                ierr[stop]
-                + prev_g[stop]
-                + g_next[stop]
-                + 4.0 * beta[stop] * supf
-                + 2.0 * tab.err_bound * beta_sum[stop]
-            )
-            ok[done] = True
-
-        keep = ~hit & ~stop
-        if not keep.all():
-            idx = idx[keep]
-            alpha = alpha[keep]
-            beta = beta[keep]
-            beta_next = beta_next[keep]
-            val = val[keep]
-            ierr = ierr[keep]
-            beta_sum = beta_sum[keep]
-            prev_alpha = prev_alpha[keep]
-            prev_g = prev_g[keep]
-            g_next = g_next[keep]
-            alpha_next = alpha_next[keep]
-        if idx.size:
-            # W contributes (-1)^j gamma_j, H contributes -(-1)^j 2 beta_{j-1} F
-            fvals = tab.lookup(prev_alpha)
-            val += sign * (prev_g - 2.0 * beta * fvals)
-            beta_sum += beta
-            prev_g = g_next
-            prev_alpha = alpha_next
-            beta = beta_next
-            alpha = alpha_next
-        sign = -sign
-        k += 1
-
+    _orbit_series(
+        x, idx, out, w_tol, cfg.rational_guard, max(cfg.max_terms, 80),
+        f=tab.lookup, supf=supf, h_tol=h_tol, f_err=tab.err_bound,
+    )
     return gsum, err, ok

@@ -159,6 +159,17 @@ class TestCFExpand:
         assert len(d["betas"]) == d["depth"] + 2
         assert len(d["gammas"]) == d["depth"] + 1
 
+    def test_sub_guard_input_stays_iterate_zero(self):
+        # the guard applies to alpha_k for k >= 1; x itself is kept
+        x = 1e-16
+        exp = cf_expand(x, 5)
+        assert exp.truncated
+        assert exp.iterates == [x]
+        assert exp.partial_quotients == [math.floor(1.0 / x)]
+        assert exp.gammas == [-math.log(x)]
+        wide = cf_expand(0.05, 3, ToleranceConfig(rational_guard=0.1))
+        assert wide.iterates[0] == 0.05 and wide.partial_quotients[0] == 20
+
 
 class TestGaussMeasure:
     def test_normalization(self):

@@ -43,6 +43,18 @@ class TestEval:
     def test_missing_points_is_usage_error(self, capsys):
         assert run(["eval", "--fn", "A"]) == 2
 
+    def test_out_of_domain_point_is_valid_json(self, capsys):
+        status, out = run_capture(["eval", "--fn", "g", "--x", "2"], capsys)
+        assert status == 1
+        (row,) = json.loads(out)
+        assert row["value"] is None and row["est_error"] is None
+        assert row["method"].startswith("error:")
+
+    def test_huge_a_argument_exits_cleanly(self, capsys):
+        status, out = run_capture(["eval", "--fn", "A", "--x", "1e300"], capsys)
+        assert status == 0
+        assert math.isfinite(json.loads(out)[0]["value"])
+
 
 class TestCF:
     def test_golden_json(self, capsys):
@@ -113,6 +125,12 @@ class TestMomentCmd:
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_too_few_samples_is_usage_error(self, samples, capsys):
         assert run(["moment", "--k", "2", "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_is_usage_error(self, k, capsys):
+        assert run(["moment", "--k", k, "--samples", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 
@@ -220,3 +238,11 @@ class TestJsonFormatting:
         text = _to_json({"v": list(vals)})
         parsed = json.loads(text)
         assert parsed["v"] == vals
+
+    def test_non_finite_floats_are_null(self):
+        text = _to_json({"v": [math.nan, math.inf, -math.inf, 1.5]})
+        assert json.loads(text) == {"v": [None, None, None, 1.5]}
+
+    def test_strings_are_escaped(self):
+        s = 'a "quoted" \\ path\nnext'
+        assert json.loads(_to_json({"s": s})) == {"s": s}

@@ -77,6 +77,11 @@ class TestMoment:
         with pytest.raises(ValueError):
             mo.moment(1.0, method="trapezoid")
 
+    @pytest.mark.parametrize("K", [math.nan, math.inf])
+    def test_non_finite_k(self, K):
+        with pytest.raises(ValueError, match="finite"):
+            mo.moment(K, samples=100)
+
     @pytest.mark.parametrize("K", [0.5, 1.0, 3.0, 8.0])
     def test_ratio_sanity_envelope(self, K):
         # not an asymptotic claim, just a guard against gross estimator bugs

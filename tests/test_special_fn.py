@@ -149,6 +149,11 @@ class TestBigA:
         # two calls, so agreement is at the truncation level, not exact
         assert sf.big_a(4.0, CFG) == pytest.approx(4.0 * sf.big_a(0.25, CFG), abs=1e-9)
 
+    def test_huge_lambda_is_finite(self):
+        # A(lam) = lam A(1/lam) with 1/lam far below the psi underflow point
+        val = sf.big_a(1e300, CFG)
+        assert math.isfinite(val) and val > 0.0
+
 
 class TestF:
     def test_f_at_one_is_zero(self):
@@ -282,3 +287,15 @@ class TestGBatch:
             [sf.g_func(float(x), "wilton_plus_H", CFG6).value for x in xs]
         )
         assert (np.abs(vals - sc) <= errs + 2e-6).all()
+
+
+class TestAntisymmetryRegression:
+    def test_rounding_dominated_pair(self):
+        # |g(x) + g(1-x)| = 4.2e-6 came from float-orbit rounding in W,
+        # which the reported errors now cover
+        x = 0.10273499927357221
+        cfg = ToleranceConfig(abs_tol=1e-5)
+        a = sf.g_func(x, "wilton_plus_H", cfg)
+        b = sf.g_func(1.0 - x, "wilton_plus_H", cfg)
+        assert abs(a.value + b.value) > 1e-6
+        assert abs(a.value + b.value) <= a.est_error + b.est_error

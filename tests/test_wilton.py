@@ -7,6 +7,7 @@ from wiltonmoments.cf_dynamics import (
     EffectiveRationalError,
     ToleranceConfig,
     gauss_map,
+    orbit_arrays,
     sample_gauss_measure,
 )
 from wiltonmoments.wilton import (
@@ -102,8 +103,6 @@ class TestWilton:
         # quotient spikes break monotonicity (1/pi has them), so the bracket
         # is asserted where the terms demonstrably decrease: the golden
         # point, whose gamma_k fall like g^k
-        from wiltonmoments.cf_dynamics import orbit_arrays
-
         x = GOLDEN
         tight = ToleranceConfig(abs_tol=1e-12)
         deep = wilton(x, tight).value
@@ -114,6 +113,46 @@ class TestWilton:
             hi = partial_sums(x, m + 1, tight).L_value
             lo, hi = min(lo, hi), max(lo, hi)
             assert lo - 1e-10 <= deep <= hi + 1e-10
+
+
+def _wilton_mp(x: float) -> float:
+    """W at the double x, orbit and sum in 60-digit arithmetic.
+
+    A double is rational, where W has a log singularity; the 60-digit orbit
+    stands for a point within about 1e-60 of x.  Moving x by 1e-45 changes
+    the result by under 1e-12, far below the float errors tested here.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        a, beta, total, sign = mpmath.mpf(x), mpmath.mpf(1), mpmath.mpf(0), 1
+        for _ in range(80):
+            term = beta * mpmath.log(1 / a)
+            total += sign * term
+            if term < 1e-25:
+                break
+            beta *= a
+            a = 1 / a - mpmath.floor(1 / a)
+            sign = -sign
+        return float(total)
+
+
+class TestWiltonErrorBound:
+    def test_covers_60_digit_value(self):
+        # at abs_tol 1e-10 the float-orbit rounding, not truncation, is the
+        # error: the truncation part alone misses on nearly every point.
+        # The rounding part is first order, so a rare point whose float
+        # orbit leaves the true orbit's branch may still miss.
+        xs = [float(x) for x in sample_gauss_measure(400, 4242)]
+        misses = trunc_misses = 0
+        for x in xs:
+            w = wilton(x, CFG)
+            err = abs(w.value - _wilton_mp(x))
+            _, _, g, _ = orbit_arrays(x, CFG.max_terms)
+            trunc_misses += err > g[w.terms_used] + g[w.terms_used + 1]
+            misses += err > w.tail_bound
+        assert trunc_misses > 0.9 * len(xs)
+        assert misses <= 0.01 * len(xs)
 
 
 class TestPartialSums:
@@ -164,6 +203,13 @@ class TestWiltonBatch:
         assert use.mean() > 0.999
         resid = np.abs(wx[use] + np.log(xs[use]) + xs[use] * wax[use])
         assert resid.max() < 1e-9
+
+    def test_not_ok_entries_hold_zero(self):
+        xs = np.array([0.375, 0.5, 1e-16, 1.0, GOLDEN])
+        vals, tails, terms, ok = wilton_batch(xs, CFG)
+        assert ok.tolist() == [False, False, False, False, True]
+        assert (vals[:4] == 0.0).all() and (tails[:4] == 0.0).all()
+        assert vals[4] == wilton(GOLDEN, CFG).value
 
 
 class TestContraction:
