@@ -231,12 +231,14 @@ def _cmd_eval(args, config: RunConfig) -> tuple[int, str]:
                 val, err = special_fn._h_with_err(x, cfg)
                 rows.append(["H", x, val, err, "orbit_series"])
             elif args.fn == "A":
-                rows.append(["A", x, special_fn.big_a(x, cfg), cfg.abs_tol, "phi2_formula"])
+                val, err = special_fn._a_with_err(x, cfg.abs_tol)
+                rows.append(["A", x, val, err, "phi2_formula"])
             elif args.fn == "F":
                 val, err = special_fn._f_with_err(x, cfg.abs_tol)
                 rows.append(["F", x, val, err, "phi2_formula"])
             elif args.fn == "Phi2":
-                rows.append(["Phi2", x, special_fn.phi2(x, cfg), cfg.abs_tol, "series"])
+                val, err = special_fn._phi2_core(x, cfg.abs_tol)
+                rows.append(["Phi2", x, val, err, "series"])
         except (EffectiveRationalError, NonConvergenceError, ValueError) as exc:
             rows.append([args.fn, x, math.nan, math.nan, f"error: {exc}"])
             status = 1

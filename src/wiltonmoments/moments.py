@@ -130,6 +130,13 @@ def _mixture_density(t: np.ndarray, K: float, w1: float, w2: float) -> np.ndarra
     return w1 * pg + w2 * pu
 
 
+def _require_finite(K: float, value: float, std_error: float) -> None:
+    if not (math.isfinite(value) and math.isfinite(std_error)):
+        raise NonConvergenceError(
+            f"M({K:g}) is out of double range (value {value}, std_error {std_error})"
+        )
+
+
 def moment(
     K: float,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -144,7 +151,8 @@ def moment(
     Gamma(K+1) + uniform mixture, doubled onto (1/2, 1) via antisymmetry.
     Points whose orbit is effectively rational are redrawn from a reserved
     repair stream, counted, and reported; a rejection rate above 1% raises
-    NonConvergenceError.
+    NonConvergenceError, and so does an estimate or standard error that
+    leaves double range (the standard error does from about K = 95).
 
     quad_log_substitution: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
@@ -156,9 +164,11 @@ def moment(
             g, _, ok = g_batch(x, cfg)
             return np.where(ok, np.abs(g), 0.0) ** K
 
-        full = 2.0 * _quad_log_substitution(f, K, LOG2, panels)
-        halfres = 2.0 * _quad_log_substitution(f, K, LOG2, panels // 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = 2.0 * _quad_log_substitution(f, K, LOG2, panels)
+            halfres = 2.0 * _quad_log_substitution(f, K, LOG2, panels // 2)
         value = full
+        _require_finite(K, value, abs(full - halfres))
         return MomentEstimate(
             K=K,
             value=value,
@@ -203,18 +213,21 @@ def moment(
 
     w1 = n1 / samples
     w2 = n2 / samples
-    dens = _mixture_density(t, K, w1, w2)
-    absg = np.abs(g)
-    logf = np.where(absg > 0.0, K * np.log(np.where(absg > 0, absg, 1.0)) - t, -np.inf)
-    f_over_p = np.where(
-        (t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / dens, 0.0
-    )
-    m1 = float(np.mean(f_over_p[:n1])) if n1 else 0.0
-    m2 = float(np.mean(f_over_p[n1:])) if n2 else 0.0
-    value = 2.0 * (w1 * m1 + w2 * m2)
-    v1 = float(np.var(f_over_p[:n1])) if n1 > 1 else 0.0
-    v2 = float(np.var(f_over_p[n1:])) if n2 > 1 else 0.0
+    # at large K the weights leave double range; the result is then rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = _mixture_density(t, K, w1, w2)
+        absg = np.abs(g)
+        logf = np.where(absg > 0.0, K * np.log(np.where(absg > 0, absg, 1.0)) - t, -np.inf)
+        f_over_p = np.where(
+            (t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / dens, 0.0
+        )
+        m1 = float(np.mean(f_over_p[:n1])) if n1 else 0.0
+        m2 = float(np.mean(f_over_p[n1:])) if n2 else 0.0
+        value = 2.0 * (w1 * m1 + w2 * m2)
+        v1 = float(np.var(f_over_p[:n1])) if n1 > 1 else 0.0
+        v2 = float(np.var(f_over_p[n1:])) if n2 > 1 else 0.0
     std = 2.0 * math.sqrt(w1 * w1 * v1 / max(n1, 1) + w2 * w2 * v2 / max(n2, 1))
+    _require_finite(K, value, std)
     log_ratio = math.log(value) - float(gammaln(K + 1.0)) if value > 0 else -math.inf
     return MomentEstimate(
         K=K,

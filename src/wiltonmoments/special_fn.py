@@ -62,6 +62,7 @@ _SNAP_EPS = 1e-12
 _J_MAX_TERMS = 3_000_000
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
+_ROW_BLOCK = 1 << 15  # elements per _psi_vec work buffer; two of them fit in L2
 
 # Bernoulli polynomials B3..B8, descending powers, for the G asymptotics.
 _BPOLY = {
@@ -237,6 +238,8 @@ def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
     the series is summed with the absolute tail bound (1/6)/N (capped; the
     reported bound reflects the cap).
     """
+    if not math.isfinite(lam):
+        raise ValueError("phi2 needs a finite argument")
     frac = lam - math.floor(lam)
     if frac == 0.0:
         return PI2_OVER_36, 0.0
@@ -257,8 +260,6 @@ def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
 
 def phi2(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Phi2(lam) = sum_{n>=1} B2(n lam)/n^2; period 1, bounded by pi^2/36."""
-    if not math.isfinite(lam):
-        raise ValueError("phi2 needs a finite argument")
     val, _ = _phi2_core(lam, cfg.abs_tol)
     return val
 
@@ -293,6 +294,8 @@ def a1_constant() -> tuple[float, float]:
 
 
 def _a_with_err(lam: float, tol: float) -> tuple[float, float]:
+    if not math.isfinite(lam):
+        raise ValueError("big_a needs a finite argument")
     if lam < 0.0:
         raise ValueError("big_a needs lam >= 0")
     if lam == 0.0:
@@ -302,7 +305,7 @@ def _a_with_err(lam: float, tol: float) -> tuple[float, float]:
         return lam * val, lam * err
     a1, a1e = a1_constant()
     psi, psie = _psi_with_err(lam, tol / 2.0)
-    val = 0.5 * lam * math.log(1.0 / lam) + 0.5 * (1.0 + a1) * lam + psi
+    val = -0.5 * lam * math.log(lam) + 0.5 * (1.0 + a1) * lam + psi
     return val, 0.5 * lam * a1e + psie
 
 
@@ -419,14 +422,29 @@ def _psi_vec(xs: np.ndarray, tol_f: float) -> tuple[np.ndarray, np.ndarray]:
             pts = fr_s[start:stop]
             n_use = int(nn_s[stop - 1])
             n_arr = np.arange(1, n_use + 1, dtype=np.float64)
-            # chunk the outer product to bound memory
+            # Column chunks fix each row's summation order; row blocks only
+            # bound the working set, so the sums do not depend on _ROW_BLOCK.
             acc = np.zeros(len(pts))
             step = max(1, int(4e6 / max(len(pts), 1)))
+            width = min(step, n_use)
+            rows = max(1, _ROW_BLOCK // width)
+            tbuf = np.empty(rows * width)
+            fbuf = np.empty_like(tbuf)
             for c0 in range(0, n_use, step):
                 nb = n_arr[c0 : c0 + step]
-                t = np.outer(pts, nb)
-                f = t - np.floor(t)
-                acc += ((f * f - f + 1.0 / 6.0) / (nb * nb)).sum(axis=1)
+                nb2 = nb * nb
+                for r0 in range(0, len(pts), rows):
+                    p = pts[r0 : r0 + rows]
+                    t = tbuf[: p.size * nb.size].reshape(p.size, nb.size)
+                    f = fbuf[: t.size].reshape(t.shape)
+                    np.multiply.outer(p, nb, out=t)
+                    np.floor(t, out=f)
+                    t -= f
+                    np.multiply(t, t, out=f)
+                    f -= t
+                    f += 1.0 / 6.0
+                    f /= nb2
+                    acc[r0 : r0 + rows] += f.sum(axis=1)
             res[start:stop] = acc
             start = stop
         phi_live[order] = res
@@ -629,8 +647,11 @@ class _FTable:
     """Uniform table of F on [xmin, 1] with linear interpolation.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
-    O(x^2)).  err_bound covers the construction tolerance plus the
-    interpolation error away from low-order rational kinks.
+    O(x^2)).  lookup finds the segment by direct index on the uniform grid
+    and returns exactly what np.interp(x, xs, f) returns for finite
+    x >= xmin.  err_bound is heuristic: the construction tolerance plus the
+    interpolation error away from low-order rational kinks, where F is not
+    smooth and the bound is not proven.
     """
 
     def __init__(self, xmin: float = 1e-5, size: int = 1 << 20, tol: float = 1e-4):
@@ -642,14 +663,23 @@ class _FTable:
         self.xs = xs
         self.f = 0.5 * a1 - 0.5 * xs - psi
         self.err_bound = float(np.max(psie)) + a1e + 3e-5
+        # slope[size] = 0 makes x >= 1 return f[size], as np.interp does
+        self._slope = np.append(np.diff(self.f) / np.diff(xs), 0.0)
+        self._inv_h = size / (1.0 - xmin)
+        self._last = size - 1
 
     def lookup(self, x: np.ndarray) -> np.ndarray:
-        out = np.where(
+        xs = self.xs
+        i = np.fmin(np.fmax((x - self.xmin) * self._inv_h, 0.0), self._last)
+        i = i.astype(np.intp)
+        # the rounded index is off by at most one segment either way
+        i -= (x < xs[i]) & (i > 0)
+        i += x >= xs[i + 1]
+        return np.where(
             x < self.xmin,
             0.5 * self.a1 - 0.5 * x,
-            np.interp(x, self.xs, self.f),
+            self._slope[i] * (x - xs[i]) + self.f[i],
         )
-        return out
 
 
 @functools.cache

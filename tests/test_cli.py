@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wiltonmoments import cotangent
+from wiltonmoments import cotangent, special_fn
 from wiltonmoments.cli import run, _csv, _to_json
 
 
@@ -54,6 +54,29 @@ class TestEval:
         status, out = run_capture(["eval", "--fn", "A", "--x", "1e300"], capsys)
         assert status == 0
         assert math.isfinite(json.loads(out)[0]["value"])
+
+    def test_subnormal_a_argument_is_finite(self, capsys):
+        status, out = run_capture(["eval", "--fn", "A", "--x", "1e-320"], capsys)
+        assert status == 0
+        (row,) = json.loads(out)
+        assert math.isfinite(row["value"]) and row["value"] > 0.0
+
+    @pytest.mark.parametrize("fn", ["A", "Phi2"])
+    @pytest.mark.parametrize("x", ["inf", "nan"])
+    def test_non_finite_argument_is_error_row(self, fn, x, capsys):
+        status, out = run_capture(["eval", "--fn", fn, "--x", x], capsys)
+        assert status == 1
+        (row,) = json.loads(out)
+        assert row["value"] is None and row["method"].startswith("error:")
+
+    @pytest.mark.parametrize("x", [0.3, 2.5])
+    def test_a_error_is_the_computed_bound(self, x, capsys):
+        status, out = run_capture(
+            ["eval", "--fn", "A", "--x", str(x), "--abs-tol", "1e-7"], capsys
+        )
+        assert status == 0
+        (row,) = json.loads(out)
+        assert row["est_error"] == special_fn._a_with_err(x, 1e-7)[1]
 
 
 class TestCF:
@@ -133,6 +156,15 @@ class TestMomentCmd:
         assert run(["moment", "--k", k, "--samples", "100"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["mc", "quad"])
+    def test_overflowing_moment_fails_in_one_line(self, method, capsys):
+        argv = ["moment", "--k", "400", "--samples", "2000", "--method", method]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation failed:")
+        assert captured.err.count("\n") == 1
 
 
 class TestCotangentCmd:

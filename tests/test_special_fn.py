@@ -289,6 +289,68 @@ class TestGBatch:
         assert (np.abs(vals - sc) <= errs + 2e-6).all()
 
 
+def _psi_vec_outer(xs, tol_f):
+    """sf._psi_vec with each column chunk as one plain np.outer product."""
+    x = np.asarray(xs, dtype=np.float64)
+    T = 1.0 / x
+    fracT = T - np.floor(T)
+    n_needed = np.minimum(np.ceil(x * x / (6.0 * tol_f)), 1e7).astype(np.int64)
+    n_needed = np.maximum(n_needed, 1)
+    phi = np.full(x.shape, sf.PI2_OVER_36)
+    live = fracT > 0.0
+    fr, nn = fracT[live], n_needed[live]
+    order = np.argsort(nn, kind="stable")
+    fr_s, nn_s = fr[order], nn[order]
+    res = np.zeros_like(fr_s)
+    start = 0
+    while start < len(fr_s):
+        stop = max(int(np.searchsorted(nn_s, 2 * int(nn_s[start]), side="right")), start + 1)
+        pts = fr_s[start:stop]
+        n_use = int(nn_s[stop - 1])
+        n_arr = np.arange(1, n_use + 1, dtype=np.float64)
+        step = max(1, int(4e6 / len(pts)))
+        for c0 in range(0, n_use, step):
+            nb = n_arr[c0 : c0 + step]
+            t = np.outer(pts, nb)
+            f = t - np.floor(t)
+            res[start:stop] += ((f * f - f + 1.0 / 6.0) / (nb * nb)).sum(axis=1)
+        start = stop
+    phi_live = np.zeros_like(fr_s)
+    phi_live[order] = res
+    phi[live] = phi_live
+    nj = np.maximum(np.ceil(np.sqrt(sf._G_ABS * x**3 / tol_f)).astype(np.int64), 1)
+    jval = np.zeros(x.shape)
+    for n in range(1, int(nj.max()) + 1):
+        mask = nj >= n
+        jval[mask] += sf.g_tail_integral(n * T[mask])
+    return 0.5 * x * x * phi - jval
+
+
+class TestFTable:
+    def test_lookup_is_interp_bit_for_bit(self):
+        tab = sf._ftable()
+        xs = tab.xs
+        rng = np.random.default_rng(20261018)
+        inside = np.concatenate([
+            xs,
+            np.nextafter(xs[1:], -np.inf),
+            np.nextafter(xs[:-1], np.inf),
+            [np.nextafter(1.0, np.inf), 1.5],
+            rng.uniform(tab.xmin, 1.0, 1_000_000),
+        ])
+        assert np.array_equal(tab.lookup(inside), np.interp(inside, xs, tab.f))
+        below = np.array([np.nextafter(tab.xmin, 0.0), 0.5 * tab.xmin, 1e-300, 0.0])
+        assert np.array_equal(tab.lookup(below), 0.5 * tab.a1 - 0.5 * below)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_blocked_psi_matches_outer_reference(self, tol):
+        # at 1e-6 the largest buckets need many column chunks; at both
+        # tolerances each chunk spans many row blocks
+        xs = np.linspace(1e-3, 1.0, 4097)
+        psi, _ = sf._psi_vec(xs, tol)
+        assert np.array_equal(psi, _psi_vec_outer(xs, tol))
+
+
 class TestAntisymmetryRegression:
     def test_rounding_dominated_pair(self):
         # |g(x) + g(1-x)| = 4.2e-6 came from float-orbit rounding in W,
