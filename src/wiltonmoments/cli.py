@@ -238,7 +238,8 @@ def _cmd_eval(args, config: RunConfig) -> tuple[int, str]:
                 rows.append(["F", x, val, err, "phi2_formula"])
             elif args.fn == "Phi2":
                 val, err = special_fn._phi2_core(x, cfg.abs_tol)
-                rows.append(["Phi2", x, val, err, "series"])
+                snap, _, _ = special_fn._phi2_route(x - math.floor(x), cfg.abs_tol)
+                rows.append(["Phi2", x, val, err, "series" if snap is None else "rational_snap"])
         except (EffectiveRationalError, NonConvergenceError, ValueError) as exc:
             rows.append([args.fn, x, math.nan, math.nan, f"error: {exc}"])
             status = 1

@@ -32,6 +32,9 @@ Substituting the A representation into F collapses it to
 
 which is exact on (0, 1], gives F(0+) = A(1)/2 and F(1) = 0 identically,
 and makes |psi| = O(x^2) so tiny arguments cost nothing.
+
+Phi2 near a rational p/q is taken at p/q in closed form, a csc^2(pi r/q)
+sum over the residues r <= q/2 (`_phi2_rational`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from .cf_dynamics import (
     DEFAULT_CONFIG,
@@ -118,7 +120,10 @@ def _g_asym(y):
     f = y - np.floor(y)
     out = np.zeros_like(y)
     for j, coef in _BPOLY.items():
-        out -= np.polyval(coef, f) / (j * y**j)
+        b = coef[0]  # Horner, in np.polyval's order
+        for c in coef[1:]:
+            b = b * f + c
+        out -= b / (j * y**j)
     return out
 
 
@@ -201,14 +206,24 @@ def _snap_rational(x: float, qmax: int, eps: float) -> tuple[int, int] | None:
 
 
 def _phi2_rational(p: int, q: int) -> float:
-    """Exact Phi2(p/q) via trigamma: classes n = r (mod q) sum in closed form."""
+    """Exact Phi2(p/q) in O(q).
+
+    The classes n = r (mod q) sum to b2_r psi1(r/q) / q^2.  B2 is even, so
+    b2_{q-r} = b2_r, and psi1(t) + psi1(1-t) = pi^2 / sin^2(pi t) pairs the
+    classes:  Phi2(p/q) = pi^2 (sum_{r <= q/2} b2_r w_r + 1/36) / q^2 with
+    w_r = csc^2(pi r/q), and w_{q/2} = 1/2 for even q.  Keeping r <= q/2
+    keeps sin away from pi, where its relative error would grow like q u.
+    """
     if q == 1:
         return PI2_OVER_36
-    r = np.arange(1, q, dtype=np.int64)
+    r = np.arange(1, q // 2 + 1, dtype=np.int64)
     frac = ((r * p) % q).astype(np.float64) / q
     b2 = frac * frac - frac + 1.0 / 6.0
-    tri = polygamma(1, r.astype(np.float64) / q)
-    return float((b2 @ tri) / (q * q) + PI2_OVER_36 / (q * q))
+    s = np.sin(r * (math.pi / q))
+    w = 1.0 / (s * s)
+    if q % 2 == 0:
+        w[-1] = 0.5
+    return float(math.pi * math.pi * (b2 @ w + 1.0 / 36.0) / (q * q))
 
 
 def _phi2_direct(frac: float, n_terms: int) -> float:
@@ -229,20 +244,12 @@ def _snap_error(delta: float) -> float:
     return delta * (math.log(1.0 / (3.0 * delta)) + 2.0)
 
 
-def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
-    """(Phi2(lam), error bound).
+def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, float]:
+    """Path choice for Phi2(frac), frac in [0, 1): (snap, n_terms, err).
 
-    Periodic reduction first.  A nearby rational p/q is used, through the
-    exact trigamma form, only when its continuity-modulus error meets the
-    tolerance and the O(q) evaluation undercuts direct summation; otherwise
-    the series is summed with the absolute tail bound (1/6)/N (capped; the
-    reported bound reflects the cap).
+    snap is the rational (p, q) to evaluate at, or None for the direct
+    series of n_terms terms; err is the chosen path's error bound.
     """
-    if not math.isfinite(lam):
-        raise ValueError("phi2 needs a finite argument")
-    frac = lam - math.floor(lam)
-    if frac == 0.0:
-        return PI2_OVER_36, 0.0
     n_terms = int(min(max(1.0 / (6.0 * tol), 16.0), _PHI2_MAX_TERMS))
     direct_err = 1.0 / (6.0 * n_terms)
     qmax = min(_SNAP_QMAX, max(n_terms // 4, 64))
@@ -250,12 +257,32 @@ def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
     snap = _snap_rational(frac, qmax, eps)
     if snap is not None:
         p, q = snap
-        if q == 1:  # frac in (0,1) snapped to an integer boundary
-            return PI2_OVER_36, _snap_error(abs(frac - p)) + 1e-13
         err = _snap_error(abs(frac - p / q))
-        if err <= 0.5 * tol or err <= direct_err:
-            return _phi2_rational(p, q), err + 1e-13
-    return _phi2_direct(frac, n_terms), direct_err
+        # q == 1: frac in (0,1) snapped to an integer boundary
+        if q == 1 or err <= 0.5 * tol or err <= direct_err:
+            return snap, n_terms, err + 1e-13
+    return None, n_terms, direct_err
+
+
+def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
+    """(Phi2(lam), error bound).
+
+    Periodic reduction first.  A nearby rational p/q is used, through the
+    exact csc^2 form of `_phi2_rational`, only when its continuity-modulus
+    error meets the tolerance and the O(q) evaluation undercuts direct
+    summation; otherwise the series is summed with the absolute tail bound
+    (1/6)/N (capped; the reported bound reflects the cap).  `_phi2_route`
+    makes the choice.
+    """
+    if not math.isfinite(lam):
+        raise ValueError("phi2 needs a finite argument")
+    frac = lam - math.floor(lam)
+    if frac == 0.0:
+        return PI2_OVER_36, 0.0
+    snap, n_terms, err = _phi2_route(frac, tol)
+    if snap is None:
+        return _phi2_direct(frac, n_terms), err
+    return _phi2_rational(*snap), err
 
 
 def phi2(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -271,9 +298,9 @@ def phi2(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
 def _psi_with_err(lam: float, tol: float) -> tuple[float, float]:
     """psi(lam) = (lam^2/2) Phi2(1/lam) - J(1/lam) for lam in (0, 1]."""
     if lam < 1e-9:
-        # |psi| <= (pi^2/72) lam^2 + G-tail, far below any working tolerance
-        # (and lam^2 may underflow)
-        return 0.0, 1.4e-19
+        # |psi| <= (pi^2/72) lam^2 + |J| <= 0.1371 lam^2 + 0.072 lam^3,
+        # far below any working tolerance (and lam^2 may underflow)
+        return 0.0, 0.14 * lam * lam
     T = 1.0 / lam
     phi_tol = tol / (lam * lam)
     pval, perr = _phi2_core(T, phi_tol)

@@ -53,7 +53,22 @@ class TestEval:
     def test_huge_a_argument_exits_cleanly(self, capsys):
         status, out = run_capture(["eval", "--fn", "A", "--x", "1e300"], capsys)
         assert status == 0
-        assert math.isfinite(json.loads(out)[0]["value"])
+        (row,) = json.loads(out)
+        assert math.isfinite(row["value"]) and row["est_error"] < 1e-6
+
+    def test_phi2_reports_rational_snap(self, capsys):
+        status, out = run_capture(["eval", "--fn", "Phi2", "--x", "0.3"], capsys)
+        assert status == 0
+        assert json.loads(out)[0]["method"] == "rational_snap"
+
+    def test_phi2_reports_series_when_snap_is_too_far(self, capsys):
+        # at the default abs_tol 1e-8 this point snaps to 28247/132119
+        argv = ["eval", "--fn", "Phi2", "--x", "0.2137996805918318"]
+        _, out = run_capture(argv, capsys)
+        assert json.loads(out)[0]["method"] == "rational_snap"
+        status, out = run_capture(["--abs-tol", "1e-4"] + argv, capsys)
+        assert status == 0
+        assert json.loads(out)[0]["method"] == "series"
 
     def test_subnormal_a_argument_is_finite(self, capsys):
         status, out = run_capture(["eval", "--fn", "A", "--x", "1e-320"], capsys)

@@ -115,6 +115,39 @@ class TestPhi2:
             v2 = sf._phi2_rational(1, 3)
             assert abs(v1 - v2) <= e1 + sf._snap_error(delta) + 1e-12
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 12, 97, 100, 1000, 4096])
+    def test_rational_against_mpmath(self, q):
+        # 30-digit sum over all classes r = 1..q-1 of b2_r psi1(r/q), the
+        # form before the csc^2 pairing
+        import mpmath
+
+        with mpmath.workdps(30):
+            tri = [mpmath.psi(1, mpmath.mpf(r) / q) for r in range(1, q)]
+            ps = {1, q - 1}
+            for p in np.random.default_rng(q).integers(1, q, 20):
+                if math.gcd(int(p), q) == 1:
+                    ps.add(int(p))
+                    break
+            for p in sorted(ps):
+                total = mpmath.pi**2 / 36
+                for r in range(1, q):
+                    f = mpmath.mpf((r * p) % q) / q
+                    total += (f * f - f + mpmath.mpf(1) / 6) * tri[r - 1]
+                expect = float(total / q**2)
+                assert sf._phi2_rational(p, q) == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [65536, 120001])
+    def test_rational_against_trigamma_form(self, q):
+        from scipy.special import polygamma
+
+        r = np.arange(1, q, dtype=np.int64)
+        tri = polygamma(1, r.astype(np.float64) / q)
+        for p in (1, q - 1, 40503):
+            frac = ((r * p) % q).astype(np.float64) / q
+            b2 = frac * frac - frac + 1.0 / 6.0
+            expect = float((b2 @ tri) / (q * q) + sf.PI2_OVER_36 / (q * q))
+            assert sf._phi2_rational(p, q) == pytest.approx(expect, abs=1e-13)
+
 
 class TestBigA:
     def test_a1_closed_form(self):
@@ -126,6 +159,19 @@ class TestBigA:
     def test_negative_domain(self):
         with pytest.raises(ValueError):
             sf.big_a(-0.5)
+
+    def test_tiny_lambda_psi_bound(self):
+        # below lam = 1e-9 psi is reported as 0 with the bound 0.14 lam^2;
+        # the series form must lie inside it.  1/lam is an integer here,
+        # where Phi2 takes its maximum pi^2/36 (exactly, with error 0)
+        lam, tol = 1e-12, 1e-30
+        val, err = sf._psi_with_err(lam, tol)
+        pval, perr = sf._phi2_core(1.0 / lam, tol / (lam * lam))
+        jval, _ = sf._j_tail(1.0 / lam, tol)
+        assert pval == sf.PI2_OVER_36 and perr == 0.0
+        assert abs(jval) <= 0.072 * lam**3
+        assert val == 0.0 and err <= 1e-24
+        assert abs(0.5 * lam * lam * pval - jval) <= err
 
     def test_small_lambda_expansion(self):
         lam = 0.001
