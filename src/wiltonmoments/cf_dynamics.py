@@ -51,10 +51,10 @@ class ToleranceConfig:
     extended_precision: bool = False
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.rational_guard <= 0.0:
-            raise ValueError("rational_guard must be positive")
+        if not 0.0 < self.abs_tol < math.inf:  # also rejects nan
+            raise ValueError(f"abs_tol must be finite and positive: {self.abs_tol}")
+        if not 0.0 < self.rational_guard < 1.0:
+            raise ValueError(f"rational_guard must be in (0, 1): {self.rational_guard}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be a positive integer")
         if self.max_orbit_depth < 2:

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: eval, cf, wilton, moment, cotangent-dist, verify.  Settings
-resolve as flags > environment (WM_SEED, WM_THREADS, WM_ABS_TOL) >
-defaults.  JSON output comes from the json module: floats round-trip
-exactly and nan/inf are written as null.  CSV carries 12 significant
-digits; both use '.' as the decimal separator and LF line endings, and CSV
-has a header row.
+resolve as flags > environment (WM_SEED, WM_ABS_TOL) > defaults; a
+malformed environment value or tolerance is a usage error.  Composite-b
+cotangent sums run on one thread per CPU.  JSON output comes from the json
+module: floats round-trip exactly and nan/inf are written as null.  CSV
+carries 12 significant digits; both use '.' as the decimal separator and LF
+line endings, and CSV has a header row.
 Exit codes: 0 success, 1 computation or verification failure, 2 usage.
 """
 
@@ -58,6 +59,13 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table(header: list[str], rows: list[list], fmt: str) -> str:
+    """Rows as CSV, or as a JSON list of header-keyed objects."""
+    if fmt == "csv":
+        return _csv(header, rows)
+    return _to_json([dict(zip(header, r)) for r in rows]) + "\n"
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -73,7 +81,7 @@ def _env_default(name: str, cast, fallback):
     try:
         return cast(raw)
     except ValueError:
-        return fallback
+        raise SystemExit2(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, root: bool) -> None:
@@ -82,9 +90,6 @@ def _add_common(parser: argparse.ArgumentParser, root: bool) -> None:
         return value if root else argparse.SUPPRESS
 
     parser.add_argument("--seed", type=int, default=d(None), help="RNG seed (WM_SEED)")
-    parser.add_argument(
-        "--threads", type=int, default=d(None), help="worker pool size (WM_THREADS)"
-    )
     parser.add_argument(
         "--abs-tol", type=float, default=d(None), help="absolute tolerance (WM_ABS_TOL)"
     )
@@ -158,21 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
 class RunConfig:
     """Resolved settings for one invocation: flags > environment > defaults."""
 
-    subcommand: str
     tolerance: ToleranceConfig
     seed: int
     output_format: str
     output_path: str | None
-    threads: int
 
 
 def _config_from_args(args) -> RunConfig:
     seed = args.seed if args.seed is not None else _env_default("WM_SEED", int, 0)
-    threads = (
-        args.threads
-        if args.threads is not None
-        else _env_default("WM_THREADS", int, os.cpu_count() or 1)
-    )
     abs_tol = (
         args.abs_tol
         if args.abs_tol is not None
@@ -186,12 +184,10 @@ def _config_from_args(args) -> RunConfig:
         extended_precision=getattr(args, "extended", False),
     )
     return RunConfig(
-        subcommand=args.command,
         tolerance=tolerance,
         seed=seed,
         output_format=getattr(args, "out", None) or args.format,
         output_path=args.output,
-        threads=threads,
     )
 
 
@@ -244,10 +240,7 @@ def _cmd_eval(args, config: RunConfig) -> tuple[int, str]:
             rows.append([args.fn, x, math.nan, math.nan, f"error: {exc}"])
             status = 1
     header = ["function", "x", "value", "est_error", "method"]
-    if config.output_format == "csv":
-        return status, _csv(header, rows)
-    payload = [dict(zip(header, row)) for row in rows]
-    return status, _to_json(payload) + "\n"
+    return status, _table(header, rows, config.output_format)
 
 
 def _cmd_cf(args, config: RunConfig) -> tuple[int, str]:
@@ -268,9 +261,7 @@ def _cmd_wilton(args, config: RunConfig) -> tuple[int, str]:
             rows.append([x, math.nan, 0, math.nan])
             status = 1
     header = ["point", "value", "terms_used", "tail_bound"]
-    if config.output_format == "csv":
-        return status, _csv(header, rows)
-    return status, _to_json([dict(zip(header, r)) for r in rows]) + "\n"
+    return status, _table(header, rows, config.output_format)
 
 
 def _cmd_moment(args, config: RunConfig) -> tuple[int, str]:
@@ -292,15 +283,13 @@ def _cmd_moment(args, config: RunConfig) -> tuple[int, str]:
         [e.K, e.value, e.std_error, e.gamma_ratio, e.target_ratio, e.rejections]
         for e in ests
     ]
-    if config.output_format == "csv":
-        return 0, _csv(header, rows)
-    return 0, _to_json([dict(zip(header, r)) for r in rows]) + "\n"
+    return 0, _table(header, rows, config.output_format)
 
 
 def _cmd_cotangent(args, config: RunConfig) -> tuple[int, str]:
     b = args.b
     rs = cotangent.sweep_residues(b, args.a0, args.a1, args.sample, config.seed)
-    vals = cotangent.c0_values(b, rs, threads=config.threads)
+    vals = cotangent.c0_values(b, rs)
     summary = cotangent.DistributionSummary.from_values(b, args.a0, args.a1, vals, args.kmax)
     if args.per_r:
         rows = [[int(r), float(v), float(v) / b] for r, v in zip(rs, vals)]

@@ -21,6 +21,7 @@ antisymmetrises each pair, so the identity holds exactly there as well.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -184,11 +185,11 @@ def _prime_values(b: int) -> np.ndarray:
     return out
 
 
-def _direct_values(b: int, rs: np.ndarray, threads: int | None = None) -> np.ndarray:
+def _direct_values(b: int, rs: np.ndarray) -> np.ndarray:
     """c0(r/b) by compensated O(b) sums, in fixed chunks of residues.
 
-    Worker threads change the wall time only: each value depends on (r, b)
-    alone.
+    More than one chunk runs on one thread per CPU; that changes the wall
+    time only, because each value depends on (r, b) alone.
     """
     table = _cot_table(b)
     m = np.arange(1, b, dtype=np.int64)
@@ -200,8 +201,9 @@ def _direct_values(b: int, rs: np.ndarray, threads: int | None = None) -> np.nda
             out[i] = -neumaier_sum(m_over_b * table[(m * int(rs[i])) % b])
 
     starts = range(0, rs.size, _CHUNK)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(os.cpu_count() or 1, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
     else:
         for lo in starts:
@@ -215,17 +217,17 @@ def c0(p: RationalPoint) -> float:
     return float(_direct_values(p.b, np.array([p.r]))[0])
 
 
-def c0_values(b: int, rs: np.ndarray, threads: int | None = None) -> np.ndarray:
+def c0_values(b: int, rs: np.ndarray) -> np.ndarray:
     """c0(r/b) for an array of residues (assumed coprime to b).
 
     Prime b reads all residues off one cached Rader correlation; any other
-    b takes the direct route on `threads` workers.
+    b takes the direct route.
     """
     _check_b(b)
     rs = np.asarray(rs, dtype=np.int64)
     if b >= 3 and _is_prime(b):
         return _prime_values(b)[rs % b]
-    return _direct_values(b, rs, threads)
+    return _direct_values(b, rs)
 
 
 def sweep_residues(
@@ -262,13 +264,11 @@ def c0_sweep(
     k_max: int,
     sample: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> DistributionSummary:
     """Even empirical moments of c0(r/b)/b over coprime r in [a0*b, a1*b].
 
     The residues come from `sweep_residues`, the values from `c0_values`,
-    and the moments from `DistributionSummary.from_values`; the result is
-    reproducible bit for bit for any worker count.
+    and the moments from `DistributionSummary.from_values`.
     """
     rs = sweep_residues(b, a0, a1, sample, seed)
-    return DistributionSummary.from_values(b, a0, a1, c0_values(b, rs, threads), k_max)
+    return DistributionSummary.from_values(b, a0, a1, c0_values(b, rs), k_max)

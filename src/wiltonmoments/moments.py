@@ -43,10 +43,6 @@ class MomentEstimate:
     rejections: int = 0
 
 
-def _gl_nodes(order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _panel_edges(K: float, lo: float, panels: int) -> np.ndarray:
     """Panel edges on [lo, T(K)] graded geometrically near the left end."""
     t_hi = float(gammaincinv(K + 1.0, 1.0 - 1e-16)) + 5.0
@@ -61,7 +57,7 @@ def _panel_edges(K: float, lo: float, panels: int) -> np.ndarray:
 def _quad_log_substitution(f_of_x, K: float, lo: float, panels: int) -> float:
     """int_lo^inf f(x(t)) e^{-t} dt with x = e^{-t}, Gauss-Legendre panels."""
     edges = _panel_edges(K, lo, panels)
-    nodes, weights = _gl_nodes()
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -151,8 +147,8 @@ def moment(
     Gamma(K+1) + uniform mixture, doubled onto (1/2, 1) via antisymmetry.
     Points whose orbit is effectively rational are redrawn from a reserved
     repair stream, counted, and reported; a rejection rate above 1% raises
-    NonConvergenceError, and so does an estimate or standard error that
-    leaves double range (the standard error does from about K = 95).
+    NonConvergenceError, and so does an estimate that leaves double range
+    (from about K = 170).
 
     quad_log_substitution: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
@@ -221,12 +217,15 @@ def moment(
         f_over_p = np.where(
             (t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / dens, 0.0
         )
+        # an exact power-of-two scale keeps the variance in range
+        scale = math.ldexp(1.0, math.frexp(float(f_over_p.max()))[1] - 1)
+        f_over_p /= scale
         m1 = float(np.mean(f_over_p[:n1])) if n1 else 0.0
         m2 = float(np.mean(f_over_p[n1:])) if n2 else 0.0
-        value = 2.0 * (w1 * m1 + w2 * m2)
+        value = 2.0 * (w1 * m1 + w2 * m2) * scale
         v1 = float(np.var(f_over_p[:n1])) if n1 > 1 else 0.0
         v2 = float(np.var(f_over_p[n1:])) if n2 > 1 else 0.0
-    std = 2.0 * math.sqrt(w1 * w1 * v1 / max(n1, 1) + w2 * w2 * v2 / max(n2, 1))
+    std = 2.0 * math.sqrt(w1 * w1 * v1 / max(n1, 1) + w2 * w2 * v2 / max(n2, 1)) * scale
     _require_finite(K, value, std)
     log_ratio = math.log(value) - float(gammaln(K + 1.0)) if value > 0 else -math.inf
     return MomentEstimate(

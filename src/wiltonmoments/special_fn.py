@@ -165,17 +165,23 @@ def g_tail_integral(y):
     return float(out[0]) if scalar else out
 
 
+def _chunked_sum(n_terms: int, term) -> float:
+    """sum_{n=1}^{n_terms} term(n), term taking float64 arrays of n, summed
+    _PHI2_CHUNK terms at a time in ascending order."""
+    total = 0.0
+    for start in range(1, n_terms + 1, _PHI2_CHUNK):
+        n = np.arange(start, min(start + _PHI2_CHUNK, n_terms + 1), dtype=np.float64)
+        total += float(np.sum(term(n)))
+    return total
+
+
 def _j_tail(T: float, tol: float) -> tuple[float, float]:
     """J(T) = int_T^inf Phi2(t)/t^3 dt = sum_n G(n T), with error bound."""
     if T < 1.0:
         raise ValueError("_j_tail needs T >= 1")
     nf = math.sqrt(_G_ABS / (2.0 * tol * T**3)) if tol > 0 else _J_MAX_TERMS
     n = int(min(max(nf, 1.0), _J_MAX_TERMS)) + 1
-    total = 0.0
-    for start in range(1, n + 1, _PHI2_CHUNK):
-        stop = min(start + _PHI2_CHUNK, n + 1)
-        ys = np.arange(start, stop, dtype=np.float64) * T
-        total += float(np.sum(g_tail_integral(ys)))
+    total = _chunked_sum(n, lambda k: g_tail_integral(k * T))
     err = _G_ABS / (2.0 * n * n * T**3) + 5e-16 * n
     return total, err
 
@@ -227,14 +233,12 @@ def _phi2_rational(p: int, q: int) -> float:
 
 
 def _phi2_direct(frac: float, n_terms: int) -> float:
-    total = 0.0
-    for start in range(1, n_terms + 1, _PHI2_CHUNK):
-        stop = min(start + _PHI2_CHUNK, n_terms + 1)
-        n = np.arange(start, stop, dtype=np.float64)
+    def term(n):
         t = n * frac
         f = t - np.floor(t)
-        total += float(np.sum((f * f - f + 1.0 / 6.0) / (n * n)))
-    return total
+        return (f * f - f + 1.0 / 6.0) / (n * n)
+
+    return _chunked_sum(n_terms, term)
 
 
 def _snap_error(delta: float) -> float:
@@ -406,17 +410,14 @@ def _f_with_err(x: float, tol: float) -> tuple[float, float]:
 
 @functools.cache
 def sup_f_bound() -> float:
-    """Upper bound for sup |F| on (0, 1]: dense-scan maximum plus 10%.
+    """Upper bound for sup |F| on (0, 1]: 1.1 (A(1)/2 + 1e-4).
 
-    Computed once; the scan runs at a coarse tolerance that the safety
-    margin dwarfs.
+    |psi(x)| <= (pi^2/72) x^2 + 0.06 zeta(3) x^3 <= x/2 on (0, 1], so
+    A(1)/2 - x <= F(x) = A(1)/2 - x/2 - psi(x) <= A(1)/2, and |F| <= A(1)/2
+    = F(0+) since A(1) > 1.  The margin covers A(1)'s own error many times.
     """
-    grid = np.linspace(1e-4, 1.0, 10_000)
-    vals, _ = _psi_vec(grid, 1e-4)
     a1, _ = a1_constant()
-    f = 0.5 * a1 - 0.5 * grid - vals
-    m = max(float(np.max(np.abs(f))), 0.5 * a1)  # endpoint limit F(0+) = A(1)/2
-    return 1.1 * (m + 1e-4)
+    return 1.1 * (0.5 * a1 + 1e-4)
 
 
 def _psi_vec(xs: np.ndarray, tol_f: float) -> tuple[np.ndarray, np.ndarray]:
@@ -599,13 +600,7 @@ def phi1_partial(x: float, n_terms: int) -> float:
         raise ValueError(f"phi1_partial needs x in (0, 1), got {x}")
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    total = 0.0
-    for start in range(1, n_terms + 1, _PHI2_CHUNK):
-        stop = min(start + _PHI2_CHUNK, n_terms + 1)
-        n = np.arange(start, stop, dtype=np.float64)
-        t = n * x
-        total += float(np.sum((t - np.floor(t) - 0.5) / n))
-    return total
+    return _chunked_sum(n_terms, lambda n: bernoulli1(n * x) / n)
 
 
 def _phi1_cesaro(x: float, n0: int, window: int) -> tuple[float, float]:
@@ -613,9 +608,7 @@ def _phi1_cesaro(x: float, n0: int, window: int) -> tuple[float, float]:
     with a spread-based error heuristic."""
     base = phi1_partial(x, n0 - 1)
     n = np.arange(n0, n0 + window, dtype=np.float64)
-    t = n * x
-    terms = (t - np.floor(t) - 0.5) / n
-    partials = base + np.cumsum(terms)
+    partials = base + np.cumsum(bernoulli1(n * x) / n)
     mean = float(np.mean(partials))
     half = float(np.mean(partials[: window // 2]))
     spread = float(np.std(partials)) + abs(mean - half)
@@ -626,15 +619,15 @@ def g_func(
     x: float,
     method: str = "wilton_plus_H",
     cfg: ToleranceConfig = DEFAULT_CONFIG,
-    series_start: int = 1 << 20,
 ) -> GEval:
     """Evaluate g(x) by the requested route.
 
     wilton_plus_H returns W(x) + H(x); its error is W's tail_bound (a
     truncation heuristic plus a first-order orbit-rounding term, see
     wilton) plus the H series bound.  direct_series returns -2 times a
-    Cesaro average of 64 partial sums of Phi1 with a heuristic error.  The orbit route is primary; the
-    series route exists as an independent cross-check.
+    Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64, of Phi1
+    with a heuristic error.  The orbit route is primary; the series route
+    exists as an independent cross-check.
     """
     if method == "wilton_plus_H":
         if 0.0 < x < _SMALLX_CUT:
@@ -656,12 +649,12 @@ def g_func(
             est_error=w.tail_bound + herr,
         )
     if method == "direct_series":
-        mean, spread = _phi1_cesaro(x, series_start, 64)
+        mean, spread = _phi1_cesaro(x, 1 << 20, 64)
         return GEval(
             point=x,
             value=-2.0 * mean,
             method=method,
-            est_error=2.0 * spread + 64.0 / series_start,
+            est_error=2.0 * spread + 64.0 / (1 << 20),
         )
     raise ValueError(f"unknown g method {method!r}")
 
@@ -671,7 +664,8 @@ def g_func(
 # ----------------------------------------------------------------------
 
 class _FTable:
-    """Uniform table of F on [xmin, 1] with linear interpolation.
+    """Uniform table of F on [xmin, 1] = [1e-5, 1], 2^20 segments, built at
+    psi tolerance 1e-4, with linear interpolation.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  lookup finds the segment by direct index on the uniform grid
@@ -681,12 +675,13 @@ class _FTable:
     smooth and the bound is not proven.
     """
 
-    def __init__(self, xmin: float = 1e-5, size: int = 1 << 20, tol: float = 1e-4):
-        self.xmin = xmin
+    def __init__(self):
+        self.xmin = xmin = 1e-5
+        size = 1 << 20
         a1, a1e = a1_constant()
         self.a1 = a1
         xs = np.linspace(xmin, 1.0, size + 1)
-        psi, psie = _psi_vec(xs, tol)
+        psi, psie = _psi_vec(xs, 1e-4)
         self.xs = xs
         self.f = 0.5 * a1 - 0.5 * xs - psi
         self.err_bound = float(np.max(psie)) + a1e + 3e-5
@@ -718,17 +713,14 @@ _SMALLX_CUT = 1e-13
 
 
 def g_batch(
-    xs: np.ndarray,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-    w_tol: float = 1e-8,
-    h_tol: float = 2e-4,
+    xs: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized g = W + H over an array of points.
 
     The Wilton sum and the H sum share one compacting orbit sweep
     (wilton._orbit_series, the loop wilton_batch also runs); a point stops
-    once the W rule holds at w_tol and the H tail 2 beta sup|F| is below
-    h_tol, within max(max_terms, 80) steps.  F comes from the interpolation
+    once the W rule holds at 1e-8 and the H tail 2 beta sup|F| is below
+    2e-4, within max(max_terms, 80) steps; cfg.abs_tol is not used.  F comes from the interpolation
     table, whose construction tolerance enters the reported per-point error
     bound.  Below 1e-13 the exact relation
     g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to
@@ -755,7 +747,7 @@ def g_batch(
 
     idx = np.flatnonzero((x >= _SMALLX_CUT) & (x < 1.0))
     _orbit_series(
-        x, idx, out, w_tol, cfg.rational_guard, max(cfg.max_terms, 80),
-        f=tab.lookup, supf=supf, h_tol=h_tol, f_err=tab.err_bound,
+        x, idx, out, 1e-8, cfg.rational_guard, max(cfg.max_terms, 80),
+        f=tab.lookup, supf=supf, h_tol=2e-4, f_err=tab.err_bound,
     )
     return gsum, err, ok

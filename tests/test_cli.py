@@ -269,6 +269,39 @@ class TestConfigPrecedence:
         _, out2 = run_capture(["--seed", "2", "wilton", "--sample", "3"], capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("name", ["WM_SEED", "WM_ABS_TOL"])
+    def test_malformed_env_is_usage_error(self, name, capsys, monkeypatch):
+        monkeypatch.setenv(name, "abc")
+        assert run(["wilton", "--sample", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--abs-tol", "nan"], ["--abs-tol", "inf"], ["--abs-tol", "0"],
+            ["--rational-guard", "nan"], ["--rational-guard", "inf"],
+            ["--rational-guard", "1"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "cmd", [["wilton", "--x", "0.3"], ["eval", "--fn", "g", "--x", "0.3"]]
+    )
+    def test_bad_tolerance_is_usage_error(self, flags, cmd, capsys):
+        assert run(flags + cmd) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+    def test_nan_abs_tol_from_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("WM_ABS_TOL", "nan")
+        assert run(["wilton", "--x", "0.3"]) == 2
+
+    def test_threads_flag_is_gone(self, capsys):
+        assert run(["--threads", "2", "cotangent-dist", "--b", "101"]) == 2
+        assert run(["cotangent-dist", "--b", "101", "--threads", "2"]) == 2
+
     def test_output_file_lf(self, tmp_path, capsys):
         path = tmp_path / "out.json"
         status, _ = run_capture(

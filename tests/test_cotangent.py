@@ -75,10 +75,13 @@ class TestSweep:
         ]
         assert abs(m[2] - m[1]) < abs(m[1] - m[0])
 
-    def test_threads_bitwise_stable(self):
-        a = c0_sweep(1009, 0.5, 1.0, 3, threads=1)
-        b = c0_sweep(1009, 0.5, 1.0, 3, threads=4)
-        assert a.normalized_moments == b.normalized_moments
+    def test_pooled_values_match_single_residue(self):
+        # 1007 = 19 * 53 takes the direct route; its upper-half coprime
+        # residues span several 64-residue chunks, which run on a thread pool
+        rs = sweep_residues(1007, 0.5, 1.0)
+        assert rs.size > 3 * 64
+        single = [c0(RationalPoint(int(r), 1007)) for r in rs]
+        assert np.array_equal(c0_values(1007, rs), np.array(single))
 
     def test_sampled_subset(self):
         s = c0_sweep(10007, 0.5, 1.0, 1, sample=500, seed=4)

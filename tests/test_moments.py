@@ -82,6 +82,14 @@ class TestMoment:
         with pytest.raises(ValueError, match="finite"):
             mo.moment(K, samples=100)
 
+    @pytest.mark.parametrize("K", [100.0, 160.0])
+    def test_large_k_is_finite(self, K):
+        # f/p near 1e157 at K = 100 used to overflow the variance
+        est = mo.moment(K, seed=1, samples=2000)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert 0.0 < est.std_error < est.value
+        assert 0.45 <= est.gamma_ratio <= 0.70
+
     @pytest.mark.parametrize("K", [0.5, 1.0, 3.0, 8.0])
     def test_ratio_sanity_envelope(self, K):
         # not an asymptotic claim, just a guard against gross estimator bugs

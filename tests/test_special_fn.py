@@ -221,6 +221,14 @@ class TestF:
         with pytest.raises(ValueError):
             sf.f_func(1.5)
 
+    def test_sup_bound_is_the_f0_limit(self):
+        # |F| <= A(1)/2 = F(0+) on (0, 1]; a dense scan stays below it
+        a1, _ = sf.a1_constant()
+        assert sf.sup_f_bound() == 1.1 * (0.5 * a1 + 1e-4)
+        grid = np.linspace(1e-4, 1.0, 10_000)
+        psi, _ = sf._psi_vec(grid, 1e-4)
+        assert np.max(np.abs(0.5 * a1 - 0.5 * grid - psi)) <= 0.5 * a1
+
     def test_sup_bound_covers_scan(self):
         supf = sf.sup_f_bound()
         assert supf >= A1 / 2.0
