@@ -133,7 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--sample", type=int, default=None,
                      help="evaluate at this many measure-distributed samples")
 
-    p_m = sub.add_parser("moment", help="estimate int |g|^K dx")
+    p_m = sub.add_parser(
+        "moment", help="estimate int |g|^K dx",
+        description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed "
+        "tolerances (W 1e-8, H tail 2e-4, F table 1e-4); --abs-tol does not change it.",
+    )
     _add_common(p_m, root=False)
     p_m.add_argument("--k", type=float, default=None)
     p_m.add_argument("--sweep", default=None, help="comma-separated K list")

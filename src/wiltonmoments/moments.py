@@ -14,8 +14,8 @@ so a (seed, config) pair reproduces every estimate bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln
@@ -31,7 +31,7 @@ _GAMMA_SHARE = 0.95  # mixture weight of the Gamma(K+1) component
 _MAX_REPAIR_ROUNDS = 8
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class MomentEstimate:
     K: float
     value: float
@@ -269,13 +269,4 @@ def h_moment(
         raise ValueError("k must be a positive integer")
     base = moment(2.0 * k, cfg=cfg, seed=seed, samples=samples, method=method)
     scale = math.pi ** (2 * k)
-    value = base.value / scale
-    return MomentEstimate(
-        K=base.K,
-        value=value,
-        std_error=base.std_error / scale,
-        samples=base.samples,
-        method=base.method,
-        gamma_ratio=base.gamma_ratio,
-        rejections=base.rejections,
-    )
+    return dataclasses.replace(base, value=base.value / scale, std_error=base.std_error / scale)

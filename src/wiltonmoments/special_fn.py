@@ -33,15 +33,18 @@ Substituting the A representation into F collapses it to
 which is exact on (0, 1], gives F(0+) = A(1)/2 and F(1) = 0 identically,
 and makes |psi| = O(x^2) so tiny arguments cost nothing.
 
-Phi2 near a rational p/q is taken at p/q in closed form, a csc^2(pi r/q)
+`_psi_vec` is the one psi evaluator, for the F table and for scalar F, A
+and H alike, on one direct Phi2 sum (`_phi2_sums`) and one J sum
+(`_j_sums`).  Only a Phi2 sum of 2048 terms or more looks for a nearby
+rational p/q, where Phi2 is taken at p/q in closed form, a csc^2(pi r/q)
 sum over the residues r <= q/2 (`_phi2_rational`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +55,21 @@ from .cf_dynamics import (
     ToleranceConfig,
     orbit_arrays,
 )
-from .wilton import _orbit_series, wilton
+from .wilton import _alternating_stop, _orbit_series, wilton
 
 PI2_OVER_36 = math.pi * math.pi / 36.0
 
 # Hard caps; series bounds are reported honestly when a cap bites.
 _PHI2_MAX_TERMS = 1 << 26
-_PHI2_CHUNK = 1 << 22
 _SNAP_QMAX = 1_000_000
 _SNAP_EPS = 1e-12
+# Below about 2k terms the direct Phi2 sum costs less than the route search.
+_SNAP_MIN_TERMS = 2048
 _J_MAX_TERMS = 3_000_000
+_J_BLOCK = 1 << 16  # G evaluations per _j_sums block; 2^20 runs 2.7x slower (cache)
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
-_ROW_BLOCK = 1 << 15  # elements per _psi_vec work buffer; two of them fit in L2
+_ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in L2
 
 # Bernoulli polynomials B3..B8, descending powers, for the G asymptotics.
 _BPOLY = {
@@ -77,7 +82,7 @@ _BPOLY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GEval:
     point: float
     value: float
@@ -165,25 +170,33 @@ def g_tail_integral(y):
     return float(out[0]) if scalar else out
 
 
-def _chunked_sum(n_terms: int, term) -> float:
-    """sum_{n=1}^{n_terms} term(n), term taking float64 arrays of n, summed
-    _PHI2_CHUNK terms at a time in ascending order."""
-    total = 0.0
-    for start in range(1, n_terms + 1, _PHI2_CHUNK):
-        n = np.arange(start, min(start + _PHI2_CHUNK, n_terms + 1), dtype=np.float64)
-        total += float(np.sum(term(n)))
-    return total
+def _j_terms(x, tol):
+    """Term count n of J(1/x) = sum_n G(n/x) at tolerance tol, and its bound
+    G_ABS x^3/(2 n^2) + 5e-16 n (truncation, plus rounding in any order)."""
+    n = np.clip(np.ceil(np.sqrt(_G_ABS * x**3 / tol)), 1, _J_MAX_TERMS).astype(np.int64)
+    return n, _G_ABS * x**3 / (2.0 * n * n) + 5e-16 * n
 
 
-def _j_tail(T: float, tol: float) -> tuple[float, float]:
-    """J(T) = int_T^inf Phi2(t)/t^3 dt = sum_n G(n T), with error bound."""
-    if T < 1.0:
-        raise ValueError("_j_tail needs T >= 1")
-    nf = math.sqrt(_G_ABS / (2.0 * tol * T**3)) if tol > 0 else _J_MAX_TERMS
-    n = int(min(max(nf, 1.0), _J_MAX_TERMS)) + 1
-    total = _chunked_sum(n, lambda k: g_tail_integral(k * T))
-    err = _G_ABS / (2.0 * n * n * T**3) + 5e-16 * n
-    return total, err
+def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
+    """sum_{n <= nj_i} G(n T_i) for each i.
+
+    The n-grids of all points are laid end to end and evaluated _J_BLOCK
+    terms at a time; np.add.reduceat sums each point's run in a block.
+    """
+    ends = np.cumsum(nj)
+    starts = ends - nj
+    total = int(ends[-1]) if len(ends) else 0
+    out = np.zeros(len(T))
+    for b0 in range(0, total, _J_BLOCK):
+        b1 = min(b0 + _J_BLOCK, total)
+        i0 = int(np.searchsorted(ends, b0, side="right"))
+        i1 = int(np.searchsorted(starts, b1))
+        lo = np.maximum(starts[i0:i1], b0)
+        cnt = np.minimum(ends[i0:i1], b1) - lo
+        k = np.arange(b0 + 1, b1 + 1) - np.repeat(starts[i0:i1], cnt)
+        y = k * np.repeat(T[i0:i1], cnt)
+        out[i0:i1] += np.add.reduceat(g_tail_integral(y), lo - b0)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -232,31 +245,69 @@ def _phi2_rational(p: int, q: int) -> float:
     return float(math.pi * math.pi * (b2 @ w + 1.0 / 36.0) / (q * q))
 
 
-def _phi2_direct(frac: float, n_terms: int) -> float:
-    def term(n):
-        t = n * frac
-        f = t - np.floor(t)
-        return (f * f - f + 1.0 / 6.0) / (n * n)
+def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """sum_{n <= nn_i} B2(n fr_i) / n^2 for each i.
 
-    return _chunked_sum(n_terms, term)
+    Points are bucketed by term count, each bucket spanning at most a
+    factor 2 and summing its largest count for all its rows.  Column chunks
+    of at most _ROW_BLOCK terms fix each row's summation order; rows go in
+    blocks that keep each work buffer within _ROW_BLOCK elements, which
+    does not change the sums.
+    """
+    order = np.argsort(nn, kind="stable")
+    fr_s, nn_s = fr[order], nn[order]
+    res = np.zeros(len(fr_s))
+    start = 0
+    while start < len(fr_s):
+        # grow bucket to points needing at most 2x the terms
+        stop = max(int(np.searchsorted(nn_s, 2 * nn_s[start], side="right")), start + 1)
+        pts = fr_s[start:stop]
+        acc = res[start:stop]
+        n_use = int(nn_s[stop - 1])
+        step = max(1, min(int(4e6 / len(pts)), _ROW_BLOCK))
+        width = min(step, n_use)
+        rows = min(len(pts), _ROW_BLOCK // width)
+        tbuf = np.empty(rows * width)
+        fbuf = np.empty_like(tbuf)
+        for c0 in range(0, n_use, step):
+            nb = np.arange(c0 + 1, min(c0 + step, n_use) + 1, dtype=np.float64)
+            nb2 = nb * nb
+            for r0 in range(0, len(pts), rows):
+                p = pts[r0 : r0 + rows]
+                t = tbuf[: p.size * nb.size].reshape(p.size, nb.size)
+                f = fbuf[: t.size].reshape(t.shape)
+                np.multiply.outer(p, nb, out=t)
+                np.floor(t, out=f)
+                t -= f
+                np.multiply(t, t, out=f)
+                f -= t
+                f += 1.0 / 6.0
+                f /= nb2
+                acc[r0 : r0 + rows] += f.sum(axis=1)
+        start = stop
+    out = np.empty_like(res)
+    out[order] = res
+    return out
 
 
 def _snap_error(delta: float) -> float:
     # continuity modulus of Phi2: |Phi2(a) - Phi2(b)| <= d (log(1/(3d)) + 2)
-    if delta <= 0.0:
-        return 0.0
-    return delta * (math.log(1.0 / (3.0 * delta)) + 2.0)
+    return delta * (math.log(1.0 / (3.0 * delta)) + 2.0) if delta > 0.0 else 0.0
 
 
 def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, float]:
-    """Path choice for Phi2(frac), frac in [0, 1): (snap, n_terms, err).
+    """Path choice for Phi2(frac), frac in (0, 1): (snap, n_terms, err).
 
-    snap is the rational (p, q) to evaluate at, or None for the direct
-    series of n_terms terms; err is the chosen path's error bound.
+    The direct series takes n_terms = ceil(1/(6 tol)) terms (at least 1, at
+    most 2^26) with error 1/(6 n_terms).  From _SNAP_MIN_TERMS terms on, a
+    nearby rational is searched: snap is the (p, q) to evaluate at, or None
+    for the direct series; err is the chosen path's error bound.
     """
-    n_terms = int(min(max(1.0 / (6.0 * tol), 16.0), _PHI2_MAX_TERMS))
+    n_terms = max(1, math.ceil(min(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))
     direct_err = 1.0 / (6.0 * n_terms)
-    qmax = min(_SNAP_QMAX, max(n_terms // 4, 64))
+    if n_terms < _SNAP_MIN_TERMS:
+        return None, n_terms, direct_err
+    qmax = min(_SNAP_QMAX, n_terms // 4)
     eps = max(_SNAP_EPS, 0.1 * tol / (math.log(1.0 / min(tol, 0.1)) + 2.0))
     snap = _snap_rational(frac, qmax, eps)
     if snap is not None:
@@ -271,12 +322,9 @@ def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, f
 def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
     """(Phi2(lam), error bound).
 
-    Periodic reduction first.  A nearby rational p/q is used, through the
-    exact csc^2 form of `_phi2_rational`, only when its continuity-modulus
-    error meets the tolerance and the O(q) evaluation undercuts direct
-    summation; otherwise the series is summed with the absolute tail bound
-    (1/6)/N (capped; the reported bound reflects the cap).  `_phi2_route`
-    makes the choice.
+    Periodic reduction first, then the path `_phi2_route` chooses: the
+    exact csc^2 form of `_phi2_rational` at a nearby p/q, or `_phi2_sums`
+    with the absolute tail bound (1/6)/N (capped; the bound reflects it).
     """
     if not math.isfinite(lam):
         raise ValueError("phi2 needs a finite argument")
@@ -285,7 +333,7 @@ def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
         return PI2_OVER_36, 0.0
     snap, n_terms, err = _phi2_route(frac, tol)
     if snap is None:
-        return _phi2_direct(frac, n_terms), err
+        return float(_phi2_sums(np.array([frac]), np.array([n_terms]))[0]), err
     return _phi2_rational(*snap), err
 
 
@@ -299,18 +347,42 @@ def phi2(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
 # A, F and the A(1) constant
 # ----------------------------------------------------------------------
 
-def _psi_with_err(lam: float, tol: float) -> tuple[float, float]:
-    """psi(lam) = (lam^2/2) Phi2(1/lam) - J(1/lam) for lam in (0, 1]."""
-    if lam < 1e-9:
-        # |psi| <= (pi^2/72) lam^2 + |J| <= 0.1371 lam^2 + 0.072 lam^3,
-        # far below any working tolerance (and lam^2 may underflow)
-        return 0.0, 0.14 * lam * lam
-    T = 1.0 / lam
-    phi_tol = tol / (lam * lam)
-    pval, perr = _phi2_core(T, phi_tol)
-    jval, jerr = _j_tail(T, tol / 2.0)
-    half_l2 = 0.5 * lam * lam
-    return half_l2 * pval - jval, half_l2 * perr + jerr
+def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
+    """psi(x) = (x^2/2) Phi2(1/x) - J(1/x) over points x in [0, 1], with
+    error bounds; tol is one tolerance or one per point.
+
+    Phi2 takes N = ceil(x^2/(6 tol)) terms (at most 2^26, error
+    (x^2/2)/(6N)), J the `_j_terms` count at the same tol.  A point whose
+    Phi2 sum needs _SNAP_MIN_TERMS terms or more goes through
+    `_phi2_route`, which may take the csc^2 form at a nearby rational.
+    Below x = 1e-9, |psi| <= (pi^2/72) x^2 + 0.072 x^3 is far below any
+    working tolerance (and x^2 may underflow), so psi is 0 with bound
+    0.14 x^2.
+    """
+    x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    tol = np.broadcast_to(tol, x.shape)
+    val = np.zeros(x.shape)
+    err = 0.14 * x * x
+    big = x >= 1e-9
+    x, tol = x[big], tol[big]
+    T = 1.0 / x
+    fr = T - np.floor(T)
+    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the caps
+        nn = np.clip(np.ceil(x * x / (6.0 * tol)), 1.0, _PHI2_MAX_TERMS)
+        nj, jerr = _j_terms(x, tol)
+    direct = fr > 0.0
+    phi = np.full(x.shape, PI2_OVER_36)
+    phierr = np.where(direct, 1.0 / (6.0 * nn), 0.0)
+    for i in np.flatnonzero(direct & (nn >= _SNAP_MIN_TERMS)):
+        snap, nn[i], phierr[i] = _phi2_route(float(fr[i]), float(tol[i] / (x[i] * x[i])))
+        if snap is not None:
+            phi[i] = _phi2_rational(*snap)
+            direct[i] = False
+    phi[direct] = _phi2_sums(fr[direct], nn[direct])
+    half = 0.5 * x * x
+    val[big] = half * phi - _j_sums(T, nj)
+    err[big] = half * phierr + jerr
+    return val, err
 
 
 @functools.cache
@@ -320,8 +392,9 @@ def a1_constant() -> tuple[float, float]:
     Independent of the closed form log(2 pi) - gamma, which tests compare
     against.
     """
-    jval, jerr = _j_tail(1.0, 5e-12)
-    return 1.0 + PI2_OVER_36 - 2.0 * jval, 2.0 * jerr
+    nj, jerr = _j_terms(np.ones(1), 1e-11)
+    (jval,) = _j_sums(np.ones(1), nj)
+    return 1.0 + PI2_OVER_36 - 2.0 * float(jval), 2.0 * float(jerr[0])
 
 
 def _a_with_err(lam: float, tol: float) -> tuple[float, float]:
@@ -335,9 +408,9 @@ def _a_with_err(lam: float, tol: float) -> tuple[float, float]:
         val, err = _a_with_err(1.0 / lam, tol / lam)
         return lam * val, lam * err
     a1, a1e = a1_constant()
-    psi, psie = _psi_with_err(lam, tol / 2.0)
-    val = -0.5 * lam * math.log(lam) + 0.5 * (1.0 + a1) * lam + psi
-    return val, 0.5 * lam * a1e + psie
+    psi, psie = _psi_vec(lam, tol / 2.0)
+    val = -0.5 * lam * math.log(lam) + 0.5 * (1.0 + a1) * lam + float(psi[0])
+    return val, 0.5 * lam * a1e + float(psie[0])
 
 
 def big_a(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -404,8 +477,8 @@ def _f_with_err(x: float, tol: float) -> tuple[float, float]:
     if not 0.0 < x <= 1.0:
         raise ValueError(f"f_func needs x in (0, 1], got {x}")
     a1, a1e = a1_constant()
-    psi, psie = _psi_with_err(x, tol)
-    return 0.5 * a1 - 0.5 * x - psi, 0.5 * a1e + psie
+    psi, psie = _psi_vec(x, tol)
+    return 0.5 * a1 - 0.5 * x - float(psi[0]), 0.5 * a1e + float(psie[0])
 
 
 @functools.cache
@@ -418,82 +491,6 @@ def sup_f_bound() -> float:
     """
     a1, _ = a1_constant()
     return 1.1 * (0.5 * a1 + 1e-4)
-
-
-def _psi_vec(xs: np.ndarray, tol_f: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized psi over an array of points in (0, 1], uniform tolerance.
-
-    Direct Phi2 summation with per-point term counts N_i = x_i^2/(6 tol),
-    bucketed by N for dense evaluation; J through the O(1) G evaluator.
-    """
-    x = np.asarray(xs, dtype=np.float64)
-    T = 1.0 / x
-    fracT = T - np.floor(T)
-    n_needed = np.minimum(np.ceil(x * x / (6.0 * tol_f)), 1e7).astype(np.int64)
-    n_needed = np.maximum(n_needed, 1)
-    phi = np.full(x.shape, PI2_OVER_36)
-    live = fracT > 0.0
-    phierr = np.zeros(x.shape)
-    if live.any():
-        phi_live = np.zeros(int(live.sum()))
-        fr = fracT[live]
-        nn = n_needed[live]
-        order = np.argsort(nn, kind="stable")
-        fr_s, nn_s = fr[order], nn[order]
-        res = np.zeros_like(fr_s)
-        start = 0
-        while start < len(fr_s):
-            n_b = int(nn_s[start])
-            # grow bucket to points needing at most 2x the terms
-            stop = int(np.searchsorted(nn_s, 2 * n_b, side="right"))
-            stop = max(stop, start + 1)
-            pts = fr_s[start:stop]
-            n_use = int(nn_s[stop - 1])
-            n_arr = np.arange(1, n_use + 1, dtype=np.float64)
-            # Column chunks fix each row's summation order; row blocks only
-            # bound the working set, so the sums do not depend on _ROW_BLOCK.
-            acc = np.zeros(len(pts))
-            step = max(1, int(4e6 / max(len(pts), 1)))
-            width = min(step, n_use)
-            rows = max(1, _ROW_BLOCK // width)
-            tbuf = np.empty(rows * width)
-            fbuf = np.empty_like(tbuf)
-            for c0 in range(0, n_use, step):
-                nb = n_arr[c0 : c0 + step]
-                nb2 = nb * nb
-                for r0 in range(0, len(pts), rows):
-                    p = pts[r0 : r0 + rows]
-                    t = tbuf[: p.size * nb.size].reshape(p.size, nb.size)
-                    f = fbuf[: t.size].reshape(t.shape)
-                    np.multiply.outer(p, nb, out=t)
-                    np.floor(t, out=f)
-                    t -= f
-                    np.multiply(t, t, out=f)
-                    f -= t
-                    f += 1.0 / 6.0
-                    f /= nb2
-                    acc[r0 : r0 + rows] += f.sum(axis=1)
-            res[start:stop] = acc
-            start = stop
-        phi_live[order] = res
-        phi[live] = phi_live
-        phierr_live = np.zeros_like(fr_s)
-        phierr_live[order] = 1.0 / (6.0 * nn_s)
-        phierr[live] = phierr_live
-
-    jval = np.zeros(x.shape)
-    nj = np.ceil(np.sqrt(_G_ABS * x**3 / tol_f)).astype(np.int64)
-    nj = np.maximum(nj, 1)
-    nmax = int(nj.max())
-    for n in range(1, nmax + 1):
-        mask = nj >= n
-        if not mask.any():
-            break
-        jval[mask] += g_tail_integral(n * T[mask])
-    jerr = _G_ABS * x**3 / (2.0 * nj * nj)
-
-    half = 0.5 * x * x
-    return half * phi - jval, half * phierr + jerr
 
 
 # ----------------------------------------------------------------------
@@ -523,27 +520,23 @@ def _h_with_err(x: float, cfg: ToleranceConfig) -> tuple[float, float]:
     tol = cfg.abs_tol
     supf = sup_f_bound()
     alphas, betas, _, truncated = orbit_arrays(x, cfg.max_terms, cfg.rational_guard)
-    total = 0.0
-    err = 0.0
-    sign = -1.0  # term j carries (-1)^{j+1}
-    done = False
-    for j in range(len(alphas)):
-        beta_prev = betas[j]
-        if 2.0 * beta_prev * supf < 0.5 * tol:
-            err += 2.0 * beta_prev * supf * 2.0
-            done = True
-            break
-        # per-term budget grows as beta decays: sum of 2*beta*eF stays <= tol/4
-        ef = tol / (8.0 * (j + 1.0) * (j + 2.0) * beta_prev)
-        ef = min(max(ef, 1e-12), 1e-4)
-        fval, ferr = _f_with_err(alphas[j], ef)
-        total += sign * 2.0 * beta_prev * fval
-        err += 2.0 * beta_prev * ferr
-        sign = -sign
-    if not done:
+    # the series stops at the first m with 2 beta_{m-1} sup|F| < tol/2
+    stops = np.flatnonzero(2.0 * betas[: len(alphas)] * supf < 0.5 * tol)
+    if stops.size == 0:
         if truncated:
             raise EffectiveRationalError(f"orbit of {x} ended before H converged")
         raise NonConvergenceError(f"H series at {x} exceeded {cfg.max_terms} terms")
+    m = int(stops[0])
+    j = np.arange(m, dtype=np.float64)
+    beta = betas[:m]
+    # per-term budget grows as beta decays: sum of 2*beta*eF stays <= tol/4
+    ef = np.clip(tol / (8.0 * (j + 1.0) * (j + 2.0) * beta), 1e-12, 1e-4)
+    a1, a1e = a1_constant()
+    psi, psie = _psi_vec(alphas[:m], ef)
+    fval = 0.5 * a1 - 0.5 * alphas[:m] - psi
+    # term j carries (-1)^{j+1}
+    total = float(np.sum(np.where(j % 2 == 0, -2.0, 2.0) * beta * fval))
+    err = float(2.0 * beta @ (0.5 * a1e + psie)) + 4.0 * betas[m] * supf
     return total, err + 1e-14
 
 
@@ -558,13 +551,8 @@ def decomposition_values(
     common additive term, so the n-independence spread does not depend on
     its precision; it is evaluated at a capped tolerance.
     """
-    import dataclasses
-
-    tol = cfg.abs_tol
     alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms, cfg.rational_guard)
-    from .wilton import _alternating_stop
-
-    k = _alternating_stop(gammas, tol)
+    k = _alternating_stop(gammas, cfg.abs_tol)
     if k is None:
         raise (EffectiveRationalError if truncated else NonConvergenceError)(
             f"orbit series at {x} did not reach tolerance"
@@ -600,7 +588,11 @@ def phi1_partial(x: float, n_terms: int) -> float:
         raise ValueError(f"phi1_partial needs x in (0, 1), got {x}")
     if n_terms < 1:
         raise ValueError("n_terms must be positive")
-    return _chunked_sum(n_terms, lambda n: bernoulli1(n * x) / n)
+    total, chunk = 0.0, 1 << 22
+    for start in range(1, n_terms + 1, chunk):
+        n = np.arange(start, min(start + chunk, n_terms + 1), dtype=np.float64)
+        total += float(np.sum(bernoulli1(n * x) / n))
+    return total
 
 
 def _phi1_cesaro(x: float, n0: int, window: int) -> tuple[float, float]:

@@ -30,10 +30,6 @@ class CriterionResult:
     seconds: float
 
 
-def _cfg(**kw) -> cf_dynamics.ToleranceConfig:
-    return cf_dynamics.ToleranceConfig(**kw)
-
-
 def crit_calibration() -> tuple[bool, str]:
     """Quadrature and MC calibration against int_0^1 log(1/x)^K dx = Gamma(K+1)."""
     worst_q = 0.0
@@ -50,7 +46,7 @@ def crit_calibration() -> tuple[bool, str]:
 
 def crit_a1_closed_form() -> tuple[bool, str]:
     """A(1) = log(2 pi) - gamma by the Phi2 route (1e-8) and direct quadrature (1e-4)."""
-    cfg = _cfg(abs_tol=1e-10)
+    cfg = cf_dynamics.ToleranceConfig(abs_tol=1e-10)
     formula = special_fn.big_a(1.0, cfg)
     d_formula = abs(formula - A1_CLOSED_FORM)
     quad, quad_err = special_fn.big_a_integral(1.0, t_max=1e4)
@@ -65,7 +61,7 @@ def crit_a1_closed_form() -> tuple[bool, str]:
 def crit_small_lambda_expansion() -> tuple[bool, str]:
     """Remainder of A(lam) = (lam/2)log(1/lam) + ((1+A(1))/2)lam is O(lam^2)
     with a constant stable within a factor 2 across decades of lam."""
-    cfg = _cfg(abs_tol=1e-11)
+    cfg = cf_dynamics.ToleranceConfig(abs_tol=1e-11)
     a1 = special_fn.big_a(1.0, cfg)
     decade_consts = []
     for lo, hi in ((1e-4, 1e-3), (1e-3, 1e-2), (1e-2, 1e-1)):
@@ -86,7 +82,7 @@ def crit_small_lambda_expansion() -> tuple[bool, str]:
 
 def crit_functional_equation() -> tuple[bool, str]:
     """W(x) = log(1/x) - x W(alpha(x)) on 1e4 measure-distributed points."""
-    cfg = _cfg(abs_tol=1e-10)
+    cfg = cf_dynamics.ToleranceConfig(abs_tol=1e-10)
     xs = cf_dynamics.sample_gauss_measure(10_000, seed=20_26_04)
     wx, _, _, ok1 = wilton_batch(xs, cfg)
     ax = cf_dynamics.gauss_map_array(xs)
@@ -106,7 +102,7 @@ def crit_functional_equation() -> tuple[bool, str]:
 def crit_decomposition() -> tuple[bool, str]:
     """g = l + D(.,n) + H + (-1)^{n+1} T^{n+1} W is n-free: pairwise spread
     below 1e-8 for n in {0, 2, 5, 9} on 1e3 points."""
-    cfg = _cfg(abs_tol=1e-10)
+    cfg = cf_dynamics.ToleranceConfig(abs_tol=1e-10)
     xs = cf_dynamics.sample_gauss_measure(1_000, seed=20_26_05)
     ns = [0, 2, 5, 9]
     worst = 0.0
@@ -126,7 +122,7 @@ def crit_decomposition() -> tuple[bool, str]:
 
 def crit_route_crosscheck() -> tuple[bool, str]:
     """g via W + H against the Cesaro-averaged series route, 100 points."""
-    cfg = _cfg(abs_tol=1e-6)
+    cfg = cf_dynamics.ToleranceConfig(abs_tol=1e-6)
     xs = cf_dynamics.sample_gauss_measure(100, seed=20_26_06)
     worst = 0.0
     for x in xs:
@@ -210,7 +206,7 @@ def crit_distribution_link() -> tuple[bool, str]:
 
 def crit_g_antisymmetry() -> tuple[bool, str]:
     """|g(x) + g(1-x)| within the combined reported error on 1e3 points."""
-    cfg = _cfg(abs_tol=1e-5)
+    cfg = cf_dynamics.ToleranceConfig(abs_tol=1e-5)
     xs = cf_dynamics.sample_gauss_measure(1_000, seed=20_26_12)
     worst_margin = -math.inf
     used = 0

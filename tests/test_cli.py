@@ -141,6 +141,18 @@ class TestMomentCmd:
         assert s1 == s2 == 0
         assert out1 == out2
 
+    def test_fixed_tolerances_are_documented(self, capsys):
+        # g_batch runs at W 1e-8, H tail 2e-4 and the 1e-4 F table whatever
+        # --abs-tol says, and the help text says so
+        argv = ["moment", "--k", "2", "--samples", "2000", "--seed", "3"]
+        _, default = run_capture(argv, capsys)
+        _, loose = run_capture(["--abs-tol", "1e-2"] + argv, capsys)
+        assert loose == default
+        assert run(["moment", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "fixed tolerances (W 1e-8, H tail 2e-4, F table 1e-4)" in text
+        assert "--abs-tol does not change it" in text
+
     def test_csv_columns(self, capsys):
         status, out = run_capture(
             ["moment", "--k", "3", "--samples", "2000", "--seed", "1", "--out", "csv"],

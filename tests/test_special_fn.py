@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiltonmoments import special_fn as sf
-from wiltonmoments.cf_dynamics import ToleranceConfig, sample_gauss_measure
+from wiltonmoments.cf_dynamics import ToleranceConfig, orbit_arrays, sample_gauss_measure
 from wiltonmoments.wilton import wilton
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -98,7 +99,7 @@ class TestPhi2:
 
     def test_rational_matches_direct(self):
         v_rat = sf._phi2_rational(37, 100)
-        v_dir = sf._phi2_direct(0.37, 2_000_000)
+        v_dir = float(sf._phi2_sums(np.array([0.37]), np.array([2_000_000]))[0])
         assert v_rat == pytest.approx(v_dir, abs=2e-7)
 
     def test_bounded_by_max(self):
@@ -165,9 +166,10 @@ class TestBigA:
         # the series form must lie inside it.  1/lam is an integer here,
         # where Phi2 takes its maximum pi^2/36 (exactly, with error 0)
         lam, tol = 1e-12, 1e-30
-        val, err = sf._psi_with_err(lam, tol)
+        (val,), (err,) = sf._psi_vec(lam, tol)
         pval, perr = sf._phi2_core(1.0 / lam, tol / (lam * lam))
-        jval, _ = sf._j_tail(1.0 / lam, tol)
+        nj, _ = sf._j_terms(np.array([lam]), tol)
+        (jval,) = sf._j_sums(np.array([1.0 / lam]), nj)
         assert pval == sf.PI2_OVER_36 and perr == 0.0
         assert abs(jval) <= 0.072 * lam**3
         assert val == 0.0 and err <= 1e-24
@@ -220,6 +222,12 @@ class TestF:
             sf.f_func(0.0)
         with pytest.raises(ValueError):
             sf.f_func(1.5)
+
+    def test_subnormal_tolerance_is_quiet(self):
+        # the term counts overflow to inf and are clipped to their caps
+        # without a RuntimeWarning, which the test settings make an error
+        val, err = sf._f_with_err(0.37, 1e-310)
+        assert math.isfinite(val) and math.isfinite(err)
 
     def test_sup_bound_is_the_f0_limit(self):
         # |F| <= A(1)/2 = F(0+) on (0, 1]; a dense scan stays below it
@@ -343,16 +351,8 @@ class TestGBatch:
         assert (np.abs(vals - sc) <= errs + 2e-6).all()
 
 
-def _psi_vec_outer(xs, tol_f):
-    """sf._psi_vec with each column chunk as one plain np.outer product."""
-    x = np.asarray(xs, dtype=np.float64)
-    T = 1.0 / x
-    fracT = T - np.floor(T)
-    n_needed = np.minimum(np.ceil(x * x / (6.0 * tol_f)), 1e7).astype(np.int64)
-    n_needed = np.maximum(n_needed, 1)
-    phi = np.full(x.shape, sf.PI2_OVER_36)
-    live = fracT > 0.0
-    fr, nn = fracT[live], n_needed[live]
+def _phi2_sums_outer(fr, nn):
+    """sf._phi2_sums with each column chunk as one plain np.outer product."""
     order = np.argsort(nn, kind="stable")
     fr_s, nn_s = fr[order], nn[order]
     res = np.zeros_like(fr_s)
@@ -362,22 +362,16 @@ def _psi_vec_outer(xs, tol_f):
         pts = fr_s[start:stop]
         n_use = int(nn_s[stop - 1])
         n_arr = np.arange(1, n_use + 1, dtype=np.float64)
-        step = max(1, int(4e6 / len(pts)))
+        step = max(1, min(int(4e6 / len(pts)), sf._ROW_BLOCK))
         for c0 in range(0, n_use, step):
             nb = n_arr[c0 : c0 + step]
             t = np.outer(pts, nb)
             f = t - np.floor(t)
             res[start:stop] += ((f * f - f + 1.0 / 6.0) / (nb * nb)).sum(axis=1)
         start = stop
-    phi_live = np.zeros_like(fr_s)
-    phi_live[order] = res
-    phi[live] = phi_live
-    nj = np.maximum(np.ceil(np.sqrt(sf._G_ABS * x**3 / tol_f)).astype(np.int64), 1)
-    jval = np.zeros(x.shape)
-    for n in range(1, int(nj.max()) + 1):
-        mask = nj >= n
-        jval[mask] += sf.g_tail_integral(n * T[mask])
-    return 0.5 * x * x * phi - jval
+    out = np.zeros_like(fr_s)
+    out[order] = res
+    return out
 
 
 class TestFTable:
@@ -398,11 +392,57 @@ class TestFTable:
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_blocked_psi_matches_outer_reference(self, tol):
-        # at 1e-6 the largest buckets need many column chunks; at both
-        # tolerances each chunk spans many row blocks
+        # the Phi2 kernel on the term counts _psi_vec gives it: at 1e-6 the
+        # largest buckets need many column chunks; at both tolerances each
+        # chunk spans many row blocks
         xs = np.linspace(1e-3, 1.0, 4097)
-        psi, _ = sf._psi_vec(xs, tol)
-        assert np.array_equal(psi, _psi_vec_outer(xs, tol))
+        T = 1.0 / xs
+        fr = (T - np.floor(T))[T != np.floor(T)]
+        nn = np.ceil(xs * xs / (6.0 * tol))[T != np.floor(T)]
+        assert np.array_equal(sf._phi2_sums(fr, nn), _phi2_sums_outer(fr, nn))
+
+
+class TestPsiKernels:
+    def test_orbit_batch_matches_single_points(self):
+        # one _psi_vec call over an orbit with H's per-term tolerances, as
+        # _h_with_err makes it, against one call per point
+        alphas, betas, _, _ = orbit_arrays(0.2137996805918318, 40)
+        j = np.arange(len(alphas))
+        tols = np.clip(1e-5 / (8.0 * (j + 1.0) * (j + 2.0) * betas[:-1]), 1e-12, 1e-4)
+        psi, err = sf._psi_vec(alphas, tols)
+        for a, t, v, e in zip(alphas, tols, psi, err):
+            (v1,), _ = sf._psi_vec(a, t)
+            assert abs(v - v1) <= e
+
+    def test_j_sums_match_fsum(self):
+        # one grid longer than a block, between many short ones, so blocks
+        # split both it and its neighbours
+        rng = np.random.default_rng(7)
+        T = 1.0 + rng.uniform(0.0, 80.0, 301)
+        nj = rng.integers(1, 50, 301)
+        nj[150] = sf._J_BLOCK + 12_345
+        got = sf._j_sums(T, nj)
+        for t, n, g in zip(T, nj, got):
+            ref = math.fsum(sf.g_tail_integral(np.arange(1, n + 1) * t))
+            assert abs(g - ref) <= 5e-16 * n
+
+    def test_long_phi2_sum_works_in_small_buffers(self):
+        # one 10^6-term sum takes column chunks of _ROW_BLOCK terms, so its
+        # four work arrays stay near 1 MB instead of 4 * 10^6 doubles
+        tracemalloc.start()
+        try:
+            sf._phi2_sums(np.array([0.3711]), np.array([1_000_000]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * sf._ROW_BLOCK
+
+    def test_route_skips_search_below_min_terms(self):
+        # 1/3 snaps to (1, 3) for a long series, never for a short one
+        snap, n, err = sf._phi2_route(1.0 / 3.0, 1.0 / (6.0 * 2000))
+        assert snap is None and n < sf._SNAP_MIN_TERMS and err == 1.0 / (6.0 * n)
+        snap, n, _ = sf._phi2_route(1.0 / 3.0, 1e-8)
+        assert snap == (1, 3) and n >= sf._SNAP_MIN_TERMS
 
 
 class TestAntisymmetryRegression:
