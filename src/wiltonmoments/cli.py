@@ -282,11 +282,8 @@ def _cmd_moment(args, config: RunConfig) -> tuple[int, str]:
         ]
     else:
         raise SystemExit2("moment needs --k or --sweep")
-    header = ["K", "value", "std_error", "gamma_ratio", "target_ratio", "rejections"]
-    rows = [
-        [e.K, e.value, e.std_error, e.gamma_ratio, e.target_ratio, e.rejections]
-        for e in ests
-    ]
+    header = "K value std_error gamma_ratio target_ratio rejections repair_rounds".split()
+    rows = [[getattr(e, name) for name in header] for e in ests]
     return 0, _table(header, rows, config.output_format)
 
 

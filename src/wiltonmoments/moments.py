@@ -40,7 +40,8 @@ class MomentEstimate:
     method: str
     gamma_ratio: float
     target_ratio: float = TARGET_RATIO
-    rejections: int = 0
+    rejections: int = 0  # distinct points redrawn
+    repair_rounds: int = 0
 
 
 def _panel_edges(K: float, lo: float, panels: int) -> np.ndarray:
@@ -146,7 +147,8 @@ def moment(
     mc_stratified: stratified importance sampling in t = log(1/x) from the
     Gamma(K+1) + uniform mixture, doubled onto (1/2, 1) via antisymmetry.
     Points whose orbit is effectively rational are redrawn from a reserved
-    repair stream, counted, and reported; a rejection rate above 1% raises
+    repair stream; the distinct points redrawn and the repair rounds are
+    reported, and a rejection rate above 1% of the points raises
     NonConvergenceError, and so does an estimate that leaves double range
     (from about K = 170).
 
@@ -181,11 +183,11 @@ def moment(
 
     x, t, comp, n1, n2, repair_rng = _mixture_samples(K, samples, seed)
     g, _, ok = g_batch(x, cfg)
-    rejections = 0
+    # only failed points are redrawn, so these are all the points ever failed
+    rejections = int(np.count_nonzero(~ok))
     rounds = 0
     while not ok.all() and rounds < _MAX_REPAIR_ROUNDS:
         bad = np.flatnonzero(~ok)
-        rejections += bad.size
         bad_gamma = bad[~comp[bad]]
         bad_unif = bad[comp[bad]]
         if bad_gamma.size:
@@ -200,8 +202,6 @@ def moment(
         g[bad] = g_new
         ok[bad] = ok_new
         rounds += 1
-    if not ok.all():
-        rejections += int((~ok).sum())
     if rejections > 0.01 * samples:
         raise NonConvergenceError(
             f"rejection rate {rejections / samples:.3%} exceeds 1% at K={K}"
@@ -236,6 +236,7 @@ def moment(
         method="mc_stratified",
         gamma_ratio=math.exp(log_ratio),
         rejections=rejections,
+        repair_rounds=rounds,
     )
 
 

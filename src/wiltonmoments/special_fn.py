@@ -45,6 +45,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,6 +72,7 @@ _J_BLOCK = 1 << 16  # G evaluations per _j_sums block; 2^20 runs 2.7x slower (ca
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
 _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in L2
+_POOL_MIN = 1 << 22  # _phi2_sums bucket work from which its row blocks go to threads
 
 # Bernoulli polynomials B3..B8, descending powers, for the G asymptotics.
 _BPOLY = {
@@ -245,46 +248,60 @@ def _phi2_rational(p: int, q: int) -> float:
     return float(math.pi * math.pi * (b2 @ w + 1.0 / 36.0) / (q * q))
 
 
+def _phi2_rows(pts: np.ndarray, acc: np.ndarray, n_use: int, width: int) -> None:
+    # acc += sum_{n <= n_use} B2(n pts) / n^2, width columns per chunk
+    rows = min(len(pts), _ROW_BLOCK // width)
+    tbuf = np.empty(rows * width)
+    fbuf = np.empty_like(tbuf)
+    for c0 in range(0, n_use, width):
+        nb = np.arange(c0 + 1, min(c0 + width, n_use) + 1, dtype=np.float64)
+        nb2 = nb * nb
+        for r0 in range(0, len(pts), rows):
+            p = pts[r0 : r0 + rows]
+            t = tbuf[: p.size * nb.size].reshape(p.size, nb.size)
+            f = fbuf[: t.size].reshape(t.shape)
+            np.multiply.outer(p, nb, out=t)
+            np.floor(t, out=f)
+            t -= f
+            np.multiply(t, t, out=f)
+            f -= t
+            f += 1.0 / 6.0
+            f /= nb2
+            acc[r0 : r0 + rows] += f.sum(axis=1)
+
+
 def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     """sum_{n <= nn_i} B2(n fr_i) / n^2 for each i.
 
     Points are bucketed by term count, each bucket spanning at most a
-    factor 2 and summing its largest count for all its rows.  Column chunks
-    of at most _ROW_BLOCK terms fix each row's summation order; rows go in
-    blocks that keep each work buffer within _ROW_BLOCK elements, which
-    does not change the sums.
+    factor 2 and summing its largest count n_use for all its rows, in
+    column chunks of min(n_use, _ROW_BLOCK) terms that fix each row's
+    summation order.  Buckets of _POOL_MIN or more elements (rows x n_use)
+    are split at row-block boundaries into one job per CPU on one thread
+    pool, with the same bits for any worker count; the rest run serially.
     """
     order = np.argsort(nn, kind="stable")
     fr_s, nn_s = fr[order], nn[order]
     res = np.zeros(len(fr_s))
+    cpus = os.cpu_count() or 1
+    pooled = []
     start = 0
     while start < len(fr_s):
         # grow bucket to points needing at most 2x the terms
         stop = max(int(np.searchsorted(nn_s, 2 * nn_s[start], side="right")), start + 1)
-        pts = fr_s[start:stop]
-        acc = res[start:stop]
         n_use = int(nn_s[stop - 1])
-        step = max(1, min(int(4e6 / len(pts)), _ROW_BLOCK))
-        width = min(step, n_use)
-        rows = min(len(pts), _ROW_BLOCK // width)
-        tbuf = np.empty(rows * width)
-        fbuf = np.empty_like(tbuf)
-        for c0 in range(0, n_use, step):
-            nb = np.arange(c0 + 1, min(c0 + step, n_use) + 1, dtype=np.float64)
-            nb2 = nb * nb
-            for r0 in range(0, len(pts), rows):
-                p = pts[r0 : r0 + rows]
-                t = tbuf[: p.size * nb.size].reshape(p.size, nb.size)
-                f = fbuf[: t.size].reshape(t.shape)
-                np.multiply.outer(p, nb, out=t)
-                np.floor(t, out=f)
-                t -= f
-                np.multiply(t, t, out=f)
-                f -= t
-                f += 1.0 / 6.0
-                f /= nb2
-                acc[r0 : r0 + rows] += f.sum(axis=1)
+        width = min(n_use, _ROW_BLOCK)
+        rows = _ROW_BLOCK // width
+        n_blocks = -(-(stop - start) // rows)
+        parts = min(cpus, n_blocks) if (stop - start) * n_use >= _POOL_MIN else 1
+        cuts = [min(start + rows * (n_blocks * i // parts), stop) for i in range(parts + 1)]
+        pooled += [(fr_s[lo:hi], res[lo:hi], n_use, width) for lo, hi in zip(cuts, cuts[1:])]
+        if parts == 1:  # a small bucket runs here and now
+            _phi2_rows(*pooled.pop())
         start = stop
+    if pooled:
+        with ThreadPoolExecutor(max_workers=min(cpus, len(pooled))) as pool:
+            list(pool.map(_phi2_rows, *zip(*pooled)))
     out = np.empty_like(res)
     out[order] = res
     return out

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.stats import kstest
 
 from . import cf_dynamics, cotangent, moments, special_fn
 from .wilton import iterate_l2_means, wilton_batch
@@ -150,6 +149,7 @@ def crit_contraction() -> tuple[bool, str]:
 
 def crit_measure_invariance() -> tuple[bool, str]:
     """KS distance between pushed-forward measure samples and the measure CDF."""
+    from scipy.stats import kstest  # 0.8 s of import, for this suite alone
     xs = cf_dynamics.sample_gauss_measure(1_000_000, seed=20_26_08)
     pushed = cf_dynamics.gauss_map_array(xs)
     pushed = np.clip(pushed, 1e-300, 1.0)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +164,7 @@ class TestMomentCmd:
         )
         assert status == 0
         header = out.strip().split("\n")[0]
-        assert header == "K,value,std_error,gamma_ratio,target_ratio,rejections"
+        assert header == "K,value,std_error,gamma_ratio,target_ratio,rejections,repair_rounds"
 
     def test_sweep(self, capsys):
         status, out = run_capture(
@@ -264,6 +268,13 @@ class TestVerifyCmd:
 
     def test_unknown_flag_exits_2(self):
         assert run(["verify", "--bogus"]) == 2
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs 0.8 s and 46 MB at import; only one suite needs it
+        code = "import sys, wiltonmoments.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 class TestConfigPrecedence:

@@ -66,6 +66,22 @@ class TestMoment:
         assert 0.45 <= est.gamma_ratio <= 0.70
         assert est.rejections < 0.01 * est.samples
 
+    def test_point_failing_twice_counts_once(self, monkeypatch):
+        # point 3 fails on the first draw and on its first redraw
+        calls = []
+
+        def stub(x, cfg):
+            calls.append(x.size)
+            ok = np.ones(x.size, dtype=bool)
+            if len(calls) < 3:
+                ok[3 if len(calls) == 1 else 0] = False
+            return np.where(ok, 1.0, 0.0), np.zeros(x.size), ok
+
+        monkeypatch.setattr(mo, "g_batch", stub)
+        est = mo.moment(2.0, seed=1, samples=1000)
+        assert calls == [1000, 1, 1]
+        assert (est.rejections, est.repair_rounds) == (1, 2)
+
     def test_quad_route_close_to_mc(self):
         q = mo.moment(6.0, method="quad", panels=1 << 12)
         m = mo.moment(6.0, seed=6, samples=300_000)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -362,7 +363,7 @@ def _phi2_sums_outer(fr, nn):
         pts = fr_s[start:stop]
         n_use = int(nn_s[stop - 1])
         n_arr = np.arange(1, n_use + 1, dtype=np.float64)
-        step = max(1, min(int(4e6 / len(pts)), sf._ROW_BLOCK))
+        step = min(n_use, sf._ROW_BLOCK)
         for c0 in range(0, n_use, step):
             nb = n_arr[c0 : c0 + step]
             t = np.outer(pts, nb)
@@ -395,11 +396,32 @@ class TestFTable:
         # the Phi2 kernel on the term counts _psi_vec gives it: at 1e-6 the
         # largest buckets need many column chunks; at both tolerances each
         # chunk spans many row blocks
-        xs = np.linspace(1e-3, 1.0, 4097)
-        T = 1.0 / xs
-        fr = (T - np.floor(T))[T != np.floor(T)]
-        nn = np.ceil(xs * xs / (6.0 * tol))[T != np.floor(T)]
+        fr, nn = _psi_phi2_inputs(tol)
         assert np.array_equal(sf._phi2_sums(fr, nn), _phi2_sums_outer(fr, nn))
+
+    def test_pooled_sums_do_not_depend_on_worker_count(self, monkeypatch):
+        # at 1e-6 the top buckets are above _POOL_MIN, so they run on the
+        # pool; frequent thread switches would expose a lost or shared write
+        fr, nn = _psi_phi2_inputs(1e-6)
+        assert nn.max() * np.sum(nn > nn.max() / 2) >= sf._POOL_MIN
+        sums = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(sf.os, "cpu_count", lambda: cpus)
+                sums.append(sf._phi2_sums(fr, nn))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
+
+
+def _psi_phi2_inputs(tol):
+    """The fractional parts and Phi2 term counts _psi_vec makes on a grid."""
+    xs = np.linspace(1e-3, 1.0, 4097)
+    T = 1.0 / xs
+    keep = T != np.floor(T)
+    return (T - np.floor(T))[keep], np.ceil(xs * xs / (6.0 * tol))[keep]
 
 
 class TestPsiKernels:
@@ -443,6 +465,42 @@ class TestPsiKernels:
         assert snap is None and n < sf._SNAP_MIN_TERMS and err == 1.0 / (6.0 * n)
         snap, n, _ = sf._phi2_route(1.0 / 3.0, 1e-8)
         assert snap == (1, 3) and n >= sf._SNAP_MIN_TERMS
+
+
+# g_func (abs_tol 1e-5) on pairs (x, 1 - x), x = 2^U - 1 with U stratified
+# over ten strata (jitter seed 11), and its (value, est_error) pinned from
+# the serial F/H code before the F-table threads came in
+_PINNED_G = [
+    (3.4676501229418992, 4.901805493876275e-06),
+    (-3.467650119735741, 4.914962944488609e-06),
+    (0.960285365219137, 7.248312187904251e-06),
+    (-0.9602853400259319, 7.169171009480463e-06),
+    (0.2356189344111197, 1.1851945196785414e-05),
+    (-0.2356189191310107, 1.2012003036007954e-05),
+    (0.3672483406162629, 1.6046189060623177e-05),
+    (-0.3672483457730339, 1.6132120223862862e-05),
+    (-1.4441576788207868, 1.6204638332019807e-05),
+    (1.444157575518799, 1.637057924030533e-05),
+    (1.0374574644959684, 4.14747357405964e-06),
+    (-1.0374574216117014, 4.1483073532761756e-06),
+    (0.5814240726400248, 1.5412939203080135e-06),
+    (-0.5814240906148948, 1.6052141970965978e-06),
+    (-0.24664206588078338, 1.5192559227783957e-06),
+    (0.24664206229905838, 1.5103856798521554e-06),
+    (-0.6758656391432387, 1.527662362097841e-05),
+    (0.6758656273010576, 1.4616188870335774e-05),
+    (-1.7747057988351016, 1.8936772830671647e-05),
+    (1.7747058348356093, 1.9452082108344832e-05),
+]
+
+
+def test_g_func_matches_pinned_values():
+    rng = np.random.default_rng(11)
+    u = (np.arange(10) + rng.uniform(1e-9, 1.0 - 1e-9, 10)) / 10
+    pts = [p for x in np.exp2(u) - 1.0 for p in (float(x), 1.0 - float(x))]
+    cfg = ToleranceConfig(abs_tol=1e-5)
+    got = [(g.value, float(g.est_error)) for g in (sf.g_func(x, cfg=cfg) for x in pts)]
+    assert got == _PINNED_G
 
 
 class TestAntisymmetryRegression:
