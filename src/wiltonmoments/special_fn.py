@@ -312,6 +312,12 @@ def _snap_error(delta: float) -> float:
     return delta * (math.log(1.0 / (3.0 * delta)) + 2.0) if delta > 0.0 else 0.0
 
 
+def _interp_error(h: float) -> float:
+    """Bound on how far linear interpolation of psi on nodes h apart in
+    [0, 1] (h <= 1e-3) misses psi; the proof is in _FTable."""
+    return 0.5 * _snap_error(h) + 0.55 * h
+
+
 def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, float]:
     """Path choice for Phi2(frac), frac in (0, 1): (snap, n_terms, err).
 
@@ -673,27 +679,54 @@ def g_func(
 # ----------------------------------------------------------------------
 
 class _FTable:
-    """Uniform table of F on [xmin, 1] = [1e-5, 1], 2^20 segments, built at
-    psi tolerance 1e-4, with linear interpolation.
+    """Uniform table of F on [xmin, 1] = [1e-5, 1]: 2^18 segments of width
+    h = (1 - xmin)/2^18, nodes built at psi tolerance 1e-4, and linear
+    interpolation between them.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  lookup finds the segment by direct index on the uniform grid
     and returns exactly what np.interp(x, xs, f) returns for finite
-    x >= xmin.  err_bound is heuristic: the construction tolerance plus the
-    interpolation error away from low-order rational kinks, where F is not
-    smooth and the bound is not proven.
+    x >= xmin.
+
+    err_bound is the largest node error, plus A(1)'s, plus _interp_error(h)
+    = w(h)/2 + 0.55 h, where w(d) = d (log(1/(3d)) + 2) is _snap_error's
+    continuity modulus of Phi2; given w, the bound is proven.  F is linear
+    but for -psi, and the interpolant at x = (1-t) x0 + t x1 misses psi(x)
+    by at most (1-t)|psi(x0) - psi(x)| + t|psi(x1) - psi(x)|, so by the
+    largest |psi(x) - psi(y)| with y <= x in one segment, d = x - y <= h:
+
+      psi(x) - psi(y) = (y^2/2)(Phi2(1/x) - Phi2(1/y))
+                        + ((x^2 - y^2)/2) Phi2(1/x) - (J(1/x) - J(1/y)).
+
+    - |1/x - 1/y| <= d/y^2.  If d/y^2 <= 1/3, where w still increases,
+      the first term is at most (y^2/2) w(d/y^2) = (d/2)(log(y^2/(3d)) + 2)
+      <= w(d)/2.  Otherwise (y < sqrt(3h), 3.4e-3 here) the range of Phi2,
+      [-pi^2/72, pi^2/36], bounds it by (y^2/2)(pi^2/24) < 0.62 d, below
+      w(d)/2 for d <= 1e-3.
+    - |x^2 - y^2|/2 <= d and |Phi2| <= pi^2/36.
+    - d/dx J(1/x) = x Phi2(1/x), so |J(1/x) - J(1/y)| <= d pi^2/36.
+
+    Each bound grows with y, so their sum is largest next to x = 1, at
+    w(d)/2 + (pi^2/18) d, which grows with d up to _interp_error(h);
+    pi^2/18 = 0.5483 leaves 0.0017 h for rounding in the nodes and in
+    lookup.
     """
 
     def __init__(self):
         self.xmin = xmin = 1e-5
-        size = 1 << 20
+        # the fewest power-of-two segments whose interpolation term stays
+        # within 3e-5, so err_bound stays below 1.3e-4: 2.76e-5 here,
+        # 5.26e-5 at 2^17.  More would not help: next to the kinks q/p,
+        # p < 60, this table misses F by at most 4.5e-5 and a 2^20 one by
+        # 4.7e-5, an error the 1e-4 nodes make.
+        size = 1 << 18
         a1, a1e = a1_constant()
         self.a1 = a1
         xs = np.linspace(xmin, 1.0, size + 1)
         psi, psie = _psi_vec(xs, 1e-4)
         self.xs = xs
         self.f = 0.5 * a1 - 0.5 * xs - psi
-        self.err_bound = float(np.max(psie)) + a1e + 3e-5
+        self.err_bound = float(np.max(psie)) + a1e + _interp_error((1.0 - xmin) / size)
         # slope[size] = 0 makes x >= 1 return f[size], as np.interp does
         self._slope = np.append(np.diff(self.f) / np.diff(xs), 0.0)
         self._inv_h = size / (1.0 - xmin)
@@ -729,16 +762,18 @@ def g_batch(
     The Wilton sum and the H sum share one compacting orbit sweep
     (wilton._orbit_series, the loop wilton_batch also runs); a point stops
     once the W rule holds at 1e-8 and the H tail 2 beta sup|F| is below
-    2e-4, within max(max_terms, 80) steps; cfg.abs_tol is not used.  F comes from the interpolation
-    table, whose construction tolerance enters the reported per-point error
-    bound.  Below 1e-13 the exact relation
-    g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to
+    2e-4, within max(max_terms, 80) steps; cfg.abs_tol is not used.  F
+    comes from `_FTable`: 2^18 segments, nodes built at psi tolerance 1e-4,
+    and an err_bound (about 1.28e-4) that adds the interpolation term
+    _interp_error(h) = 2.76e-5, proven given _snap_error's modulus of Phi2;
+    err_bound enters each point's reported error.  Below 1e-13 the exact
+    relation g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to
     g(x) = log(1/x) - A(1) + O(720 x), so those points skip the orbit
     entirely (a double cannot resolve {1/x} there anyway).
 
-    Returns (values, err_bounds, ok); not-ok points (value 0) hit the
-    rational guard mid-orbit or the term budget, and should be resampled or
-    excluded.
+    Returns (values, err_bounds, ok); not-ok points (value and bound 0) lie
+    outside (0, 1), nan included, or hit the rational guard mid-orbit or
+    the term budget, and should be resampled or excluded.
     """
     tab = _ftable()
     supf = sup_f_bound()

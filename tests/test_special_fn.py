@@ -1,11 +1,13 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wiltonmoments import special_fn as sf
 from wiltonmoments.cf_dynamics import ToleranceConfig, orbit_arrays, sample_gauss_measure
@@ -346,10 +348,28 @@ class TestGBatch:
     def test_error_bounds_honest(self):
         xs = sample_gauss_measure(300, 99)
         vals, errs, ok = sf.g_batch(xs)
-        sc = np.array(
-            [sf.g_func(float(x), "wilton_plus_H", CFG6).value for x in xs]
-        )
-        assert (np.abs(vals - sc) <= errs + 2e-6).all()
+        sc = [sf.g_func(float(x), "wilton_plus_H", CFG6) for x in xs]
+        ref = np.array([g.value for g in sc])
+        ref_err = np.array([g.est_error for g in sc])
+        assert (np.abs(vals - ref) <= errs + ref_err).all()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(xs=arrays(
+        np.float64,
+        st.integers(0, 24),
+        elements=st.one_of(
+            st.floats(allow_subnormal=True),
+            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-13, 1.0 - 2.0**-53, 0.5, 2.0]),
+        ),
+    ))
+    def test_any_input_gives_finite_or_zero(self, xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals, errs, ok = sf.g_batch(xs)
+        assert np.isfinite(vals[ok]).all() and np.isfinite(errs[ok]).all()
+        assert (vals[~ok] == 0.0).all() and (errs[~ok] == 0.0).all()
+        assert not ok[~((xs > 0.0) & (xs < 1.0))].any()
 
 
 def _phi2_sums_outer(fr, nn):
@@ -390,6 +410,21 @@ class TestFTable:
         assert np.array_equal(tab.lookup(inside), np.interp(inside, xs, tab.f))
         below = np.array([np.nextafter(tab.xmin, 0.0), 0.5 * tab.xmin, 1e-300, 0.0])
         assert np.array_equal(tab.lookup(below), 0.5 * tab.a1 - 0.5 * below)
+
+    def test_bound_holds_next_to_kinks(self):
+        # psi has log-type kinks at the rationals q/p; probe 0.3 and 0.5 of
+        # a segment to either side of those with p < 30
+        tab = sf._ftable()
+        h = (1.0 - tab.xmin) / (len(tab.xs) - 1)
+        kinks = {q / p for p in range(1, 30) for q in range(1, p + 1)}
+        offsets = (-0.5 * h, -0.3 * h, 0.3 * h, 0.5 * h)
+        xs = [k + s for k in kinks for s in offsets if k + s <= 1.0]
+        ref = np.array([sf._f_with_err(x, 2e-7) for x in xs])
+        assert (np.abs(tab.lookup(np.array(xs)) - ref[:, 0]) <= tab.err_bound - ref[:, 1]).all()
+        assert tab.err_bound <= 1.3e-4
+        # the table has the fewest power-of-two segments whose interpolation
+        # term fits in 3e-5
+        assert sf._interp_error(h) <= 3e-5 < sf._interp_error(2.0 * h)
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_blocked_psi_matches_outer_reference(self, tol):
