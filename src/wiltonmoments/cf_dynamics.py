@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG2 = math.log(2.0)
+# deepest cf_expand; a double carries only ~35-40 trustworthy partial quotients
+MAX_ORBIT_DEPTH = 40
 
 
 class EffectiveRationalError(ArithmeticError):
@@ -38,15 +40,14 @@ class ToleranceConfig:
     """Shared truncation and tolerance knobs for all evaluators.
 
     abs_tol drives series truncation (Wilton tails, Phi2 tails, H tails).
-    max_orbit_depth caps user-requested expansions; alternating-series
-    evaluators may walk the orbit further, up to max_terms, because the
-    computed pseudo-orbit stays self-consistent even past the depth where
-    individual quotients of the underlying real are no longer exact.
+    Alternating-series evaluators walk the orbit up to max_terms, past the
+    MAX_ORBIT_DEPTH cap of cf_expand, because the computed pseudo-orbit
+    stays self-consistent even past the depth where individual quotients of
+    the underlying real are no longer exact.
     """
 
     abs_tol: float = 1e-8
     max_terms: int = 200
-    max_orbit_depth: int = 40
     rational_guard: float = 1e-15
     extended_precision: bool = False
 
@@ -57,8 +58,6 @@ class ToleranceConfig:
             raise ValueError(f"rational_guard must be in (0, 1): {self.rational_guard}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be a positive integer")
-        if self.max_orbit_depth < 2:
-            raise ValueError("max_orbit_depth must be at least 2")
 
 
 DEFAULT_CONFIG = ToleranceConfig()
@@ -136,8 +135,9 @@ def orbit_arrays(
     """Orbit of x to max_depth: (alphas, betas-with-sentinel, gammas, truncated).
 
     alphas[k] = alpha_k for k = 0..d, betas[k+1] = beta_k with betas[0] = 1,
-    gammas[k] = betas[k] * log(1/alphas[k]).  Stops early (truncated=True)
-    when an iterate falls below the guard.
+    gammas[k] = betas[k] * log(1/alphas[k]).  x itself is always iterate 0;
+    the orbit stops early (truncated=True) when a later iterate falls below
+    the guard.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"orbit needs x in (0, 1), got {x}")
@@ -149,7 +149,7 @@ def orbit_arrays(
     truncated = False
     d = -1
     for k in range(max_depth + 1):
-        if a < guard:
+        if k and a < guard:
             truncated = True
             break
         alphas[k] = a
@@ -172,25 +172,20 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
     in exact integers since q_k grows at least like Fibonacci.  Expansion
     stops early, with the truncated flag set, if an iterate alpha_k with
     k >= 1 falls below cfg.rational_guard; x itself is always iterate 0.
+    depth is at most MAX_ORBIT_DEPTH.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"cf_expand needs x in (0, 1), got {x}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if depth > cfg.max_orbit_depth:
-        raise ValueError(f"depth {depth} exceeds max_orbit_depth {cfg.max_orbit_depth}")
+    if depth > MAX_ORBIT_DEPTH:
+        raise ValueError(f"depth {depth} exceeds MAX_ORBIT_DEPTH {MAX_ORBIT_DEPTH}")
 
     guard = cfg.rational_guard
     if cfg.extended_precision:
         quotients, iterates, betas, gammas, truncated = _orbit_extended(x, depth, guard)
     else:
-        # orbit_arrays guards alpha_0 too; a sub-guard x stays iterate 0 here
-        alphas, beta_arr, gamma_arr, truncated = orbit_arrays(x, depth, min(guard, x))
-        low = np.flatnonzero(alphas[1:] < guard)
-        if low.size:
-            n = int(low[0]) + 1
-            alphas, beta_arr, gamma_arr = alphas[:n], beta_arr[: n + 1], gamma_arr[:n]
-            truncated = True
+        alphas, beta_arr, gamma_arr, truncated = orbit_arrays(x, depth, guard)
         # a truncated orbit keeps the quotient that led below the guard
         n_q = len(alphas) if truncated else len(alphas) - 1
         quotients = [int(q) for q in np.floor(1.0 / alphas[:n_q])]

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Subcommands: eval, cf, wilton, moment, cotangent-dist, verify.  Settings
-resolve as flags > environment (WM_SEED, WM_ABS_TOL) > defaults; a
-malformed environment value or tolerance is a usage error.  Composite-b
+Subcommands: eval, cf, wilton, moment, cotangent-dist, verify.  Each takes,
+after its name, only the settings it reads, declared once in _SETTINGS; any
+other flag, or a flag before the subcommand, is a usage error.  --seed and
+--abs-tol resolve as flag > environment (WM_SEED, WM_ABS_TOL) > default,
+and only a subcommand with the flag reads the variable; a malformed
+environment value or tolerance is a usage error.  Composite-b
 cotangent sums run on one thread per CPU.  JSON output comes from the json
 module: floats round-trip exactly and nan/inf are written as null.  CSV
 carries 12 significant digits; both use '.' as the decimal separator and LF
@@ -17,13 +20,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cf_dynamics, cotangent, moments, special_fn, verify
 from .wilton import wilton as wilton_eval
 from .cf_dynamics import (
+    DEFAULT_CONFIG,
     EffectiveRationalError,
     NonConvergenceError,
     ToleranceConfig,
@@ -84,34 +87,47 @@ def _env_default(name: str, cast, fallback):
         raise SystemExit2(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser, root: bool) -> None:
-    # subcommand copies use SUPPRESS so they only override what was given
-    def d(value):
-        return value if root else argparse.SUPPRESS
+# Every setting flag, declared once; each subcommand names the ones it reads.
+_SETTINGS = {
+    "--seed": dict(type=int, default=None, help="RNG seed (default WM_SEED, else 0)"),
+    "--abs-tol": dict(
+        type=float, default=None, help="absolute tolerance (default WM_ABS_TOL, else 1e-8)"
+    ),
+    "--max-terms": dict(type=int, default=DEFAULT_CONFIG.max_terms),
+    "--rational-guard": dict(type=float, default=DEFAULT_CONFIG.rational_guard),
+    "--format": dict(choices=("csv", "json"), default="json"),
+    "--output": dict(default=None, help="output path (default stdout)"),
+}
+# a setting left off the command line comes from its variable, else the fallback
+_ENV = {"seed": ("WM_SEED", int, 0), "abs_tol": ("WM_ABS_TOL", float, DEFAULT_CONFIG.abs_tol)}
 
-    parser.add_argument("--seed", type=int, default=d(None), help="RNG seed (WM_SEED)")
-    parser.add_argument(
-        "--abs-tol", type=float, default=d(None), help="absolute tolerance (WM_ABS_TOL)"
-    )
-    parser.add_argument("--max-terms", type=int, default=d(200))
-    parser.add_argument("--max-orbit-depth", type=int, default=d(40))
-    parser.add_argument("--rational-guard", type=float, default=d(1e-15))
-    parser.add_argument("--format", choices=("csv", "json"), default=d("json"))
-    parser.add_argument("--output", default=d(None), help="output path (default stdout)")
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage text too; every usage error is one line
+    def error(self, message):
+        raise SystemExit2(f"{self.prog}: {message}")
+
+
+def _add_command(sub, name: str, cmd, settings: str, **kwargs) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    parser.set_defaults(cmd=cmd)
+    for flag in settings.split():
+        parser.add_argument(flag, **_SETTINGS[flag])
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wm",
         description="Continued-fraction dynamics, Wilton evaluators, cotangent "
-        "sums, and |g|^K moment estimation.",
+        "sums, and |g|^K moment estimation.  Settings go after the subcommand.",
     )
-    _add_common(parser, root=True)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate g, W, H, A, F or Phi2")
-    _add_common(p_eval, root=False)
+    p_eval = _add_command(
+        sub, "eval", _cmd_eval, "--abs-tol --max-terms --rational-guard --format --output",
+        help="evaluate g, W, H, A, F or Phi2",
+    )
     p_eval.add_argument("--fn", required=True, choices=("g", "W", "H", "A", "F", "Phi2"))
     p_eval.add_argument("--x", default=None, help="comma-separated points")
     p_eval.add_argument("--grid", default=None, help="lo:hi:n evaluation grid")
@@ -120,34 +136,40 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("wilton_plus_H", "direct_series"), help="g route"
     )
 
-    p_cf = sub.add_parser("cf", help="continued-fraction expansion of a point")
-    _add_common(p_cf, root=False)
+    p_cf = _add_command(
+        sub, "cf", _cmd_cf, "--rational-guard --output",
+        help="continued-fraction expansion of a point",
+    )
     p_cf.add_argument("--x", type=float, required=True)
-    p_cf.add_argument("--depth", type=int, default=20)
+    p_cf.add_argument("--depth", type=int, default=20,
+                      help=f"orbit depth, at most {cf_dynamics.MAX_ORBIT_DEPTH}")
     p_cf.add_argument("--extended", action="store_true",
                       help="run the orbit in extended precision")
 
-    p_w = sub.add_parser("wilton", help="evaluate Wilton's function")
-    _add_common(p_w, root=False)
+    p_w = _add_command(
+        sub, "wilton", _cmd_wilton,
+        "--seed --abs-tol --max-terms --rational-guard --format --output",
+        help="evaluate Wilton's function",
+    )
     p_w.add_argument("--x", default=None, help="comma-separated points")
     p_w.add_argument("--sample", type=int, default=None,
                      help="evaluate at this many measure-distributed samples")
 
-    p_m = sub.add_parser(
-        "moment", help="estimate int |g|^K dx",
+    p_m = _add_command(
+        sub, "moment", _cmd_moment, "--seed --max-terms --rational-guard --format --output",
+        help="estimate int |g|^K dx",
         description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed "
-        "tolerances (W 1e-8, H tail 2e-4, F table 1e-4); --abs-tol does not change it.",
+        "tolerances (W 1e-8, H tail 2e-4, F table 1e-4), so there is no --abs-tol.",
     )
-    _add_common(p_m, root=False)
     p_m.add_argument("--k", type=float, default=None)
     p_m.add_argument("--sweep", default=None, help="comma-separated K list")
     p_m.add_argument("--samples", type=int, default=1_000_000)
     p_m.add_argument("--method", choices=("mc", "quad"), default="mc")
-    p_m.add_argument("--out", choices=("csv", "json"), default=None,
-                     help="alias of --format")
 
-    p_c = sub.add_parser("cotangent-dist", help="cotangent-sum distribution sweep")
-    _add_common(p_c, root=False)
+    p_c = _add_command(
+        sub, "cotangent-dist", _cmd_cotangent, "--seed --format --output",
+        help="cotangent-sum distribution sweep",
+    )
     p_c.add_argument("--b", type=int, required=True)
     p_c.add_argument("--a0", type=float, default=0.5)
     p_c.add_argument("--a1", type=float, default=1.0)
@@ -155,47 +177,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--sample", type=int, default=None)
     p_c.add_argument("--per-r", default=None, help="write per-residue CSV here")
 
-    p_v = sub.add_parser("verify", help="run verification suites")
-    _add_common(p_v, root=False)
+    p_v = _add_command(sub, "verify", _cmd_verify, "--output", help="run verification suites")
     p_v.add_argument("--suite", action="append", default=None)
     p_v.add_argument("--all", action="store_true")
     p_v.add_argument("--list", action="store_true", help="list suite names")
     return parser
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one invocation: flags > environment > defaults."""
-
-    tolerance: ToleranceConfig
-    seed: int
-    output_format: str
-    output_path: str | None
-
-
-def _config_from_args(args) -> RunConfig:
-    seed = args.seed if args.seed is not None else _env_default("WM_SEED", int, 0)
-    abs_tol = (
-        args.abs_tol
-        if args.abs_tol is not None
-        else _env_default("WM_ABS_TOL", float, 1e-8)
-    )
-    tolerance = ToleranceConfig(
-        abs_tol=abs_tol,
-        max_terms=args.max_terms,
-        max_orbit_depth=args.max_orbit_depth,
-        rational_guard=args.rational_guard,
-        extended_precision=getattr(args, "extended", False),
-    )
-    return RunConfig(
-        tolerance=tolerance,
-        seed=seed,
-        output_format=getattr(args, "out", None) or args.format,
-        output_path=args.output,
-    )
-
-
-def _parse_points(args, seed: int) -> list[float]:
+def _parse_points(args) -> list[float]:
     if getattr(args, "x", None):
         return [float(tok) for tok in str(args.x).split(",") if tok]
     if getattr(args, "grid", None):
@@ -204,7 +193,7 @@ def _parse_points(args, seed: int) -> list[float]:
     if getattr(args, "sample", None) is not None:
         if args.sample <= 0:
             raise SystemExit2(f"--sample must be positive, got {args.sample}")
-        return [float(v) for v in cf_dynamics.sample_gauss_measure(args.sample, seed)]
+        return [float(v) for v in cf_dynamics.sample_gauss_measure(args.sample, args.seed)]
     raise SystemExit2("one of --x / --grid / --sample is required")
 
 
@@ -214,9 +203,11 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _cmd_eval(args, config: RunConfig) -> tuple[int, str]:
-    cfg = config.tolerance
-    pts = _parse_points(args, config.seed)
+def _cmd_eval(args) -> tuple[int, str]:
+    cfg = ToleranceConfig(
+        abs_tol=args.abs_tol, max_terms=args.max_terms, rational_guard=args.rational_guard
+    )
+    pts = _parse_points(args)
     rows = []
     status = 0
     for x in pts:
@@ -244,17 +235,20 @@ def _cmd_eval(args, config: RunConfig) -> tuple[int, str]:
             rows.append([args.fn, x, math.nan, math.nan, f"error: {exc}"])
             status = 1
     header = ["function", "x", "value", "est_error", "method"]
-    return status, _table(header, rows, config.output_format)
+    return status, _table(header, rows, args.format)
 
 
-def _cmd_cf(args, config: RunConfig) -> tuple[int, str]:
-    exp = cf_dynamics.cf_expand(args.x, args.depth, config.tolerance)
+def _cmd_cf(args) -> tuple[int, str]:
+    cfg = ToleranceConfig(rational_guard=args.rational_guard, extended_precision=args.extended)
+    exp = cf_dynamics.cf_expand(args.x, args.depth, cfg)
     return 0, _to_json(exp.to_dict()) + "\n"
 
 
-def _cmd_wilton(args, config: RunConfig) -> tuple[int, str]:
-    cfg = config.tolerance
-    pts = _parse_points(args, config.seed)
+def _cmd_wilton(args) -> tuple[int, str]:
+    cfg = ToleranceConfig(
+        abs_tol=args.abs_tol, max_terms=args.max_terms, rational_guard=args.rational_guard
+    )
+    pts = _parse_points(args)
     rows = []
     status = 0
     for x in pts:
@@ -265,37 +259,37 @@ def _cmd_wilton(args, config: RunConfig) -> tuple[int, str]:
             rows.append([x, math.nan, 0, math.nan])
             status = 1
     header = ["point", "value", "terms_used", "tail_bound"]
-    return status, _table(header, rows, config.output_format)
+    return status, _table(header, rows, args.format)
 
 
-def _cmd_moment(args, config: RunConfig) -> tuple[int, str]:
+def _cmd_moment(args) -> tuple[int, str]:
     method = "mc_stratified" if args.method == "mc" else "quad_log_substitution"
-    cfg, seed = config.tolerance, config.seed
+    cfg = ToleranceConfig(max_terms=args.max_terms, rational_guard=args.rational_guard)
     if args.sweep:
         ks = [float(tok) for tok in args.sweep.split(",") if tok]
         ests = moments.gamma_ratio_sweep(
-            ks, cfg=cfg, seed=seed, samples=args.samples, method=method
+            ks, cfg=cfg, seed=args.seed, samples=args.samples, method=method
         )
     elif args.k is not None:
         ests = [
-            moments.moment(args.k, cfg=cfg, seed=seed, samples=args.samples, method=method)
+            moments.moment(args.k, cfg=cfg, seed=args.seed, samples=args.samples, method=method)
         ]
     else:
         raise SystemExit2("moment needs --k or --sweep")
     header = "K value std_error gamma_ratio target_ratio rejections repair_rounds".split()
     rows = [[getattr(e, name) for name in header] for e in ests]
-    return 0, _table(header, rows, config.output_format)
+    return 0, _table(header, rows, args.format)
 
 
-def _cmd_cotangent(args, config: RunConfig) -> tuple[int, str]:
+def _cmd_cotangent(args) -> tuple[int, str]:
     b = args.b
-    rs = cotangent.sweep_residues(b, args.a0, args.a1, args.sample, config.seed)
+    rs = cotangent.sweep_residues(b, args.a0, args.a1, args.sample, args.seed)
     vals = cotangent.c0_values(b, rs)
     summary = cotangent.DistributionSummary.from_values(b, args.a0, args.a1, vals, args.kmax)
     if args.per_r:
         rows = [[int(r), float(v), float(v) / b] for r, v in zip(rs, vals)]
         _emit(_csv(["r", "c0", "c0_over_b"], rows), args.per_r)
-    if config.output_format == "csv":
+    if args.format == "csv":
         rows = [[summary.b, summary.a0, summary.a1, summary.count]
                 + summary.normalized_moments]
         header = ["b", "a0", "a1", "count"] + [
@@ -326,25 +320,17 @@ def _cmd_verify(args) -> tuple[int, str]:
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"{argv[0]}: flags go after the subcommand")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        if args.command == "eval":
-            status, text = _cmd_eval(args, config)
-        elif args.command == "cf":
-            status, text = _cmd_cf(args, config)
-        elif args.command == "wilton":
-            status, text = _cmd_wilton(args, config)
-        elif args.command == "moment":
-            status, text = _cmd_moment(args, config)
-        elif args.command == "cotangent-dist":
-            status, text = _cmd_cotangent(args, config)
-        elif args.command == "verify":
-            status, text = _cmd_verify(args)
-        else:  # pragma: no cover
-            return 2
+        given = vars(args)
+        for name, (env, cast, fallback) in _ENV.items():
+            if name in given and given[name] is None:
+                given[name] = _env_default(env, cast, fallback)
+        status, text = args.cmd(args)
     except SystemExit2 as exc:
         return int(exc.code)
     except (EffectiveRationalError, NonConvergenceError) as exc:
@@ -353,7 +339,7 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    _emit(text, config.output_path)
+    _emit(text, args.output)
     return status
 
 

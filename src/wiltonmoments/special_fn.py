@@ -773,12 +773,15 @@ def g_batch(
 
     Returns (values, err_bounds, ok); not-ok points (value and bound 0) lie
     outside (0, 1), nan included, or hit the rational guard mid-orbit or
-    the term budget, and should be resampled or excluded.
+    the term budget, and should be resampled or excluded.  Input that is not
+    1-D raises ValueError.
     """
+    x = np.asarray(xs, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"g_batch needs a 1-D array, got shape {x.shape}")
     tab = _ftable()
     supf = sup_f_bound()
     a1, a1e = a1_constant()
-    x = np.asarray(xs, dtype=np.float64)
     n = x.shape[0]
     out = (np.zeros(n), np.zeros(n), None, np.zeros(n, dtype=bool))
     gsum, err, _, ok = out

@@ -106,8 +106,10 @@ def wilton(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WiltonEval:
     same double), and below abs_tol ~1e-8 it grows like u/beta_k while the
     true error stays near 1e-8.
 
-    Orbits that hit the rational guard return the partial sum with
-    truncated_rational set; a budget overrun raises NonConvergenceError.
+    x is always the first iterate, so a point below the rational guard
+    sums gamma_0 = log(1/x) before its orbit hits the guard.  Orbits that
+    hit the guard return the partial sum with truncated_rational set; a
+    budget overrun raises NonConvergenceError.
     """
     tol = cfg.abs_tol
     alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms, cfg.rational_guard)
@@ -237,9 +239,11 @@ def wilton_batch(
     max_terms budget before the stopping rule fired; such entries hold 0.
     Iterates are produced by the same float operations as gauss_map, so
     residuals of the functional equation cancel structurally down to the
-    tail bounds.
+    tail bounds.  Input that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"wilton_batch needs a 1-D array, got shape {x.shape}")
     n = x.shape[0]
     idx = np.flatnonzero((x > cfg.rational_guard) & (x < 1.0))
     out = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))

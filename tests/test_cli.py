@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wiltonmoments import cotangent, special_fn
-from wiltonmoments.cli import run, _csv, _to_json
+from wiltonmoments.cli import run, _build_parser, _csv, _to_json
 
 
 def run_capture(argv, capsys):
@@ -28,7 +28,7 @@ class TestEval:
 
     def test_phi2_csv(self, capsys):
         status, out = run_capture(
-            ["--format", "csv", "eval", "--fn", "Phi2", "--x", "0.5"], capsys
+            ["eval", "--fn", "Phi2", "--x", "0.5", "--format", "csv"], capsys
         )
         assert status == 0
         lines = out.strip().split("\n")
@@ -70,7 +70,7 @@ class TestEval:
         argv = ["eval", "--fn", "Phi2", "--x", "0.2137996805918318"]
         _, out = run_capture(argv, capsys)
         assert json.loads(out)[0]["method"] == "rational_snap"
-        status, out = run_capture(["--abs-tol", "1e-4"] + argv, capsys)
+        status, out = run_capture(argv + ["--abs-tol", "1e-4"], capsys)
         assert status == 0
         assert json.loads(out)[0]["method"] == "series"
 
@@ -117,7 +117,7 @@ class TestCF:
 class TestWiltonCmd:
     def test_points_csv(self, capsys):
         status, out = run_capture(
-            ["--format", "csv", "wilton", "--x", "0.6180339887498949"], capsys
+            ["wilton", "--x", "0.6180339887498949", "--format", "csv"], capsys
         )
         assert status == 0
         lines = out.strip().split("\n")
@@ -132,7 +132,7 @@ class TestWiltonCmd:
         assert err == f"usage error: --sample must be positive, got {n}\n"
 
     def test_sampled(self, capsys):
-        status, out = run_capture(["--seed", "5", "wilton", "--sample", "10"], capsys)
+        status, out = run_capture(["wilton", "--sample", "10", "--seed", "5"], capsys)
         assert status == 0
         assert len(json.loads(out)) == 10
 
@@ -146,20 +146,18 @@ class TestMomentCmd:
         assert out1 == out2
 
     def test_fixed_tolerances_are_documented(self, capsys):
-        # g_batch runs at W 1e-8, H tail 2e-4 and the 1e-4 F table whatever
-        # --abs-tol says, and the help text says so
+        # g_batch runs at W 1e-8, H tail 2e-4 and the 1e-4 F table, so
+        # moment takes no --abs-tol, and the help text says so
         argv = ["moment", "--k", "2", "--samples", "2000", "--seed", "3"]
-        _, default = run_capture(argv, capsys)
-        _, loose = run_capture(["--abs-tol", "1e-2"] + argv, capsys)
-        assert loose == default
+        assert run(argv + ["--abs-tol", "1e-2"]) == 2
         assert run(["moment", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "fixed tolerances (W 1e-8, H tail 2e-4, F table 1e-4)" in text
-        assert "--abs-tol does not change it" in text
+        assert "there is no --abs-tol" in text
 
     def test_csv_columns(self, capsys):
         status, out = run_capture(
-            ["moment", "--k", "3", "--samples", "2000", "--seed", "1", "--out", "csv"],
+            ["moment", "--k", "3", "--samples", "2000", "--seed", "1", "--format", "csv"],
             capsys,
         )
         assert status == 0
@@ -282,14 +280,14 @@ class TestConfigPrecedence:
         monkeypatch.setenv("WM_SEED", "99")
         _, out1 = run_capture(["wilton", "--sample", "3"], capsys)
         monkeypatch.delenv("WM_SEED")
-        _, out2 = run_capture(["--seed", "99", "wilton", "--sample", "3"], capsys)
+        _, out2 = run_capture(["wilton", "--sample", "3", "--seed", "99"], capsys)
         assert out1 == out2
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WM_SEED", "1")
-        _, out1 = run_capture(["--seed", "2", "wilton", "--sample", "3"], capsys)
+        _, out1 = run_capture(["wilton", "--sample", "3", "--seed", "2"], capsys)
         monkeypatch.delenv("WM_SEED")
-        _, out2 = run_capture(["--seed", "2", "wilton", "--sample", "3"], capsys)
+        _, out2 = run_capture(["wilton", "--sample", "3", "--seed", "2"], capsys)
         assert out1 == out2
 
     @pytest.mark.parametrize("name", ["WM_SEED", "WM_ABS_TOL"])
@@ -312,7 +310,7 @@ class TestConfigPrecedence:
         "cmd", [["wilton", "--x", "0.3"], ["eval", "--fn", "g", "--x", "0.3"]]
     )
     def test_bad_tolerance_is_usage_error(self, flags, cmd, capsys):
-        assert run(flags + cmd) == 2
+        assert run(cmd + flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
@@ -321,6 +319,13 @@ class TestConfigPrecedence:
         monkeypatch.setenv("WM_ABS_TOL", "nan")
         assert run(["wilton", "--x", "0.3"]) == 2
 
+    def test_unread_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("WM_ABS_TOL", "abc")
+        assert run(["verify", "--list"]) == 0
+        monkeypatch.delenv("WM_ABS_TOL")
+        monkeypatch.setenv("WM_SEED", "abc")
+        assert run(["eval", "--fn", "A", "--x", "1"]) == 0
+
     def test_threads_flag_is_gone(self, capsys):
         assert run(["--threads", "2", "cotangent-dist", "--b", "101"]) == 2
         assert run(["cotangent-dist", "--b", "101", "--threads", "2"]) == 2
@@ -328,11 +333,66 @@ class TestConfigPrecedence:
     def test_output_file_lf(self, tmp_path, capsys):
         path = tmp_path / "out.json"
         status, _ = run_capture(
-            ["--output", str(path), "eval", "--fn", "Phi2", "--x", "0.5"], capsys
+            ["eval", "--fn", "Phi2", "--x", "0.5", "--output", str(path)], capsys
         )
         assert status == 0
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+
+# the minimal arguments of each subcommand, and the former common flags it reads
+COMMANDS = {
+    "eval": (["--fn", "A", "--x", "1"],
+             {"--abs-tol", "--max-terms", "--rational-guard", "--format", "--output"}),
+    "cf": (["--x", "0.3"], {"--rational-guard", "--output"}),
+    "wilton": (["--x", "0.3"], {"--seed", "--abs-tol", "--max-terms", "--rational-guard",
+                                "--format", "--output"}),
+    "moment": (["--k", "2"], {"--seed", "--max-terms", "--rational-guard", "--format",
+                              "--output"}),
+    "cotangent-dist": (["--b", "101"], {"--seed", "--format", "--output"}),
+    "verify": (["--list"], {"--output"}),
+}
+FLAG_VALUES = {
+    "--seed": "1", "--abs-tol": "1e-6", "--max-terms": "100", "--max-orbit-depth": "40",
+    "--rational-guard": "1e-14", "--format": "csv", "--output": "out.txt",
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_flag_accepted_exactly_where_read(self, cmd, flag, capsys):
+        required, reads = COMMANDS[cmd]
+        argv = [cmd, *required, flag, FLAG_VALUES[flag]]
+        if flag in reads:
+            args = _build_parser().parse_args(argv)
+            assert vars(args)[flag[2:].replace("-", "_")] is not None
+            return
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_flag_before_subcommand_is_usage_error(self, cmd, flag, capsys):
+        assert run([flag, FLAG_VALUES[flag], cmd, *COMMANDS[cmd][0]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
+    def test_out_alias_is_gone(self, capsys):
+        # --out is no abbreviation of --output either
+        assert run(["moment", "--k", "2", "--samples", "100", "--out", "csv"]) == 2
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [ln.split("#", 1)[0].split() for ln in block.splitlines()]
+        argvs = [ln[1:] for ln in lines if ln[:1] == ["wm"]]
+        assert len(argvs) >= 10
+        for argv in argvs:
+            _build_parser().parse_args(argv)
 
 
 class TestJsonFormatting:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from wiltonmoments import special_fn as sf
 from wiltonmoments.cf_dynamics import ToleranceConfig, orbit_arrays, sample_gauss_measure
@@ -356,7 +356,8 @@ class TestGBatch:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(xs=arrays(
         np.float64,
-        st.integers(0, 24),
+        # 1-D arrays, plus 0-d and 2-D ones, which must be refused
+        st.one_of(st.integers(0, 24), st.just(()), array_shapes(min_dims=2, max_dims=2)),
         elements=st.one_of(
             st.floats(allow_subnormal=True),
             st.floats(0.0, 1.0),
@@ -364,6 +365,10 @@ class TestGBatch:
         ),
     ))
     def test_any_input_gives_finite_or_zero(self, xs):
+        if xs.ndim != 1:
+            with pytest.raises(ValueError, match="1-D"):
+                sf.g_batch(xs)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             vals, errs, ok = sf.g_batch(xs)

@@ -98,6 +98,12 @@ class TestWilton:
         w = wilton(0.375, CFG)
         assert w.truncated_rational
 
+    @pytest.mark.parametrize("x", [1e-16, 1e-40, 1e-300])
+    def test_below_guard_keeps_first_term(self, x):
+        # W(x) = log(1/x) - x W(alpha(x)); x stays iterate 0 under the guard
+        w = wilton(x, CFG)
+        assert abs(w.value - math.log(1.0 / x)) <= w.tail_bound <= 1e-10
+
     def test_alternating_enclosure(self):
         # consecutive partial sums bracket the limit once the terms decay;
         # quotient spikes break monotonicity (1/pi has them), so the bracket
@@ -210,6 +216,11 @@ class TestWiltonBatch:
         assert ok.tolist() == [False, False, False, False, True]
         assert (vals[:4] == 0.0).all() and (tails[:4] == 0.0).all()
         assert vals[4] == wilton(GOLDEN, CFG).value
+
+    @pytest.mark.parametrize("xs", [0.3, np.array([[0.3, 0.4], [0.2, 0.1]])])
+    def test_non_1d_input_is_value_error(self, xs):
+        with pytest.raises(ValueError, match="1-D"):
+            wilton_batch(xs, CFG)
 
 
 class TestContraction:
