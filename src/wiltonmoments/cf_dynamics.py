@@ -4,7 +4,10 @@ The central objects are the map alpha(x) = {1/x} on (0,1) and the orbit data
 attached to a point x: partial quotients a_k, iterates alpha_k, convergents
 p_k/q_k, the products beta_k = alpha_0 * ... * alpha_k, and the terms
 gamma_k = beta_{k-1} * log(1/alpha_k).  The invariant measure has density
-1/((1+x) log 2).
+1/((1+x) log 2).  A double is exactly a rational m/2^e, and exact_cf is its
+continued fraction by Euclid's algorithm; it decides which doubles are
+effectively rational (effective_denominator).  The evaluators step the float
+orbit (orbit_arrays and its vectorized forms).
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -13,22 +16,23 @@ seed, so parallel callers stay deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 LOG2 = math.log(2.0)
 # deepest cf_expand; a double carries only ~35-40 trustworthy partial quotients
 MAX_ORBIT_DEPTH = 40
+RATIONAL_GUARD = 1e-15  # the float orbit never divides by an iterate below this
+RATIONAL_QMAX = 10_000  # largest denominator of an effectively rational x
 
 
 class EffectiveRationalError(ArithmeticError):
-    """An orbit iterate fell below the rational guard.
-
-    Doubles carry roughly 35-40 trustworthy partial quotients; an iterate
-    this close to zero means the input is indistinguishable from a rational
-    and the expansion must stop instead of dividing by near-zero.
-    """
+    """The orbit of the input ended before a series converged: the input is
+    effectively rational (effective_denominator), or the float orbit reached
+    an iterate below RATIONAL_GUARD and cannot divide by it."""
 
 
 class NonConvergenceError(ArithmeticError):
@@ -43,19 +47,17 @@ class ToleranceConfig:
     Alternating-series evaluators walk the orbit up to max_terms, past the
     MAX_ORBIT_DEPTH cap of cf_expand, because the computed pseudo-orbit
     stays self-consistent even past the depth where individual quotients of
-    the underlying real are no longer exact.
+    the underlying real are no longer exact.  extended_precision makes
+    cf_expand report the exact orbit of the double (exact_cf).
     """
 
     abs_tol: float = 1e-8
     max_terms: int = 200
-    rational_guard: float = 1e-15
     extended_precision: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.abs_tol < math.inf:  # also rejects nan
             raise ValueError(f"abs_tol must be finite and positive: {self.abs_tol}")
-        if not 0.0 < self.rational_guard < 1.0:
-            raise ValueError(f"rational_guard must be in (0, 1): {self.rational_guard}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be a positive integer")
 
@@ -81,9 +83,9 @@ class CFExpansion:
 
     betas stores beta_{-1} = 1 as a leading sentinel, so betas[k+1] is
     beta_k and the recurrence betas[k+1] = betas[k] * iterates[k] holds
-    index-for-index.  A truncated expansion (rational input detected) keeps
-    the final partial quotient but not the sub-guard iterate, so it carries
-    one fewer iterate than quotients.
+    index-for-index.  A truncated expansion (the orbit ended) keeps the
+    final partial quotient but not the iterate after it, so it carries one
+    fewer iterate than quotients.
     """
 
     point: float
@@ -96,16 +98,7 @@ class CFExpansion:
     truncated: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "depth": self.depth,
-            "partial_quotients": list(self.partial_quotients),
-            "iterates": list(self.iterates),
-            "convergents": [[p, q] for p, q in self.convergents],
-            "betas": list(self.betas),
-            "gammas": list(self.gammas),
-            "truncated": self.truncated,
-        }
+        return asdict(self)
 
 
 def gauss_map(x: float, guard: float = 0.0) -> float:
@@ -129,50 +122,89 @@ def gauss_map_array(x: np.ndarray) -> np.ndarray:
     return z - np.floor(z)
 
 
-def orbit_arrays(
-    x: float, max_depth: int, guard: float = DEFAULT_CONFIG.rational_guard
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Orbit of x to max_depth: (alphas, betas-with-sentinel, gammas, truncated).
+def exact_cf(x: float) -> Iterator[tuple[int, int, int, int]]:
+    """Exact continued fraction of the double x >= 0: Euclid's algorithm on
+    x.as_integer_ratio() = m/n, yielding (a_k, r_k, p_k, q_k), k = 0, 1, ...
+
+    These are Python ints: partial quotient (a_0 = floor(x)), remainder and
+    convergent.  With r_{-1} = n, alpha_k = r_k/r_{k-1} and
+    |x - p_k/q_k| = r_k/(n q_k).  The last item has r_k = 0 and p_k/q_k = x.
+    """
+    num, den = x.as_integer_ratio()
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    while True:
+        a, r = divmod(num, den)
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield a, r, p, q
+        if not r:
+            return
+        num, den = den, r
+
+
+def effective_denominator(x: float) -> int | None:
+    """q of the first convergent p/q of x in (0, 1) with q <= RATIONAL_QMAX
+    and |x - p/q| <= 4 ulp(x), tested exactly in ints; None if there is none
+    (x is not effectively rational)."""
+    n = x.as_integer_ratio()[1]
+    ulp_den = math.ulp(x).as_integer_ratio()[1]
+    for _, r, _, q in exact_cf(x):
+        if q > RATIONAL_QMAX:
+            return None
+        if r * ulp_den <= 4 * n * q:
+            return q
+    return None
+
+
+def orbit_arrays(x: float, max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Float orbit of x to max_depth: (alphas, betas-with-sentinel, gammas, truncated).
 
     alphas[k] = alpha_k for k = 0..d, betas[k+1] = beta_k with betas[0] = 1,
-    gammas[k] = betas[k] * log(1/alphas[k]).  x itself is always iterate 0;
-    the orbit stops early (truncated=True) when a later iterate falls below
-    the guard.
+    gammas[k] = betas[k] * log(1/alphas[k]).  x itself is always iterate 0.
+    The orbit ends (truncated=True) at the step k >= 1 where alpha_k is
+    below RATIONAL_GUARD or, for x effectively rational with denominator q
+    (effective_denominator), where q_k, from the float quotients, reaches q.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"orbit needs x in (0, 1), got {x}")
+    q_stop = effective_denominator(x) or 0
     alphas = np.empty(max_depth + 1)
     betas = np.empty(max_depth + 2)
     gammas = np.empty(max_depth + 1)
     betas[0] = 1.0
     a = x
+    q_prev, q = 0, 1
     truncated = False
-    d = -1
+    n = 0
     for k in range(max_depth + 1):
-        if k and a < guard:
-            truncated = True
-            break
+        if k:
+            z = 1.0 / a
+            a_k = math.floor(z)
+            a = z - a_k
+            if q_stop:
+                q_prev, q = q, a_k * q + q_prev
+            if a < RATIONAL_GUARD or 0 < q_stop <= q:
+                truncated = True
+                break
         alphas[k] = a
         gammas[k] = betas[k] * (-math.log(a))
         betas[k + 1] = betas[k] * a
-        d = k
-        z = 1.0 / a
-        a = z - math.floor(z)
-    n = d + 1
+        n = k + 1
     return alphas[:n], betas[: n + 1], gammas[:n], truncated
 
 
 def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CFExpansion:
     """Expand x in (0, 1) to the requested orbit depth.
 
-    Iterates, betas and gammas are those of orbit_arrays (or, with
-    cfg.extended_precision, of a 60-digit orbit rounded to float64), and
-    each partial quotient is a_{k+1} = floor(1/alpha_k).  Convergents
-    follow p_{k+1} = a_{k+1} p_k + p_{k-1} (same for q) from p_0/q_0 = 0/1,
-    in exact integers since q_k grows at least like Fibonacci.  Expansion
-    stops early, with the truncated flag set, if an iterate alpha_k with
-    k >= 1 falls below cfg.rational_guard; x itself is always iterate 0.
-    depth is at most MAX_ORBIT_DEPTH.
+    Iterates, betas and gammas are those of orbit_arrays, each partial
+    quotient is a_{k+1} = floor(1/alpha_k), and the expansion is truncated
+    where that orbit ends.  With cfg.extended_precision the quotients are
+    those of exact_cf, the iterates its remainder ratios r_k/r_{k-1}, each
+    rounded once, with betas and gammas from them, and the expansion is
+    truncated where a remainder reaches 0.  Convergents follow
+    p_{k+1} = a_{k+1} p_k + p_{k-1} (same for q) from p_0/q_0 = 0/1, in
+    exact integers.  x itself is always iterate 0.  depth is at most
+    MAX_ORBIT_DEPTH.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"cf_expand needs x in (0, 1), got {x}")
@@ -181,15 +213,19 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
     if depth > MAX_ORBIT_DEPTH:
         raise ValueError(f"depth {depth} exceeds MAX_ORBIT_DEPTH {MAX_ORBIT_DEPTH}")
 
-    guard = cfg.rational_guard
     if cfg.extended_precision:
-        quotients, iterates, betas, gammas, truncated = _orbit_extended(x, depth, guard)
+        terms = list(islice(exact_cf(x), depth + 1))
+        quotients = [a for a, _, _, _ in terms[1:]]
+        rems = [x.as_integer_ratio()[1]] + [r for _, r, _, _ in terms]
+        truncated = rems[-1] == 0
+        alphas = np.array([r / r_prev for r_prev, r in zip(rems, rems[1:]) if r])
+        betas = np.cumprod(np.append(1.0, alphas))
+        gammas = betas[:-1] * -np.log(alphas)
     else:
-        alphas, beta_arr, gamma_arr, truncated = orbit_arrays(x, depth, guard)
-        # a truncated orbit keeps the quotient that led below the guard
+        alphas, betas, gammas, truncated = orbit_arrays(x, depth)
+        # a truncated orbit keeps the quotient at which it ended
         n_q = len(alphas) if truncated else len(alphas) - 1
         quotients = [int(q) for q in np.floor(1.0 / alphas[:n_q])]
-        iterates, betas, gammas = alphas.tolist(), beta_arr.tolist(), gamma_arr.tolist()
 
     p_prev, q_prev = 1, 0
     p_cur, q_cur = 0, 1
@@ -203,39 +239,12 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
         point=x,
         depth=len(quotients),
         partial_quotients=quotients,
-        iterates=iterates,
+        iterates=alphas.tolist(),
         convergents=convergents,
-        betas=betas,
-        gammas=gammas,
+        betas=betas.tolist(),
+        gammas=gammas.tolist(),
         truncated=truncated,
     )
-
-
-def _orbit_extended(x: float, depth: int, guard: float):
-    # 60-digit working precision; iterates are rounded back to float64 and
-    # betas/gammas follow from them as in orbit_arrays.
-    import mpmath
-
-    with mpmath.workdps(60):
-        a = mpmath.mpf(x)
-        iterates = [float(a)]
-        quotients: list[int] = []
-        truncated = False
-        for _ in range(depth):
-            z = 1 / a
-            q = int(mpmath.floor(z))
-            a = z - q
-            quotients.append(q)
-            if a < guard:
-                truncated = True
-                break
-            iterates.append(float(a))
-    betas = [1.0]
-    gammas = []
-    for al in iterates:
-        gammas.append(betas[-1] * (-math.log(al)))
-        betas.append(betas[-1] * al)
-    return quotients, iterates, betas, gammas, truncated
 
 
 def gauss_measure(iv: Interval) -> float:
@@ -263,19 +272,18 @@ def sample_gauss_measure(n: int, seed: int) -> np.ndarray:
     return np.maximum(x, tiny)
 
 
-def orbit_gamma_matrix(
-    xs: np.ndarray, depth: int, guard: float = DEFAULT_CONFIG.rational_guard
-) -> tuple[np.ndarray, np.ndarray]:
+def orbit_gamma_matrix(xs: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """gamma_n(x) for n = 0..depth over an array of points.
 
     Returns (gam, ok) where gam has shape (depth+1, len(xs)) and ok flags
-    points whose orbit stayed above the guard for all requested steps.
-    gamma_n is exactly (T^n l)(x), so this feeds the contraction tests.
+    points whose orbit stayed above RATIONAL_GUARD, the only stop here (no
+    effective_denominator test), for all requested steps.  gamma_n is
+    exactly (T^n l)(x), so this feeds the contraction tests.
     """
     alpha = np.asarray(xs, dtype=np.float64).copy()
     npts = alpha.shape[0]
     beta = np.ones(npts)
-    ok = (alpha > guard) & (alpha < 1.0)
+    ok = (alpha > RATIONAL_GUARD) & (alpha < 1.0)
     gam = np.zeros((depth + 1, npts))
     for k in range(depth + 1):
         safe = np.where(ok, alpha, 0.5)
@@ -283,5 +291,5 @@ def orbit_gamma_matrix(
         beta = beta * safe
         z = 1.0 / safe
         alpha = z - np.floor(z)
-        ok &= alpha > guard
+        ok &= alpha > RATIONAL_GUARD
     return gam, ~np.isnan(gam).any(axis=0)

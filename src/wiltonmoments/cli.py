@@ -94,7 +94,6 @@ _SETTINGS = {
         type=float, default=None, help="absolute tolerance (default WM_ABS_TOL, else 1e-8)"
     ),
     "--max-terms": dict(type=int, default=DEFAULT_CONFIG.max_terms),
-    "--rational-guard": dict(type=float, default=DEFAULT_CONFIG.rational_guard),
     "--format": dict(choices=("csv", "json"), default="json"),
     "--output": dict(default=None, help="output path (default stdout)"),
 }
@@ -125,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = _add_command(
-        sub, "eval", _cmd_eval, "--abs-tol --max-terms --rational-guard --format --output",
+        sub, "eval", _cmd_eval, "--abs-tol --max-terms --format --output",
         help="evaluate g, W, H, A, F or Phi2",
     )
     p_eval.add_argument("--fn", required=True, choices=("g", "W", "H", "A", "F", "Phi2"))
@@ -137,18 +136,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_cf = _add_command(
-        sub, "cf", _cmd_cf, "--rational-guard --output",
+        sub, "cf", _cmd_cf, "--output",
         help="continued-fraction expansion of a point",
     )
     p_cf.add_argument("--x", type=float, required=True)
     p_cf.add_argument("--depth", type=int, default=20,
                       help=f"orbit depth, at most {cf_dynamics.MAX_ORBIT_DEPTH}")
     p_cf.add_argument("--extended", action="store_true",
-                      help="run the orbit in extended precision")
+                      help="report the exact orbit of the double")
 
     p_w = _add_command(
         sub, "wilton", _cmd_wilton,
-        "--seed --abs-tol --max-terms --rational-guard --format --output",
+        "--seed --abs-tol --max-terms --format --output",
         help="evaluate Wilton's function",
     )
     p_w.add_argument("--x", default=None, help="comma-separated points")
@@ -156,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="evaluate at this many measure-distributed samples")
 
     p_m = _add_command(
-        sub, "moment", _cmd_moment, "--seed --max-terms --rational-guard --format --output",
+        sub, "moment", _cmd_moment, "--seed --max-terms --format --output",
         help="estimate int |g|^K dx",
         description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed "
         "tolerances (W 1e-8, H tail 2e-4, F table 1e-4), so there is no --abs-tol.",
@@ -178,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--per-r", default=None, help="write per-residue CSV here")
 
     p_v = _add_command(sub, "verify", _cmd_verify, "--output", help="run verification suites")
-    p_v.add_argument("--suite", action="append", default=None)
+    p_v.add_argument("--suite", action="append", default=None, choices=list(verify.SUITES))
     p_v.add_argument("--all", action="store_true")
     p_v.add_argument("--list", action="store_true", help="list suite names")
     return parser
@@ -203,10 +202,15 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
+def _wilton_checked(x: float, cfg: ToleranceConfig):
+    we = wilton_eval(x, cfg)  # W diverges at a rational: an ended orbit fails, as for g
+    if we.truncated_rational:
+        raise EffectiveRationalError(f"orbit of {x} ended before the W series converged")
+    return we
+
+
 def _cmd_eval(args) -> tuple[int, str]:
-    cfg = ToleranceConfig(
-        abs_tol=args.abs_tol, max_terms=args.max_terms, rational_guard=args.rational_guard
-    )
+    cfg = ToleranceConfig(abs_tol=args.abs_tol, max_terms=args.max_terms)
     pts = _parse_points(args)
     rows = []
     status = 0
@@ -216,7 +220,7 @@ def _cmd_eval(args) -> tuple[int, str]:
                 ge = special_fn.g_func(x, args.method, cfg)
                 rows.append(["g", x, ge.value, ge.est_error, ge.method])
             elif args.fn == "W":
-                we = wilton_eval(x, cfg)
+                we = _wilton_checked(x, cfg)
                 rows.append(["W", x, we.value, we.tail_bound, "orbit_series"])
             elif args.fn == "H":
                 val, err = special_fn._h_with_err(x, cfg)
@@ -239,21 +243,19 @@ def _cmd_eval(args) -> tuple[int, str]:
 
 
 def _cmd_cf(args) -> tuple[int, str]:
-    cfg = ToleranceConfig(rational_guard=args.rational_guard, extended_precision=args.extended)
+    cfg = ToleranceConfig(extended_precision=args.extended)
     exp = cf_dynamics.cf_expand(args.x, args.depth, cfg)
     return 0, _to_json(exp.to_dict()) + "\n"
 
 
 def _cmd_wilton(args) -> tuple[int, str]:
-    cfg = ToleranceConfig(
-        abs_tol=args.abs_tol, max_terms=args.max_terms, rational_guard=args.rational_guard
-    )
+    cfg = ToleranceConfig(abs_tol=args.abs_tol, max_terms=args.max_terms)
     pts = _parse_points(args)
     rows = []
     status = 0
     for x in pts:
         try:
-            we = wilton_eval(x, cfg)
+            we = _wilton_checked(x, cfg)
             rows.append([x, we.value, we.terms_used, we.tail_bound])
         except (EffectiveRationalError, NonConvergenceError, ValueError):
             rows.append([x, math.nan, 0, math.nan])
@@ -264,7 +266,7 @@ def _cmd_wilton(args) -> tuple[int, str]:
 
 def _cmd_moment(args) -> tuple[int, str]:
     method = "mc_stratified" if args.method == "mc" else "quad_log_substitution"
-    cfg = ToleranceConfig(max_terms=args.max_terms, rational_guard=args.rational_guard)
+    cfg = ToleranceConfig(max_terms=args.max_terms)
     if args.sweep:
         ks = [float(tok) for tok in args.sweep.split(",") if tok]
         ests = moments.gamma_ratio_sweep(
@@ -305,7 +307,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     names = list(verify.SUITES) if args.all else (args.suite or [])
     if not names:
         raise SystemExit2("verify needs --suite NAME (repeatable), --all or --list")
-    results = verify.run_suites(names)
+    results = [verify.run_suite(name) for name in names]
     width = max(len(r.name) for r in results)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  "

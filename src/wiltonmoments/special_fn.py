@@ -55,6 +55,7 @@ from .cf_dynamics import (
     EffectiveRationalError,
     NonConvergenceError,
     ToleranceConfig,
+    exact_cf,
     orbit_arrays,
 )
 from .wilton import _alternating_stop, _orbit_series, wilton
@@ -207,23 +208,13 @@ def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _snap_rational(x: float, qmax: int, eps: float) -> tuple[int, int] | None:
-    """First continued-fraction convergent p/q of x with q <= qmax and
+    """First convergent p/q of x in [0, 1] (exact_cf) with q <= qmax and
     |x - p/q| <= eps, if any."""
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = 0, 1
-    y = x
-    for _ in range(64):
-        if q_cur > qmax:
+    for _, _, p, q in exact_cf(x):
+        if q > qmax:
             return None
-        if abs(x - p_cur / q_cur) <= eps:
-            return p_cur, q_cur
-        if y <= 0.0:
-            return None
-        z = 1.0 / y
-        a = math.floor(z)
-        y = z - a
-        p_prev, p_cur = p_cur, int(a) * p_cur + p_prev
-        q_prev, q_cur = q_cur, int(a) * q_cur + q_prev
+        if abs(x - p / q) <= eps:
+            return p, q
     return None
 
 
@@ -542,7 +533,7 @@ def _h_with_err(x: float, cfg: ToleranceConfig) -> tuple[float, float]:
         return -a1 + x, 3.0 * x + a1e
     tol = cfg.abs_tol
     supf = sup_f_bound()
-    alphas, betas, _, truncated = orbit_arrays(x, cfg.max_terms, cfg.rational_guard)
+    alphas, betas, _, truncated = orbit_arrays(x, cfg.max_terms)
     # the series stops at the first m with 2 beta_{m-1} sup|F| < tol/2
     stops = np.flatnonzero(2.0 * betas[: len(alphas)] * supf < 0.5 * tol)
     if stops.size == 0:
@@ -574,7 +565,7 @@ def decomposition_values(
     common additive term, so the n-independence spread does not depend on
     its precision; it is evaluated at a capped tolerance.
     """
-    alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms, cfg.rational_guard)
+    alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms)
     k = _alternating_stop(gammas, cfg.abs_tol)
     if k is None:
         raise (EffectiveRationalError if truncated else NonConvergenceError)(
@@ -772,9 +763,11 @@ def g_batch(
     entirely (a double cannot resolve {1/x} there anyway).
 
     Returns (values, err_bounds, ok); not-ok points (value and bound 0) lie
-    outside (0, 1), nan included, or hit the rational guard mid-orbit or
-    the term budget, and should be resampled or excluded.  Input that is not
-    1-D raises ValueError.
+    outside (0, 1), nan included, or hit RATIONAL_GUARD mid-orbit or the
+    term budget, and should be resampled or excluded.  That float guard is
+    the only rational test (no effective_denominator, unlike g_func), so
+    values, errors and ok are bit for bit those of the float orbit.  Input
+    that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:
@@ -794,7 +787,7 @@ def g_batch(
 
     idx = np.flatnonzero((x >= _SMALLX_CUT) & (x < 1.0))
     _orbit_series(
-        x, idx, out, 1e-8, cfg.rational_guard, max(cfg.max_terms, 80),
+        x, idx, out, 1e-8, max(cfg.max_terms, 80),
         f=tab.lookup, supf=supf, h_tol=2e-4, f_err=tab.err_bound,
     )
     return gsum, err, ok

@@ -85,7 +85,7 @@ def crit_functional_equation() -> tuple[bool, str]:
     xs = cf_dynamics.sample_gauss_measure(10_000, seed=20_26_04)
     wx, _, _, ok1 = wilton_batch(xs, cfg)
     ax = cf_dynamics.gauss_map_array(xs)
-    inside = (ax > cfg.rational_guard) & (ax < 1.0)
+    inside = (ax > cf_dynamics.RATIONAL_GUARD) & (ax < 1.0)
     wax = np.zeros_like(xs)
     ok2 = inside.copy()
     wax[inside], _, _, sub_ok = wilton_batch(ax[inside], cfg)
@@ -255,6 +255,3 @@ def run_suite(name: str) -> CriterionResult:
     passed, detail = SUITES[name]()
     return CriterionResult(name, passed, detail, time.perf_counter() - start)
 
-
-def run_suites(names: list[str]) -> list[CriterionResult]:
-    return [run_suite(n) for n in names]

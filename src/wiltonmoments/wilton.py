@@ -4,7 +4,9 @@ Wilton's function is the alternating series W(x) = sum_k (-1)^k gamma_k(x)
 with gamma_k = beta_{k-1} log(1/alpha_k); it satisfies the functional
 equation W(x) = log(1/x) - x W(alpha(x)).  The operator is
 (T f)(x) = x f(alpha(x)), iterated through the beta-product formula
-(T^n f)(x) = beta_{n-1}(x) f(alpha_n(x)) so one orbit serves every n.
+(T^n f)(x) = beta_{n-1}(x) f(alpha_n(x)) so one orbit serves every n.  The
+scalar evaluators end the orbit of an effectively rational x at its rational,
+where W diverges; the vectorized _orbit_series stops only at RATIONAL_GUARD.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import numpy as np
 
 from .cf_dynamics import (
     DEFAULT_CONFIG,
+    RATIONAL_GUARD,
     EffectiveRationalError,
     NonConvergenceError,
     ToleranceConfig,
     orbit_arrays,
+    orbit_gamma_matrix,
 )
 
 
@@ -58,7 +62,7 @@ def apply_T(
         if not 0.0 < x < 1.0:
             raise ValueError(f"apply_T needs x in (0, 1), got {x}")
         return f(x)
-    alphas, betas, _, truncated = orbit_arrays(x, n, cfg.rational_guard)
+    alphas, betas, _, truncated = orbit_arrays(x, n)
     if truncated or len(alphas) <= n:
         raise EffectiveRationalError(f"orbit of {x} ended before depth {n}")
     return betas[n] * f(alphas[n])
@@ -106,35 +110,32 @@ def wilton(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WiltonEval:
     same double), and below abs_tol ~1e-8 it grows like u/beta_k while the
     true error stays near 1e-8.
 
-    x is always the first iterate, so a point below the rational guard
-    sums gamma_0 = log(1/x) before its orbit hits the guard.  Orbits that
-    hit the guard return the partial sum with truncated_rational set; a
-    budget overrun raises NonConvergenceError.
+    x is always the first iterate, so a point below RATIONAL_GUARD sums
+    gamma_0 = log(1/x) before its orbit ends.  An orbit that ends before
+    the stopping rule holds (x effectively rational, or an iterate below
+    RATIONAL_GUARD; see orbit_arrays) returns the partial sum with
+    truncated_rational set; a budget overrun raises NonConvergenceError.
     """
     tol = cfg.abs_tol
-    alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms, cfg.rational_guard)
+    alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms)
     k = _alternating_stop(gammas, tol)
-    if k is not None:
-        signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-        value = float(signs @ gammas[:k])
-        return WiltonEval(
-            point=x,
-            value=value,
-            terms_used=k,
-            tail_bound=float(gammas[k] + gammas[k + 1]) + _rounding_bound(betas, k),
+    if k is None and not truncated:
+        raise NonConvergenceError(
+            f"Wilton series at {x} still above {tol} after {cfg.max_terms} terms"
         )
-    if truncated:
+    if k is None:  # the orbit ended: the next term as if alpha were RATIONAL_GUARD
         m = len(gammas)
-        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-        value = float(signs @ gammas)
-        # Next term is beta_m * log(1/alpha_{m+1}) with alpha below the guard.
-        tail = float(betas[m] * (-math.log(cfg.rational_guard)) * 2.0)
-        tail += _rounding_bound(betas, m)
-        return WiltonEval(
-            point=x, value=value, terms_used=m, tail_bound=tail, truncated_rational=True
-        )
-    raise NonConvergenceError(
-        f"Wilton series at {x} still above {tol} after {cfg.max_terms} terms"
+        tail = float(betas[m] * (-math.log(RATIONAL_GUARD)) * 2.0)
+    else:
+        m = k
+        tail = float(gammas[k] + gammas[k + 1])
+    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    return WiltonEval(
+        point=x,
+        value=float(signs @ gammas[:m]),
+        terms_used=m,
+        tail_bound=tail + _rounding_bound(betas, m),
+        truncated_rational=k is None,
     )
 
 
@@ -148,7 +149,7 @@ def partial_sums(x: float, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Par
         raise ValueError("n must be nonnegative")
     if n > cfg.max_terms:
         raise ValueError(f"n {n} exceeds max_terms {cfg.max_terms}")
-    alphas, _, gammas, truncated = orbit_arrays(x, n, cfg.rational_guard)
+    alphas, _, gammas, truncated = orbit_arrays(x, n)
     if truncated or len(gammas) <= n:
         raise EffectiveRationalError(f"orbit of {x} ended before depth {n}")
     signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
@@ -161,7 +162,6 @@ def _orbit_series(
     idx: np.ndarray,
     out: tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray],
     tol: float,
-    guard: float,
     max_iter: int,
     f: Callable[[np.ndarray], np.ndarray] = np.zeros_like,
     supf: float = 0.0,
@@ -176,8 +176,9 @@ def _orbit_series(
     2 beta_{k-1} supf < h_tol.  It then writes its partial sum, the error
     gamma_k + gamma_{k+1} + 4 beta_{k-1} supf + 2 f_err sum_{j<k} beta_{j-1},
     k (unless terms is None) and ok = True, and leaves the working arrays,
-    so each step costs only the points still running.  Points that hit the
-    guard or run max_iter steps are left as they were.
+    so each step costs only the points still running.  Points whose next
+    iterate is at most RATIONAL_GUARD, the only rational test here, or that
+    run max_iter steps are left as they were.
     """
     value, err, terms, ok = out
     alpha = x[idx]
@@ -191,7 +192,7 @@ def _orbit_series(
         beta_next = beta * alpha
         z = 1.0 / alpha
         alpha_next = z - np.floor(z)
-        hit = alpha_next <= guard  # mid-orbit guard trip: dropped, not ok
+        hit = alpha_next <= RATIONAL_GUARD  # mid-orbit guard trip: dropped, not ok
 
         g_next = np.where(hit, 0.0, beta_next * (-np.log(np.where(hit, 0.5, alpha_next))))
         w_done = (k >= 1) & (prev_g < tol) & (g_next <= tol) & (g_next <= prev_g)
@@ -235,8 +236,10 @@ def wilton_batch(
     """Vectorized Wilton evaluation: _orbit_series with F = 0.
 
     Returns (values, tail_bounds, terms_used, ok).  ok is False where x is
-    outside (rational_guard, 1) or the orbit hit the rational guard or the
+    outside (RATIONAL_GUARD, 1) or the orbit hit RATIONAL_GUARD or the
     max_terms budget before the stopping rule fired; such entries hold 0.
+    The float guard is the only rational test (no effective_denominator),
+    so values are bit for bit those of the float orbit.
     Iterates are produced by the same float operations as gauss_map, so
     residuals of the functional equation cancel structurally down to the
     tail bounds.  Input that is not 1-D raises ValueError.
@@ -245,22 +248,18 @@ def wilton_batch(
     if x.ndim != 1:
         raise ValueError(f"wilton_batch needs a 1-D array, got shape {x.shape}")
     n = x.shape[0]
-    idx = np.flatnonzero((x > cfg.rational_guard) & (x < 1.0))
+    idx = np.flatnonzero((x > RATIONAL_GUARD) & (x < 1.0))
     out = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
-    _orbit_series(x, idx, out, cfg.abs_tol, cfg.rational_guard, cfg.max_terms)
+    _orbit_series(x, idx, out, cfg.abs_tol, cfg.max_terms)
     return out
 
 
-def iterate_l2_means(
-    xs: np.ndarray, n_max: int, guard: float = DEFAULT_CONFIG.rational_guard
-) -> np.ndarray:
+def iterate_l2_means(xs: np.ndarray, n_max: int) -> np.ndarray:
     """Monte Carlo means of (T^n l)^2 over the sample, n = 0..n_max.
 
     Common samples across n keep successive ratios stable; points whose
-    orbit hits the guard are dropped from every n.
+    orbit hits RATIONAL_GUARD are dropped from every n.
     """
-    from .cf_dynamics import orbit_gamma_matrix
-
-    gam, valid = orbit_gamma_matrix(xs, n_max, guard)
+    gam, valid = orbit_gamma_matrix(xs, n_max)
     g = gam[:, valid]
     return np.mean(g * g, axis=1)

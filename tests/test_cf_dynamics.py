@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiltonmoments.cf_dynamics import (
@@ -10,12 +11,15 @@ from wiltonmoments.cf_dynamics import (
     Interval,
     ToleranceConfig,
     cf_expand,
+    effective_denominator,
+    exact_cf,
     gauss_map,
     gauss_measure,
     gauss_measure_cdf,
     orbit_arrays,
     sample_gauss_measure,
 )
+from wiltonmoments.wilton import wilton
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -101,18 +105,10 @@ class TestCFExpand:
                 assert abs(q * xf - p) < Fraction(1, q_next)
 
     def test_rational_truncates(self):
-        # 3/8: the float orbit wanders in the last ambiguous steps but
-        # terminates with the truncation flag and passes through the exact
-        # convergent
+        # 3/8 is effectively rational, so the orbit ends at that convergent
         exp = cf_expand(0.375, 20)
         assert exp.truncated
         assert exp.partial_quotients[:2] == [2, 1]
-        assert (3, 8) in exp.convergents
-
-    def test_rational_truncates_with_wider_guard(self):
-        cfg = ToleranceConfig(rational_guard=1e-12)
-        exp = cf_expand(0.375, 20, cfg)
-        assert exp.truncated
         assert exp.convergents[-1] == (3, 8)
 
     def test_depth_cap(self):
@@ -126,27 +122,25 @@ class TestCFExpand:
         assert a.partial_quotients[:12] == b.partial_quotients[:12]
 
     def test_extended_precision_follows_exact_rational(self):
-        # the extended orbit reproduces the exact continued fraction of the
-        # input double (itself a rational), where the double orbit drifts
-        from fractions import Fraction
-
-        def exact_cf(x: float, n: int) -> list[int]:
-            f = Fraction(x)
-            out = []
-            for _ in range(n):
+        # the extended orbit is the exact continued fraction of the input
+        # double (itself a rational), with each iterate rounded once, where
+        # the double orbit drifts
+        cfg = ToleranceConfig(extended_precision=True)
+        for x in [GOLDEN, 0.3, 1e-300] + sample_gauss_measure(200, 7).tolist():
+            exp = cf_expand(x, 40, cfg)
+            f, quotients, iterates = Fraction(x), [], [x]
+            for _ in range(40):
                 f = 1 / f
-                a = f.numerator // f.denominator
-                out.append(int(a))
-                f -= a
+                quotients.append(f.numerator // f.denominator)
+                f -= quotients[-1]
                 if f == 0:
                     break
-            return out
-
-        cfg = ToleranceConfig(extended_precision=True)
-        exp = cf_expand(GOLDEN, 40, cfg)
-        assert exp.partial_quotients == exact_cf(GOLDEN, exp.depth)
+                iterates.append(float(f))
+            assert exp.partial_quotients == quotients
+            assert exp.iterates == iterates
+            assert exp.truncated == (f == 0)
         drifting = cf_expand(GOLDEN, 40)
-        assert drifting.partial_quotients != exp.partial_quotients
+        assert drifting.partial_quotients != cf_expand(GOLDEN, 40, cfg).partial_quotients
 
     def test_json_roundtrip_fields(self):
         exp = cf_expand(GOLDEN, 5)
@@ -167,8 +161,64 @@ class TestCFExpand:
         assert exp.iterates == [x]
         assert exp.partial_quotients == [math.floor(1.0 / x)]
         assert exp.gammas == [-math.log(x)]
-        wide = cf_expand(0.05, 3, ToleranceConfig(rational_guard=0.1))
-        assert wide.iterates[0] == 0.05 and wide.partial_quotients[0] == 20
+
+
+def _fraction_cf(x: float) -> list[tuple[int, int, int, int]]:
+    """(a_k, r_k, p_k, q_k) of x = m/n by Fraction arithmetic, where
+    r_k = n |q_k x - p_k|."""
+    xf = f = Fraction(x)
+    out = []
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    while True:
+        a = f.numerator // f.denominator
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        r = abs(q * xf - p) * xf.denominator
+        assert r.denominator == 1
+        out.append((a, r.numerator, p, q))
+        f -= a
+        if f == 0:
+            return out
+        f = 1 / f
+
+
+class TestExactCF:
+    @settings(max_examples=300, derandomize=True)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(5e-324)
+    @example(2.0**-1022)
+    @example(1.0 - 2.0**-53)
+    @example(0.3)
+    def test_matches_fraction(self, x):
+        terms = list(exact_cf(x))
+        assert terms == _fraction_cf(x)
+        assert terms[-1][1] == 0 and Fraction(terms[-1][2], terms[-1][3]) == Fraction(x)
+
+
+class TestEffectiveRationality:
+    @pytest.mark.parametrize(
+        "x,q", [(0.3, 10), (0.7, 10), (0.1, 10), (0.2, 5), (1 / 3, 3), (0.375, 8)]
+    )
+    def test_flags_short_rationals(self, x, q):
+        assert effective_denominator(x) == q
+
+    @pytest.mark.parametrize("x", [1e-16, 1.0 / math.pi, GOLDEN, 1.0 / 12345.0])
+    def test_leaves_others(self, x):
+        # 1/12345 is rational, but its denominator is above 10^4
+        assert effective_denominator(x) is None
+
+    def test_flags_no_measure_point(self):
+        xs = sample_gauss_measure(20_000, 99).tolist()
+        assert [x for x in xs if effective_denominator(x) is not None] == []
+
+    @pytest.mark.parametrize("q", range(2, 201))
+    def test_every_short_fraction_ends_at_itself(self, q):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            exp = cf_expand(p / q, 40)
+            assert exp.truncated and exp.convergents[-1] == (p, q), (p, q)
+            assert wilton(p / q).truncated_rational, (p, q)
 
 
 class TestGaussMeasure:

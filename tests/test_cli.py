@@ -88,6 +88,15 @@ class TestEval:
         (row,) = json.loads(out)
         assert row["value"] is None and row["method"].startswith("error:")
 
+    @pytest.mark.parametrize("fn", ["g", "W"])
+    def test_effectively_rational_points_are_error_rows(self, fn, capsys):
+        status, out = run_capture(["eval", "--fn", fn, "--x", "0.3,0.7,0.4"], capsys)
+        assert status == 1
+        rows = json.loads(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert row["value"] is None and row["method"].startswith("error:")
+
     @pytest.mark.parametrize("x", [0.3, 2.5])
     def test_a_error_is_the_computed_bound(self, x, capsys):
         status, out = run_capture(
@@ -113,6 +122,18 @@ class TestCF:
         assert _to_json(parsed) + "\n" == out
         assert json.loads(_to_json(parsed)) == parsed
 
+    def test_runs_without_mpmath(self):
+        # mpmath is a test dependency only; blocking its import changes nothing
+        code = (
+            "import sys; sys.modules['mpmath'] = None; from wiltonmoments.cli import run; "
+            "print(run(['cf', '--x', '0.3', '--depth', '40', '--extended']), "
+            "run(['eval', '--fn', 'g', '--x', '0.31830988618379067']), "
+            "run(['eval', '--fn', 'g', '--x', '0.3']), file=sys.stderr)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr.strip() == "0 0 1"
+
 
 class TestWiltonCmd:
     def test_points_csv(self, capsys):
@@ -135,6 +156,14 @@ class TestWiltonCmd:
         status, out = run_capture(["wilton", "--sample", "10", "--seed", "5"], capsys)
         assert status == 0
         assert len(json.loads(out)) == 10
+
+    @pytest.mark.parametrize("x", ["0.4", "0.3"])
+    def test_rational_point_is_error_row(self, x, capsys):
+        # W diverges at a rational; the partial sum is no estimate of it
+        status, out = run_capture(["wilton", "--x", x], capsys)
+        assert status == 1
+        (row,) = json.loads(out)
+        assert row["value"] is None and row["tail_bound"] is None
 
 
 class TestMomentCmd:
@@ -267,6 +296,13 @@ class TestVerifyCmd:
     def test_unknown_flag_exits_2(self):
         assert run(["verify", "--bogus"]) == 2
 
+    def test_unknown_suite_is_usage_error(self, capsys):
+        assert run(["verify", "--suite", "no-such-suite"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert "no-such-suite" in captured.err
+
     def test_cli_import_leaves_scipy_stats_out(self):
         # scipy.stats costs 0.8 s and 46 MB at import; only one suite needs it
         code = "import sys, wiltonmoments.cli; print('scipy.stats' in sys.modules)"
@@ -302,8 +338,9 @@ class TestConfigPrecedence:
         "flags",
         [
             ["--abs-tol", "nan"], ["--abs-tol", "inf"], ["--abs-tol", "0"],
+            # --rational-guard is gone, so any value of it is rejected
             ["--rational-guard", "nan"], ["--rational-guard", "inf"],
-            ["--rational-guard", "1"],
+            ["--rational-guard", "1e-15"],
         ],
     )
     @pytest.mark.parametrize(
@@ -340,15 +377,13 @@ class TestConfigPrecedence:
         assert b"\r" not in raw
 
 
-# the minimal arguments of each subcommand, and the former common flags it reads
+# the minimal arguments of each subcommand, and the former common flags it
+# reads; --max-orbit-depth and --rational-guard are gone, so none reads them
 COMMANDS = {
-    "eval": (["--fn", "A", "--x", "1"],
-             {"--abs-tol", "--max-terms", "--rational-guard", "--format", "--output"}),
-    "cf": (["--x", "0.3"], {"--rational-guard", "--output"}),
-    "wilton": (["--x", "0.3"], {"--seed", "--abs-tol", "--max-terms", "--rational-guard",
-                                "--format", "--output"}),
-    "moment": (["--k", "2"], {"--seed", "--max-terms", "--rational-guard", "--format",
-                              "--output"}),
+    "eval": (["--fn", "A", "--x", "1"], {"--abs-tol", "--max-terms", "--format", "--output"}),
+    "cf": (["--x", "0.3"], {"--output"}),
+    "wilton": (["--x", "0.3"], {"--seed", "--abs-tol", "--max-terms", "--format", "--output"}),
+    "moment": (["--k", "2"], {"--seed", "--max-terms", "--format", "--output"}),
     "cotangent-dist": (["--b", "101"], {"--seed", "--format", "--output"}),
     "verify": (["--list"], {"--output"}),
 }
