@@ -111,6 +111,16 @@ class TestCFExpand:
         assert exp.partial_quotients[:2] == [2, 1]
         assert exp.convergents[-1] == (3, 8)
 
+    def test_rational_truncates_with_wider_guard(self):
+        # the float orbit of 3/8 once needed a guard wider than its roundoff
+        # to end at (3, 8); the effective-rationality rule ends it there with
+        # no knob, as the exact orbit of the double does
+        assert effective_denominator(0.375) == 8
+        exact = cf_expand(0.375, 20, ToleranceConfig(extended_precision=True))
+        for e in (cf_expand(0.375, 20), exact):
+            assert e.truncated
+            assert e.convergents[-1] == (3, 8)
+
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             cf_expand(GOLDEN, 41)
