@@ -7,7 +7,8 @@ gamma_k = beta_{k-1} * log(1/alpha_k).  The invariant measure has density
 1/((1+x) log 2).  A double is exactly a rational m/2^e, and exact_cf is its
 continued fraction by Euclid's algorithm; it decides which doubles are
 effectively rational (effective_denominator).  The evaluators step the float
-orbit (orbit_arrays and its vectorized forms).
+orbit (orbit_arrays and its vectorized forms) for at most MAX_TERMS steps;
+ToleranceConfig carries their one tolerance, abs_tol.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -25,14 +26,20 @@ import numpy as np
 LOG2 = math.log(2.0)
 # deepest cf_expand; a double carries only ~35-40 trustworthy partial quotients
 MAX_ORBIT_DEPTH = 40
+# longest orbit a series evaluator walks: past MAX_ORBIT_DEPTH, because the
+# float pseudo-orbit stays self-consistent where single quotients are not exact
+MAX_TERMS = 200
+# below it a double cannot resolve {1/x}, and the series evaluators take
+# their small-x forms
+SMALLX_CUT = 1e-13
 RATIONAL_GUARD = 1e-15  # the float orbit never divides by an iterate below this
 RATIONAL_QMAX = 10_000  # largest denominator of an effectively rational x
 
 
 class EffectiveRationalError(ArithmeticError):
     """The orbit of the input ended before a series converged: the input is
-    effectively rational (effective_denominator), or the float orbit reached
-    an iterate below RATIONAL_GUARD and cannot divide by it."""
+    effectively rational (effective_denominator), or the float orbit cannot
+    step on (an iterate below RATIONAL_GUARD, or 1/x beyond double range)."""
 
 
 class NonConvergenceError(ArithmeticError):
@@ -41,25 +48,14 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Shared truncation and tolerance knobs for all evaluators.
-
-    abs_tol drives series truncation (Wilton tails, Phi2 tails, H tails).
-    Alternating-series evaluators walk the orbit up to max_terms, past the
-    MAX_ORBIT_DEPTH cap of cf_expand, because the computed pseudo-orbit
-    stays self-consistent even past the depth where individual quotients of
-    the underlying real are no longer exact.  extended_precision makes
-    cf_expand report the exact orbit of the double (exact_cf).
-    """
+    """The absolute tolerance that drives series truncation (Wilton tails,
+    Phi2 tails, H tails)."""
 
     abs_tol: float = 1e-8
-    max_terms: int = 200
-    extended_precision: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.abs_tol < math.inf:  # also rejects nan
             raise ValueError(f"abs_tol must be finite and positive: {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
 
 
 DEFAULT_CONFIG = ToleranceConfig()
@@ -101,19 +97,12 @@ class CFExpansion:
         return asdict(self)
 
 
-def gauss_map(x: float, guard: float = 0.0) -> float:
-    """Fractional part of 1/x for x in (0, 1).
-
-    With a positive guard, a result below it raises EffectiveRationalError
-    (the next division would be by near-zero).
-    """
+def gauss_map(x: float) -> float:
+    """Fractional part of 1/x for x in (0, 1)."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"gauss_map needs x in (0, 1), got {x}")
     z = 1.0 / x
-    y = z - math.floor(z)
-    if guard > 0.0 and y < guard:
-        raise EffectiveRationalError(f"iterate {y} below guard {guard}")
-    return y
+    return z - math.floor(z)
 
 
 def gauss_map_array(x: np.ndarray) -> np.ndarray:
@@ -164,6 +153,7 @@ def orbit_arrays(x: float, max_depth: int) -> tuple[np.ndarray, np.ndarray, np.n
     The orbit ends (truncated=True) at the step k >= 1 where alpha_k is
     below RATIONAL_GUARD or, for x effectively rational with denominator q
     (effective_denominator), where q_k, from the float quotients, reaches q.
+    It also ends at step 1 where 1/x overflows (x below 1/DBL_MAX).
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"orbit needs x in (0, 1), got {x}")
@@ -179,6 +169,9 @@ def orbit_arrays(x: float, max_depth: int) -> tuple[np.ndarray, np.ndarray, np.n
     for k in range(max_depth + 1):
         if k:
             z = 1.0 / a
+            if z == math.inf:
+                truncated = True
+                break
             a_k = math.floor(z)
             a = z - a_k
             if q_stop:
@@ -193,18 +186,18 @@ def orbit_arrays(x: float, max_depth: int) -> tuple[np.ndarray, np.ndarray, np.n
     return alphas[:n], betas[: n + 1], gammas[:n], truncated
 
 
-def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CFExpansion:
+def cf_expand(x: float, depth: int, exact: bool = False) -> CFExpansion:
     """Expand x in (0, 1) to the requested orbit depth.
 
     Iterates, betas and gammas are those of orbit_arrays, each partial
     quotient is a_{k+1} = floor(1/alpha_k), and the expansion is truncated
-    where that orbit ends.  With cfg.extended_precision the quotients are
-    those of exact_cf, the iterates its remainder ratios r_k/r_{k-1}, each
-    rounded once, with betas and gammas from them, and the expansion is
-    truncated where a remainder reaches 0.  Convergents follow
-    p_{k+1} = a_{k+1} p_k + p_{k-1} (same for q) from p_0/q_0 = 0/1, in
-    exact integers.  x itself is always iterate 0.  depth is at most
-    MAX_ORBIT_DEPTH.
+    where that orbit ends; below 1/DBL_MAX, where 1/x overflows, it ends
+    with no quotient.  With exact=True the quotients are those of exact_cf,
+    the iterates its remainder ratios r_k/r_{k-1}, each rounded once, with
+    betas and gammas from them, and the expansion is truncated where a
+    remainder reaches 0.  Convergents follow p_{k+1} = a_{k+1} p_k + p_{k-1}
+    (same for q) from p_0/q_0 = 0/1, in exact integers.  x itself is always
+    iterate 0.  depth is at most MAX_ORBIT_DEPTH.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"cf_expand needs x in (0, 1), got {x}")
@@ -213,7 +206,7 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
     if depth > MAX_ORBIT_DEPTH:
         raise ValueError(f"depth {depth} exceeds MAX_ORBIT_DEPTH {MAX_ORBIT_DEPTH}")
 
-    if cfg.extended_precision:
+    if exact:
         terms = list(islice(exact_cf(x), depth + 1))
         quotients = [a for a, _, _, _ in terms[1:]]
         rems = [x.as_integer_ratio()[1]] + [r for _, r, _, _ in terms]
@@ -223,8 +216,9 @@ def cf_expand(x: float, depth: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> CF
         gammas = betas[:-1] * -np.log(alphas)
     else:
         alphas, betas, gammas, truncated = orbit_arrays(x, depth)
-        # a truncated orbit keeps the quotient at which it ended
-        n_q = len(alphas) if truncated else len(alphas) - 1
+        # a truncated orbit keeps the quotient at which it ended, unless 1/x
+        # overflowed and there is none
+        n_q = len(alphas) if truncated and 1.0 / x < math.inf else len(alphas) - 1
         quotients = [int(q) for q in np.floor(1.0 / alphas[:n_q])]
 
     p_prev, q_prev = 1, 0

@@ -5,7 +5,9 @@ after its name, only the settings it reads, declared once in _SETTINGS; any
 other flag, or a flag before the subcommand, is a usage error.  --seed and
 --abs-tol resolve as flag > environment (WM_SEED, WM_ABS_TOL) > default,
 and only a subcommand with the flag reads the variable; a malformed
-environment value or tolerance is a usage error.  Composite-b
+environment value or tolerance is a usage error.  --abs-tol is the one
+numerical setting: the orbit depth of cf and the term budget of the series
+are the constants cf_dynamics.MAX_ORBIT_DEPTH and MAX_TERMS.  Composite-b
 cotangent sums run on one thread per CPU.  JSON output comes from the json
 module: floats round-trip exactly and nan/inf are written as null.  CSV
 carries 12 significant digits; both use '.' as the decimal separator and LF
@@ -93,7 +95,6 @@ _SETTINGS = {
     "--abs-tol": dict(
         type=float, default=None, help="absolute tolerance (default WM_ABS_TOL, else 1e-8)"
     ),
-    "--max-terms": dict(type=int, default=DEFAULT_CONFIG.max_terms),
     "--format": dict(choices=("csv", "json"), default="json"),
     "--output": dict(default=None, help="output path (default stdout)"),
 }
@@ -124,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = _add_command(
-        sub, "eval", _cmd_eval, "--abs-tol --max-terms --format --output",
+        sub, "eval", _cmd_eval, "--abs-tol --format --output",
         help="evaluate g, W, H, A, F or Phi2",
     )
     p_eval.add_argument("--fn", required=True, choices=("g", "W", "H", "A", "F", "Phi2"))
@@ -147,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_w = _add_command(
         sub, "wilton", _cmd_wilton,
-        "--seed --abs-tol --max-terms --format --output",
+        "--seed --abs-tol --format --output",
         help="evaluate Wilton's function",
     )
     p_w.add_argument("--x", default=None, help="comma-separated points")
@@ -155,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="evaluate at this many measure-distributed samples")
 
     p_m = _add_command(
-        sub, "moment", _cmd_moment, "--seed --max-terms --format --output",
+        sub, "moment", _cmd_moment, "--seed --format --output",
         help="estimate int |g|^K dx",
         description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed "
         "tolerances (W 1e-8, H tail 2e-4, F table 1e-4), so there is no --abs-tol.",
@@ -202,15 +203,8 @@ class SystemExit2(SystemExit):
         super().__init__(2)
 
 
-def _wilton_checked(x: float, cfg: ToleranceConfig):
-    we = wilton_eval(x, cfg)  # W diverges at a rational: an ended orbit fails, as for g
-    if we.truncated_rational:
-        raise EffectiveRationalError(f"orbit of {x} ended before the W series converged")
-    return we
-
-
 def _cmd_eval(args) -> tuple[int, str]:
-    cfg = ToleranceConfig(abs_tol=args.abs_tol, max_terms=args.max_terms)
+    cfg = ToleranceConfig(abs_tol=args.abs_tol)
     pts = _parse_points(args)
     rows = []
     status = 0
@@ -220,10 +214,10 @@ def _cmd_eval(args) -> tuple[int, str]:
                 ge = special_fn.g_func(x, args.method, cfg)
                 rows.append(["g", x, ge.value, ge.est_error, ge.method])
             elif args.fn == "W":
-                we = _wilton_checked(x, cfg)
+                we = wilton_eval(x, cfg)
                 rows.append(["W", x, we.value, we.tail_bound, "orbit_series"])
             elif args.fn == "H":
-                val, err = special_fn._h_with_err(x, cfg)
+                val, err = special_fn._h_with_err(x, cfg.abs_tol)
                 rows.append(["H", x, val, err, "orbit_series"])
             elif args.fn == "A":
                 val, err = special_fn._a_with_err(x, cfg.abs_tol)
@@ -243,19 +237,18 @@ def _cmd_eval(args) -> tuple[int, str]:
 
 
 def _cmd_cf(args) -> tuple[int, str]:
-    cfg = ToleranceConfig(extended_precision=args.extended)
-    exp = cf_dynamics.cf_expand(args.x, args.depth, cfg)
+    exp = cf_dynamics.cf_expand(args.x, args.depth, exact=args.extended)
     return 0, _to_json(exp.to_dict()) + "\n"
 
 
 def _cmd_wilton(args) -> tuple[int, str]:
-    cfg = ToleranceConfig(abs_tol=args.abs_tol, max_terms=args.max_terms)
+    cfg = ToleranceConfig(abs_tol=args.abs_tol)
     pts = _parse_points(args)
     rows = []
     status = 0
     for x in pts:
         try:
-            we = _wilton_checked(x, cfg)
+            we = wilton_eval(x, cfg)
             rows.append([x, we.value, we.terms_used, we.tail_bound])
         except (EffectiveRationalError, NonConvergenceError, ValueError):
             rows.append([x, math.nan, 0, math.nan])
@@ -266,16 +259,11 @@ def _cmd_wilton(args) -> tuple[int, str]:
 
 def _cmd_moment(args) -> tuple[int, str]:
     method = "mc_stratified" if args.method == "mc" else "quad_log_substitution"
-    cfg = ToleranceConfig(max_terms=args.max_terms)
     if args.sweep:
         ks = [float(tok) for tok in args.sweep.split(",") if tok]
-        ests = moments.gamma_ratio_sweep(
-            ks, cfg=cfg, seed=args.seed, samples=args.samples, method=method
-        )
+        ests = moments.gamma_ratio_sweep(ks, seed=args.seed, samples=args.samples, method=method)
     elif args.k is not None:
-        ests = [
-            moments.moment(args.k, cfg=cfg, seed=args.seed, samples=args.samples, method=method)
-        ]
+        ests = [moments.moment(args.k, seed=args.seed, samples=args.samples, method=method)]
     else:
         raise SystemExit2("moment needs --k or --sweep")
     header = "K value std_error gamma_ratio target_ratio rejections repair_rounds".split()

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaincinv, gammaln
 from scipy.special import gamma as gamma_fn
 
-from .cf_dynamics import DEFAULT_CONFIG, NonConvergenceError, ToleranceConfig
+from .cf_dynamics import NonConvergenceError
 from .special_fn import g_batch
 
 LOG2 = math.log(2.0)
@@ -136,7 +136,6 @@ def _require_finite(K: float, value: float, std_error: float) -> None:
 
 def moment(
     K: float,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
     seed: int = 0,
     samples: int = 1_000_000,
     method: str = "mc_stratified",
@@ -159,7 +158,7 @@ def moment(
         raise ValueError(f"K must be positive and finite, got {K}")
     if method in ("quad", "quad_log_substitution"):
         def f(x):
-            g, _, ok = g_batch(x, cfg)
+            g, _, ok = g_batch(x)
             return np.where(ok, np.abs(g), 0.0) ** K
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -182,7 +181,7 @@ def moment(
         raise ValueError(f"samples must be at least 2, got {samples}")
 
     x, t, comp, n1, n2, repair_rng = _mixture_samples(K, samples, seed)
-    g, _, ok = g_batch(x, cfg)
+    g, _, ok = g_batch(x)
     # only failed points are redrawn, so these are all the points ever failed
     rejections = int(np.count_nonzero(~ok))
     rounds = 0
@@ -198,7 +197,7 @@ def moment(
             xu = 0.5 * np.maximum(repair_rng.random(bad_unif.size), 1e-12)
             x[bad_unif] = xu
             t[bad_unif] = -np.log(xu)
-        g_new, _, ok_new = g_batch(x[bad], cfg)
+        g_new, _, ok_new = g_batch(x[bad])
         g[bad] = g_new
         ok[bad] = ok_new
         rounds += 1
@@ -242,7 +241,6 @@ def moment(
 
 def gamma_ratio_sweep(
     Ks: list[float],
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
     seed: int = 0,
     samples: int = 1_000_000,
     method: str = "mc_stratified",
@@ -253,14 +251,13 @@ def gamma_ratio_sweep(
     if sorted(Ks) != list(Ks):
         raise ValueError("Ks must be sorted ascending")
     return [
-        moment(k, cfg=cfg, seed=seed + i, samples=samples, method=method)
+        moment(k, seed=seed + i, samples=samples, method=method)
         for i, k in enumerate(Ks)
     ]
 
 
 def h_moment(
     k: int,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
     seed: int = 0,
     samples: int = 1_000_000,
     method: str = "mc_stratified",
@@ -268,6 +265,6 @@ def h_moment(
     """H_k = int_0^1 (g(x)/pi)^{2k} dx = M(2k) / pi^{2k}."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    base = moment(2.0 * k, cfg=cfg, seed=seed, samples=samples, method=method)
+    base = moment(2.0 * k, seed=seed, samples=samples, method=method)
     scale = math.pi ** (2 * k)
     return dataclasses.replace(base, value=base.value / scale, std_error=base.std_error / scale)

@@ -52,6 +52,8 @@ import numpy as np
 
 from .cf_dynamics import (
     DEFAULT_CONFIG,
+    MAX_TERMS,
+    SMALLX_CUT,
     EffectiveRationalError,
     NonConvergenceError,
     ToleranceConfig,
@@ -299,8 +301,12 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
 
 
 def _snap_error(delta: float) -> float:
-    # continuity modulus of Phi2: |Phi2(a) - Phi2(b)| <= d (log(1/(3d)) + 2)
-    return delta * (math.log(1.0 / (3.0 * delta)) + 2.0) if delta > 0.0 else 0.0
+    # continuity modulus of Phi2: |Phi2(a) - Phi2(b)| <= d (log(1/(3d)) + 2),
+    # with -log(3d) where 1/(3d) overflows (d below about 6e-309)
+    if not delta > 0.0:
+        return 0.0
+    inv = 1.0 / (3.0 * delta)
+    return delta * ((math.log(inv) if inv < math.inf else -math.log(3.0 * delta)) + 2.0)
 
 
 def _interp_error(h: float) -> float:
@@ -520,26 +526,25 @@ def h_func(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     asymptotics).  The opposite convention appears in parts of the
     literature; it is incompatible with those three facts at once.
     """
-    val, _ = _h_with_err(x, cfg)
+    val, _ = _h_with_err(x, cfg.abs_tol)
     return val
 
 
-def _h_with_err(x: float, cfg: ToleranceConfig) -> tuple[float, float]:
+def _h_with_err(x: float, tol: float) -> tuple[float, float]:
     if not 0.0 < x < 1.0:
         raise ValueError(f"h_func needs x in (0, 1), got {x}")
-    if x < _SMALLX_CUT:
+    if x < SMALLX_CUT:
         # H = -2F(x) - x H(alpha(x)) with |H| <= 2.7 and 2|psi| <= 0.3 x^2
         a1, a1e = a1_constant()
         return -a1 + x, 3.0 * x + a1e
-    tol = cfg.abs_tol
     supf = sup_f_bound()
-    alphas, betas, _, truncated = orbit_arrays(x, cfg.max_terms)
+    alphas, betas, _, truncated = orbit_arrays(x, MAX_TERMS)
     # the series stops at the first m with 2 beta_{m-1} sup|F| < tol/2
     stops = np.flatnonzero(2.0 * betas[: len(alphas)] * supf < 0.5 * tol)
     if stops.size == 0:
         if truncated:
             raise EffectiveRationalError(f"orbit of {x} ended before H converged")
-        raise NonConvergenceError(f"H series at {x} exceeded {cfg.max_terms} terms")
+        raise NonConvergenceError(f"H series at {x} exceeded {MAX_TERMS} terms")
     m = int(stops[0])
     j = np.arange(m, dtype=np.float64)
     beta = betas[:m]
@@ -565,7 +570,7 @@ def decomposition_values(
     common additive term, so the n-independence spread does not depend on
     its precision; it is evaluated at a capped tolerance.
     """
-    alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms)
+    alphas, betas, gammas, truncated = orbit_arrays(x, MAX_TERMS)
     k = _alternating_stop(gammas, cfg.abs_tol)
     if k is None:
         raise (EffectiveRationalError if truncated else NonConvergenceError)(
@@ -573,8 +578,7 @@ def decomposition_values(
         )
     if max(ns) + 2 >= k:
         raise ValueError(f"requested n {max(ns)} too deep for stop index {k}")
-    h_cfg = dataclasses.replace(cfg, abs_tol=max(cfg.abs_tol, 1e-6))
-    hval, _ = _h_with_err(x, h_cfg)
+    hval, _ = _h_with_err(x, max(cfg.abs_tol, 1e-6))
     lx = -math.log(x)
     out: dict[int, float] = {}
     for n in ns:
@@ -630,13 +634,14 @@ def g_func(
 
     wilton_plus_H returns W(x) + H(x); its error is W's tail_bound (a
     truncation heuristic plus a first-order orbit-rounding term, see
-    wilton) plus the H series bound.  direct_series returns -2 times a
+    wilton) plus the H series bound, and an orbit that ends first raises
+    EffectiveRationalError (wilton).  direct_series returns -2 times a
     Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64, of Phi1
     with a heuristic error.  The orbit route is primary; the series route
     exists as an independent cross-check.
     """
     if method == "wilton_plus_H":
-        if 0.0 < x < _SMALLX_CUT:
+        if 0.0 < x < SMALLX_CUT:
             a1, a1e = a1_constant()
             return GEval(
                 point=x,
@@ -645,9 +650,7 @@ def g_func(
                 est_error=720.0 * x + a1e,
             )
         w = wilton(x, cfg)
-        if w.truncated_rational:
-            raise EffectiveRationalError(f"point {x} is effectively rational")
-        hval, herr = _h_with_err(x, cfg)
+        hval, herr = _h_with_err(x, cfg.abs_tol)
         return GEval(
             point=x,
             value=w.value + hval,
@@ -742,29 +745,24 @@ def _ftable() -> _FTable:
     return _FTable()
 
 
-_SMALLX_CUT = 1e-13
-
-
-def g_batch(
-    xs: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized g = W + H over an array of points.
 
     The Wilton sum and the H sum share one compacting orbit sweep
     (wilton._orbit_series, the loop wilton_batch also runs); a point stops
     once the W rule holds at 1e-8 and the H tail 2 beta sup|F| is below
-    2e-4, within max(max_terms, 80) steps; cfg.abs_tol is not used.  F
+    2e-4, within MAX_TERMS steps; these tolerances are fixed.  F
     comes from `_FTable`: 2^18 segments, nodes built at psi tolerance 1e-4,
     and an err_bound (about 1.28e-4) that adds the interpolation term
     _interp_error(h) = 2.76e-5, proven given _snap_error's modulus of Phi2;
-    err_bound enters each point's reported error.  Below 1e-13 the exact
+    err_bound enters each point's reported error.  Below SMALLX_CUT the exact
     relation g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to
     g(x) = log(1/x) - A(1) + O(720 x), so those points skip the orbit
     entirely (a double cannot resolve {1/x} there anyway).
 
     Returns (values, err_bounds, ok); not-ok points (value and bound 0) lie
-    outside (0, 1), nan included, or hit RATIONAL_GUARD mid-orbit or the
-    term budget, and should be resampled or excluded.  That float guard is
+    outside (0, 1), nan included, or hit RATIONAL_GUARD mid-orbit or
+    MAX_TERMS, and should be resampled or excluded.  That float guard is
     the only rational test (no effective_denominator, unlike g_func), so
     values, errors and ok are bit for bit those of the float orbit.  Input
     that is not 1-D raises ValueError.
@@ -779,15 +777,12 @@ def g_batch(
     out = (np.zeros(n), np.zeros(n), None, np.zeros(n, dtype=bool))
     gsum, err, _, ok = out
 
-    small = (x > 0.0) & (x < _SMALLX_CUT)
+    small = (x > 0.0) & (x < SMALLX_CUT)
     if small.any():
         gsum[small] = -np.log(x[small]) - a1
         err[small] = 720.0 * x[small] + a1e
         ok[small] = True
 
-    idx = np.flatnonzero((x >= _SMALLX_CUT) & (x < 1.0))
-    _orbit_series(
-        x, idx, out, 1e-8, max(cfg.max_terms, 80),
-        f=tab.lookup, supf=supf, h_tol=2e-4, f_err=tab.err_bound,
-    )
+    idx = np.flatnonzero((x >= SMALLX_CUT) & (x < 1.0))
+    _orbit_series(x, idx, out, 1e-8, f=tab.lookup, supf=supf, h_tol=2e-4, f_err=tab.err_bound)
     return gsum, err, ok

@@ -6,7 +6,9 @@ equation W(x) = log(1/x) - x W(alpha(x)).  The operator is
 (T f)(x) = x f(alpha(x)), iterated through the beta-product formula
 (T^n f)(x) = beta_{n-1}(x) f(alpha_n(x)) so one orbit serves every n.  The
 scalar evaluators end the orbit of an effectively rational x at its rational,
-where W diverges; the vectorized _orbit_series stops only at RATIONAL_GUARD.
+where W diverges, and raise EffectiveRationalError where an orbit ends before
+they are done; the vectorized _orbit_series stops only at RATIONAL_GUARD.
+Every orbit walks at most MAX_TERMS steps.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 
 from .cf_dynamics import (
     DEFAULT_CONFIG,
+    MAX_TERMS,
     RATIONAL_GUARD,
+    SMALLX_CUT,
     EffectiveRationalError,
     NonConvergenceError,
     ToleranceConfig,
@@ -34,7 +38,6 @@ class WiltonEval:
     value: float
     terms_used: int
     tail_bound: float
-    truncated_rational: bool = False
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,7 @@ def ell(x: float) -> float:
     return -math.log(x)
 
 
-def apply_T(
-    f: Callable[[float], float], x: float, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG
-) -> float:
+def apply_T(f: Callable[[float], float], x: float, n: int) -> float:
     """(T^n f)(x) = beta_{n-1}(x) * f(alpha_n(x)); T^0 is the identity."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -110,36 +111,37 @@ def wilton(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WiltonEval:
     same double), and below abs_tol ~1e-8 it grows like u/beta_k while the
     true error stays near 1e-8.
 
-    x is always the first iterate, so a point below RATIONAL_GUARD sums
-    gamma_0 = log(1/x) before its orbit ends.  An orbit that ends before
-    the stopping rule holds (x effectively rational, or an iterate below
-    RATIONAL_GUARD; see orbit_arrays) returns the partial sum with
-    truncated_rational set; a budget overrun raises NonConvergenceError.
+    Below SMALLX_CUT, where a double cannot resolve {1/x}, W(x) =
+    log(1/x) - x W(alpha(x)) is log(1/x) to within 720 x, the bound of
+    g_func's small-x form.  That bound is heuristic: |W(y)| passes 720 only
+    within about e^-700 of a rational.  One ulp of log(1/x) is added for
+    its rounding.  An orbit that ends before the stopping rule holds (x
+    effectively rational, or a float orbit that cannot step on; see
+    orbit_arrays) raises EffectiveRationalError, and a budget overrun
+    raises NonConvergenceError.
     """
+    if 0.0 < x < SMALLX_CUT:
+        value = -math.log(x)
+        return WiltonEval(x, value, 1, 720.0 * x + math.ulp(value))
     tol = cfg.abs_tol
-    alphas, betas, gammas, truncated = orbit_arrays(x, cfg.max_terms)
+    alphas, betas, gammas, truncated = orbit_arrays(x, MAX_TERMS)
     k = _alternating_stop(gammas, tol)
-    if k is None and not truncated:
+    if k is None:
+        if truncated:
+            raise EffectiveRationalError(f"orbit of {x} ended before the W series converged")
         raise NonConvergenceError(
-            f"Wilton series at {x} still above {tol} after {cfg.max_terms} terms"
+            f"Wilton series at {x} still above {tol} after {MAX_TERMS} terms"
         )
-    if k is None:  # the orbit ended: the next term as if alpha were RATIONAL_GUARD
-        m = len(gammas)
-        tail = float(betas[m] * (-math.log(RATIONAL_GUARD)) * 2.0)
-    else:
-        m = k
-        tail = float(gammas[k] + gammas[k + 1])
-    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
     return WiltonEval(
         point=x,
-        value=float(signs @ gammas[:m]),
-        terms_used=m,
-        tail_bound=tail + _rounding_bound(betas, m),
-        truncated_rational=k is None,
+        value=float(signs @ gammas[:k]),
+        terms_used=k,
+        tail_bound=float(gammas[k] + gammas[k + 1]) + _rounding_bound(betas, k),
     )
 
 
-def partial_sums(x: float, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PartialSumEval:
+def partial_sums(x: float, n: int) -> PartialSumEval:
     """L(x, n) = sum_{v=0}^{n} (-1)^v (T^v l)(x) and D(x, n) = L - l(x).
 
     (T^v l)(x) is exactly gamma_v(x), so L is the n-th partial sum of the
@@ -147,8 +149,8 @@ def partial_sums(x: float, n: int, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Par
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cfg.max_terms:
-        raise ValueError(f"n {n} exceeds max_terms {cfg.max_terms}")
+    if n > MAX_TERMS:
+        raise ValueError(f"n {n} exceeds MAX_TERMS {MAX_TERMS}")
     alphas, _, gammas, truncated = orbit_arrays(x, n)
     if truncated or len(gammas) <= n:
         raise EffectiveRationalError(f"orbit of {x} ended before depth {n}")
@@ -162,7 +164,6 @@ def _orbit_series(
     idx: np.ndarray,
     out: tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray],
     tol: float,
-    max_iter: int,
     f: Callable[[np.ndarray], np.ndarray] = np.zeros_like,
     supf: float = 0.0,
     h_tol: float = math.inf,
@@ -178,7 +179,7 @@ def _orbit_series(
     k (unless terms is None) and ok = True, and leaves the working arrays,
     so each step costs only the points still running.  Points whose next
     iterate is at most RATIONAL_GUARD, the only rational test here, or that
-    run max_iter steps are left as they were.
+    run MAX_TERMS steps are left as they were.
     """
     value, err, terms, ok = out
     alpha = x[idx]
@@ -188,7 +189,7 @@ def _orbit_series(
     prev_g = -np.log(alpha)
     sign = 1.0
     k = 0
-    while idx.size and k < max_iter:
+    while idx.size and k < MAX_TERMS:
         beta_next = beta * alpha
         z = 1.0 / alpha
         alpha_next = z - np.floor(z)
@@ -236,8 +237,8 @@ def wilton_batch(
     """Vectorized Wilton evaluation: _orbit_series with F = 0.
 
     Returns (values, tail_bounds, terms_used, ok).  ok is False where x is
-    outside (RATIONAL_GUARD, 1) or the orbit hit RATIONAL_GUARD or the
-    max_terms budget before the stopping rule fired; such entries hold 0.
+    outside (RATIONAL_GUARD, 1) or the orbit hit RATIONAL_GUARD or ran
+    MAX_TERMS steps before the stopping rule fired; such entries hold 0.
     The float guard is the only rational test (no effective_denominator),
     so values are bit for bit those of the float orbit.
     Iterates are produced by the same float operations as gauss_map, so
@@ -250,7 +251,7 @@ def wilton_batch(
     n = x.shape[0]
     idx = np.flatnonzero((x > RATIONAL_GUARD) & (x < 1.0))
     out = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
-    _orbit_series(x, idx, out, cfg.abs_tol, cfg.max_terms)
+    _orbit_series(x, idx, out, cfg.abs_tol)
     return out
 
 

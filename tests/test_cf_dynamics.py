@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from wiltonmoments.cf_dynamics import (
     EffectiveRationalError,
     Interval,
-    ToleranceConfig,
     cf_expand,
     effective_denominator,
     exact_cf,
@@ -42,11 +41,6 @@ class TestGaussMap:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             gauss_map(bad)
-
-    def test_guard_signal(self):
-        # 1/2 maps to an exact zero, below any positive guard
-        with pytest.raises(EffectiveRationalError):
-            gauss_map(0.5, guard=1e-15)
 
 
 class TestCFExpand:
@@ -116,7 +110,7 @@ class TestCFExpand:
         # to end at (3, 8); the effective-rationality rule ends it there with
         # no knob, as the exact orbit of the double does
         assert effective_denominator(0.375) == 8
-        exact = cf_expand(0.375, 20, ToleranceConfig(extended_precision=True))
+        exact = cf_expand(0.375, 20, exact=True)
         for e in (cf_expand(0.375, 20), exact):
             assert e.truncated
             assert e.convergents[-1] == (3, 8)
@@ -126,8 +120,7 @@ class TestCFExpand:
             cf_expand(GOLDEN, 41)
 
     def test_extended_precision_matches_double_early(self):
-        cfg = ToleranceConfig(extended_precision=True)
-        a = cf_expand(1.0 / math.pi, 15, cfg)
+        a = cf_expand(1.0 / math.pi, 15, exact=True)
         b = cf_expand(1.0 / math.pi, 15)
         assert a.partial_quotients[:12] == b.partial_quotients[:12]
 
@@ -135,9 +128,8 @@ class TestCFExpand:
         # the extended orbit is the exact continued fraction of the input
         # double (itself a rational), with each iterate rounded once, where
         # the double orbit drifts
-        cfg = ToleranceConfig(extended_precision=True)
         for x in [GOLDEN, 0.3, 1e-300] + sample_gauss_measure(200, 7).tolist():
-            exp = cf_expand(x, 40, cfg)
+            exp = cf_expand(x, 40, exact=True)
             f, quotients, iterates = Fraction(x), [], [x]
             for _ in range(40):
                 f = 1 / f
@@ -150,7 +142,7 @@ class TestCFExpand:
             assert exp.iterates == iterates
             assert exp.truncated == (f == 0)
         drifting = cf_expand(GOLDEN, 40)
-        assert drifting.partial_quotients != cf_expand(GOLDEN, 40, cfg).partial_quotients
+        assert drifting.partial_quotients != cf_expand(GOLDEN, 40, exact=True).partial_quotients
 
     def test_json_roundtrip_fields(self):
         exp = cf_expand(GOLDEN, 5)
@@ -171,6 +163,14 @@ class TestCFExpand:
         assert exp.iterates == [x]
         assert exp.partial_quotients == [math.floor(1.0 / x)]
         assert exp.gammas == [-math.log(x)]
+
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_input_whose_inverse_overflows_ends_orbit(self, x):
+        # 1/x is inf below 1/DBL_MAX: the orbit ends with no float quotient
+        alphas, _, _, truncated = orbit_arrays(x, 5)
+        assert truncated and alphas.tolist() == [x]
+        exp = cf_expand(x, 5)
+        assert exp.truncated and exp.partial_quotients == [] and exp.iterates == [x]
 
 
 def _fraction_cf(x: float) -> list[tuple[int, int, int, int]]:
@@ -228,7 +228,8 @@ class TestEffectiveRationality:
                 continue
             exp = cf_expand(p / q, 40)
             assert exp.truncated and exp.convergents[-1] == (p, q), (p, q)
-            assert wilton(p / q).truncated_rational, (p, q)
+            with pytest.raises(EffectiveRationalError):
+                wilton(p / q)
 
 
 class TestGaussMeasure:

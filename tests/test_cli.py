@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wiltonmoments import cotangent, special_fn
 from wiltonmoments.cli import run, _build_parser, _csv, _to_json
@@ -378,12 +382,13 @@ class TestConfigPrecedence:
 
 
 # the minimal arguments of each subcommand, and the former common flags it
-# reads; --max-orbit-depth and --rational-guard are gone, so none reads them
+# reads; --max-terms, --max-orbit-depth and --rational-guard are gone, so none
+# reads them
 COMMANDS = {
-    "eval": (["--fn", "A", "--x", "1"], {"--abs-tol", "--max-terms", "--format", "--output"}),
+    "eval": (["--fn", "A", "--x", "1"], {"--abs-tol", "--format", "--output"}),
     "cf": (["--x", "0.3"], {"--output"}),
-    "wilton": (["--x", "0.3"], {"--seed", "--abs-tol", "--max-terms", "--format", "--output"}),
-    "moment": (["--k", "2"], {"--seed", "--max-terms", "--format", "--output"}),
+    "wilton": (["--x", "0.3"], {"--seed", "--abs-tol", "--format", "--output"}),
+    "moment": (["--k", "2"], {"--seed", "--format", "--output"}),
     "cotangent-dist": (["--b", "101"], {"--seed", "--format", "--output"}),
     "verify": (["--list"], {"--output"}),
 }
@@ -428,6 +433,47 @@ class TestFlagTable:
         assert len(argvs) >= 10
         for argv in argvs:
             _build_parser().parse_args(argv)
+
+
+# every subcommand that takes one point; the point is appended as --x
+POINT_COMMANDS = [
+    *(["eval", "--fn", fn] for fn in ("g", "W", "H", "A", "F", "Phi2")),
+    ["wilton"],
+    ["cf"],
+    ["cf", "--extended"],
+]
+
+
+class TestEveryPointEndsCleanly:
+    """Any point ends in exit 0 with finite values, or in exit 1 with error
+    rows, or in exit 2 with one stderr line: never in a traceback, a null
+    value at exit 0, or output that json.loads rejects."""
+
+    @pytest.mark.parametrize(
+        "cmd", POINT_COMMANDS, ids=lambda cmd: "_".join(a.strip("-") for a in cmd)
+    )
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0)))
+    @example(5e-324)
+    @example(1e-310)
+    @example(1e-300)
+    @example(1.0 - 2.0**-53)
+    @example(1.0)
+    @example(0.0)
+    @example(math.nan)
+    @example(math.inf)
+    def test_point(self, cmd, x):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = run([*cmd, "--x", repr(x)])
+        out, err = out.getvalue(), err.getvalue()
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+            return
+        json.loads(out)
+        if status == 0:
+            assert "null" not in out  # a non-finite value is written as null
 
 
 class TestJsonFormatting:

@@ -70,7 +70,7 @@ class TestMoment:
         # point 3 fails on the first draw and on its first redraw
         calls = []
 
-        def stub(x, cfg):
+        def stub(x):
             calls.append(x.size)
             ok = np.ones(x.size, dtype=bool)
             if len(calls) < 3:

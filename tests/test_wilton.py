@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wiltonmoments.cf_dynamics import (
+    MAX_TERMS,
     EffectiveRationalError,
     ToleranceConfig,
     gauss_map,
@@ -47,24 +48,24 @@ class TestApplyT:
 
     def test_one_step_golden(self):
         # at the fixed point, T l = x log(1/x)
-        assert apply_T(ell, GOLDEN, 1, CFG) == pytest.approx(
+        assert apply_T(ell, GOLDEN, 1) == pytest.approx(
             GOLDEN * (-math.log(GOLDEN)), abs=1e-12
         )
 
     def test_one_step_sqrt2(self):
         expect = SQRT2M1 * math.log(math.sqrt(2.0) + 1.0)
-        assert apply_T(ell, SQRT2M1, 1, CFG) == pytest.approx(expect, abs=1e-10)
+        assert apply_T(ell, SQRT2M1, 1) == pytest.approx(expect, abs=1e-10)
 
     def test_beta_product_formula(self):
         # T^n l equals gamma_n from the orbit
         x = 1.0 / math.pi
-        ps = partial_sums(x, 6, CFG)
-        total = sum((-1.0) ** v * apply_T(ell, x, v, CFG) for v in range(7))
+        ps = partial_sums(x, 6)
+        total = sum((-1.0) ** v * apply_T(ell, x, v) for v in range(7))
         assert ps.L_value == pytest.approx(total, abs=1e-13)
 
     def test_rational_orbit_signal(self):
         with pytest.raises(EffectiveRationalError):
-            apply_T(ell, 0.5, 2, CFG)
+            apply_T(ell, 0.5, 2)
 
 
 class TestWilton:
@@ -74,7 +75,6 @@ class TestWilton:
         w = wilton(GOLDEN, CFG)
         expect = -math.log(GOLDEN) / (1.0 + GOLDEN)
         assert w.value == pytest.approx(expect, abs=5e-8)
-        assert not w.truncated_rational
 
     def test_sqrt2_closed_form(self):
         w = wilton(SQRT2M1, CFG)
@@ -91,12 +91,12 @@ class TestWilton:
 
     def test_terms_within_budget(self):
         w = wilton(1.0 / math.pi, CFG)
-        assert 0 < w.terms_used <= CFG.max_terms
+        assert 0 < w.terms_used <= MAX_TERMS
         assert w.tail_bound >= 0.0
 
     def test_rational_flag(self):
-        w = wilton(0.375, CFG)
-        assert w.truncated_rational
+        with pytest.raises(EffectiveRationalError):
+            wilton(0.375, CFG)
 
     @pytest.mark.parametrize("x", [1e-16, 1e-40, 1e-300])
     def test_below_guard_keeps_first_term(self, x):
@@ -115,8 +115,8 @@ class TestWilton:
         _, _, gammas, _ = orbit_arrays(x, 30)
         assert (np.diff(gammas) < 0).all()
         for m in range(4, 24):
-            lo = partial_sums(x, m, tight).L_value
-            hi = partial_sums(x, m + 1, tight).L_value
+            lo = partial_sums(x, m).L_value
+            hi = partial_sums(x, m + 1).L_value
             lo, hi = min(lo, hi), max(lo, hi)
             assert lo - 1e-10 <= deep <= hi + 1e-10
 
@@ -154,7 +154,7 @@ class TestWiltonErrorBound:
         for x in xs:
             w = wilton(x, CFG)
             err = abs(w.value - _wilton_mp(x))
-            _, _, g, _ = orbit_arrays(x, CFG.max_terms)
+            _, _, g, _ = orbit_arrays(x, MAX_TERMS)
             trunc_misses += err > g[w.terms_used] + g[w.terms_used + 1]
             misses += err > w.tail_bound
         assert trunc_misses > 0.9 * len(xs)
@@ -164,28 +164,26 @@ class TestWiltonErrorBound:
 class TestPartialSums:
     def test_n0(self):
         x = 0.377
-        ps = partial_sums(x, 0, ToleranceConfig())
+        ps = partial_sums(x, 0)
         assert ps.L_value == ell(x)
         assert ps.D_value == 0.0
 
     def test_n1_golden(self):
-        ps = partial_sums(GOLDEN, 1, CFG)
+        ps = partial_sums(GOLDEN, 1)
         assert ps.L_value == pytest.approx(-math.log(GOLDEN) * (1 - GOLDEN), abs=1e-9)
         assert ps.D_value == pytest.approx(GOLDEN * math.log(GOLDEN), abs=1e-9)
 
     def test_d_is_l_minus_ell(self):
         x = 1.0 / math.sqrt(3.0)
-        ps = partial_sums(x, 7, CFG)
+        ps = partial_sums(x, 7)
         assert ps.D_value == ps.L_value - ell(x)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
     def test_remainder_identity(self, n):
         # W - L(., n) = (-1)^{n+1} T^{n+1} W
         x = 0.2137996805918318
-        lhs = wilton(x, CFG).value - partial_sums(x, n, CFG).L_value
-        rhs = (-1.0) ** (n + 1) * apply_T(
-            lambda y: wilton(y, CFG).value, x, n + 1, CFG
-        )
+        lhs = wilton(x, CFG).value - partial_sums(x, n).L_value
+        rhs = (-1.0) ** (n + 1) * apply_T(lambda y: wilton(y, CFG).value, x, n + 1)
         assert lhs == pytest.approx(rhs, abs=5e-9)
 
 
