@@ -6,9 +6,9 @@ p_k/q_k, the products beta_k = alpha_0 * ... * alpha_k, and the terms
 gamma_k = beta_{k-1} * log(1/alpha_k).  The invariant measure has density
 1/((1+x) log 2).  A double is exactly a rational m/2^e, and exact_cf is its
 continued fraction by Euclid's algorithm; it decides which doubles are
-effectively rational (effective_denominator).  The evaluators step the float
-orbit (orbit_arrays and its vectorized forms) for at most MAX_TERMS steps;
-ToleranceConfig carries their one tolerance, abs_tol.
+effectively rational (effective_denominator).  orbit steps the float orbit
+lazily, each scalar series stopping it by its own rule, and orbit_arrays
+collects it to a depth; ToleranceConfig carries their one tolerance, abs_tol.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -29,17 +29,16 @@ MAX_ORBIT_DEPTH = 40
 # longest orbit a series evaluator walks: past MAX_ORBIT_DEPTH, because the
 # float pseudo-orbit stays self-consistent where single quotients are not exact
 MAX_TERMS = 200
-# below it a double cannot resolve {1/x}, and the series evaluators take
-# their small-x forms
+# below it a double cannot resolve {1/x}, and g_batch takes its small-x form
 SMALLX_CUT = 1e-13
 RATIONAL_GUARD = 1e-15  # the float orbit never divides by an iterate below this
 RATIONAL_QMAX = 10_000  # largest denominator of an effectively rational x
 
 
 class EffectiveRationalError(ArithmeticError):
-    """The orbit of the input ended before a series converged: the input is
-    effectively rational (effective_denominator), or the float orbit cannot
-    step on (an iterate below RATIONAL_GUARD, or 1/x beyond double range)."""
+    """The orbit of the input ended before a series converged and the input
+    is effectively rational (effective_denominator), or the orbit ended
+    before a requested depth."""
 
 
 class NonConvergenceError(ArithmeticError):
@@ -134,10 +133,11 @@ def exact_cf(x: float) -> Iterator[tuple[int, int, int, int]]:
 def effective_denominator(x: float) -> int | None:
     """q of the first convergent p/q of x in (0, 1) with q <= RATIONAL_QMAX
     and |x - p/q| <= 4 ulp(x), tested exactly in ints; None if there is none
-    (x is not effectively rational)."""
+    (x is not effectively rational).  The convergent 0/1 does not count: it
+    is within 4 ulp only of the four smallest subnormals."""
     n = x.as_integer_ratio()[1]
     ulp_den = math.ulp(x).as_integer_ratio()[1]
-    for _, r, _, q in exact_cf(x):
+    for _, r, _, q in islice(exact_cf(x), 1, None):
         if q > RATIONAL_QMAX:
             return None
         if r * ulp_den <= 4 * n * q:
@@ -145,45 +145,51 @@ def effective_denominator(x: float) -> int | None:
     return None
 
 
-def orbit_arrays(x: float, max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Float orbit of x to max_depth: (alphas, betas-with-sentinel, gammas, truncated).
-
-    alphas[k] = alpha_k for k = 0..d, betas[k+1] = beta_k with betas[0] = 1,
-    gammas[k] = betas[k] * log(1/alphas[k]).  x itself is always iterate 0.
-    The orbit ends (truncated=True) at the step k >= 1 where alpha_k is
-    below RATIONAL_GUARD or, for x effectively rational with denominator q
-    (effective_denominator), where q_k, from the float quotients, reaches q.
-    It also ends at step 1 where 1/x overflows (x below 1/DBL_MAX).
-    """
+def orbit(x: float) -> Iterator[tuple[float, float]]:
+    """Float orbit of x, lazily: yields (alpha_k, beta_{k-1}), k = 0, 1, ...,
+    with alpha_0 = x and beta_{-1} = 1.  It ends at the step k >= 1 where
+    alpha_k is below RATIONAL_GUARD or, for x effectively rational with
+    denominator q (effective_denominator), where q_k, from the float
+    quotients, reaches q, and at step 1 where 1/x overflows (x below
+    1/DBL_MAX); otherwise the caller stops it."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"orbit needs x in (0, 1), got {x}")
     q_stop = effective_denominator(x) or 0
-    alphas = np.empty(max_depth + 1)
-    betas = np.empty(max_depth + 2)
-    gammas = np.empty(max_depth + 1)
-    betas[0] = 1.0
-    a = x
+    a, beta = x, 1.0
     q_prev, q = 0, 1
-    truncated = False
-    n = 0
-    for k in range(max_depth + 1):
-        if k:
-            z = 1.0 / a
-            if z == math.inf:
-                truncated = True
-                break
-            a_k = math.floor(z)
-            a = z - a_k
-            if q_stop:
-                q_prev, q = q, a_k * q + q_prev
-            if a < RATIONAL_GUARD or 0 < q_stop <= q:
-                truncated = True
-                break
-        alphas[k] = a
-        gammas[k] = betas[k] * (-math.log(a))
-        betas[k + 1] = betas[k] * a
-        n = k + 1
-    return alphas[:n], betas[: n + 1], gammas[:n], truncated
+    while True:
+        yield a, beta
+        beta *= a
+        z = 1.0 / a
+        if z == math.inf:
+            return
+        a_k = math.floor(z)
+        a = z - a_k
+        if q_stop:
+            q_prev, q = q, a_k * q + q_prev
+        if a < RATIONAL_GUARD or 0 < q_stop <= q:
+            return
+
+
+def require_float_end(x: float, series: str, steps: int) -> None:
+    """For a series that ran out of steps of orbit(x) before its rule held:
+    raise NonConvergenceError at the cap of MAX_TERMS + 1 steps, and
+    EffectiveRationalError where x is effectively rational.  Otherwise the
+    float orbit could not step on, and the series ends with its tail bound."""
+    if steps > MAX_TERMS:
+        raise NonConvergenceError(f"{series} at {x} still above tolerance after {steps} steps")
+    if effective_denominator(x):
+        raise EffectiveRationalError(f"orbit of {x} ended before {series} converged")
+
+
+def orbit_arrays(x: float, max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The first max_depth + 1 steps of orbit(x) as (alphas, betas, gammas,
+    truncated): betas[k+1] = beta_k after the sentinel betas[0] = 1, gammas[k]
+    = betas[k] log(1/alphas[k]), and truncated where the orbit ended first."""
+    steps = list(islice(orbit(x), max_depth + 1))
+    alphas, betas = (np.array(v) for v in zip(*steps))
+    gammas = np.array([b * -math.log(a) for a, b in steps])
+    return alphas, np.append(betas, betas[-1] * alphas[-1]), gammas, len(steps) <= max_depth
 
 
 def cf_expand(x: float, depth: int, exact: bool = False) -> CFExpansion:

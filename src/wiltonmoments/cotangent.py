@@ -28,8 +28,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cf_dynamics import NonConvergenceError
+
 _CHUNK = 64  # r-values per work unit; fixed so reductions are order-stable
 MAX_B = 10**7  # the prime path holds about 1 GB of arrays at this size
+MAX_KMAX = 10_000  # moments per summary; each is one more pass over the values
 
 
 @dataclass(frozen=True)
@@ -69,19 +72,24 @@ class DistributionSummary:
     def from_values(
         cls, b: int, a0: float, a1: float, values: np.ndarray, k_max: int
     ) -> "DistributionSummary":
-        """Moments of values/b, merged in fixed chunk order (order-stable)."""
-        if k_max < 1:
-            raise ValueError("k_max must be positive")
+        """Moments of values/b, merged in fixed chunk order (order-stable);
+        a moment out of double range raises NonConvergenceError."""
+        if not 1 <= k_max <= MAX_KMAX:
+            raise ValueError(f"k_max must be in [1, {MAX_KMAX}], got {k_max}")
         moment_sums = np.zeros(k_max)
-        for i in range(0, values.size, _CHUNK):
-            scaled = values[i : i + _CHUNK] / b
-            sq = scaled * scaled
-            acc = sq.copy()
-            for j in range(k_max):
-                moment_sums[j] += neumaier_sum(acc)
-                if j + 1 < k_max:
-                    acc = acc * sq
+        with np.errstate(over="ignore"):  # a moment that overflows raises below
+            for i in range(0, values.size, _CHUNK):
+                scaled = values[i : i + _CHUNK] / b
+                sq = scaled * scaled
+                acc = sq.copy()
+                for j in range(k_max):
+                    moment_sums[j] += neumaier_sum(acc)
+                    if j + 1 < k_max:
+                        acc = acc * sq
         count = int(values.size)
+        if not np.isfinite(moment_sums).all():
+            k = 2 * (1 + int(np.argmin(np.isfinite(moment_sums))))
+            raise NonConvergenceError(f"moment {k} of c0/b at b = {b} is out of double range")
         return cls(
             b=b,
             a0=a0,

@@ -29,6 +29,7 @@ TARGET_RATIO = math.exp(np.euler_gamma) / math.pi
 
 _GAMMA_SHARE = 0.95  # mixture weight of the Gamma(K+1) component
 _MAX_REPAIR_ROUNDS = 8
+MAX_SAMPLES = 10**7  # the MC route holds 145-170 bytes per sample, 1.7 GB here
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,7 +150,7 @@ def moment(
     repair stream; the distinct points redrawn and the repair rounds are
     reported, and a rejection rate above 1% of the points raises
     NonConvergenceError, and so does an estimate that leaves double range
-    (from about K = 170).
+    (from about K = 170).  samples must be in [2, MAX_SAMPLES].
 
     quad_log_substitution: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
@@ -177,8 +178,8 @@ def moment(
         )
     if method not in ("mc", "mc_stratified"):
         raise ValueError(f"unknown moment method {method!r}")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
 
     x, t, comp, n1, n2, repair_rng = _mixture_samples(K, samples, seed)
     g, _, ok = g_batch(x)

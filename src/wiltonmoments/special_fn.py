@@ -47,6 +47,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -54,13 +55,13 @@ from .cf_dynamics import (
     DEFAULT_CONFIG,
     MAX_TERMS,
     SMALLX_CUT,
-    EffectiveRationalError,
-    NonConvergenceError,
     ToleranceConfig,
     exact_cf,
+    orbit,
     orbit_arrays,
+    require_float_end,
 )
-from .wilton import _alternating_stop, _orbit_series, wilton
+from .wilton import _alternating_sum, _orbit_series, wilton
 
 PI2_OVER_36 = math.pi * math.pi / 36.0
 
@@ -531,31 +532,33 @@ def h_func(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
 
 
 def _h_with_err(x: float, tol: float) -> tuple[float, float]:
+    """H(x), stopped at the first m with 2 beta_{m-1} sup|F| < tol/2, m + 1
+    steps into orbit(x), and its error, with the tail term 4 beta_{m-1}
+    sup|F|; an orbit that ends first is decided by require_float_end, and
+    if the float orbit could not step on, H is summed to its end."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"h_func needs x in (0, 1), got {x}")
-    if x < SMALLX_CUT:
-        # H = -2F(x) - x H(alpha(x)) with |H| <= 2.7 and 2|psi| <= 0.3 x^2
-        a1, a1e = a1_constant()
-        return -a1 + x, 3.0 * x + a1e
     supf = sup_f_bound()
-    alphas, betas, _, truncated = orbit_arrays(x, MAX_TERMS)
-    # the series stops at the first m with 2 beta_{m-1} sup|F| < tol/2
-    stops = np.flatnonzero(2.0 * betas[: len(alphas)] * supf < 0.5 * tol)
-    if stops.size == 0:
-        if truncated:
-            raise EffectiveRationalError(f"orbit of {x} ended before H converged")
-        raise NonConvergenceError(f"H series at {x} exceeded {MAX_TERMS} terms")
-    m = int(stops[0])
+    alphas, betas = [], []
+    for a, beta in islice(orbit(x), MAX_TERMS + 1):
+        if 2.0 * beta * supf < 0.5 * tol:
+            break
+        alphas.append(a)
+        betas.append(beta)
+    else:
+        require_float_end(x, "the H series", len(alphas))
+        beta = beta * a
+    m = len(alphas)
     j = np.arange(m, dtype=np.float64)
-    beta = betas[:m]
+    alphas, betas = np.array(alphas), np.array(betas)
     # per-term budget grows as beta decays: sum of 2*beta*eF stays <= tol/4
-    ef = np.clip(tol / (8.0 * (j + 1.0) * (j + 2.0) * beta), 1e-12, 1e-4)
+    ef = np.clip(tol / (8.0 * (j + 1.0) * (j + 2.0) * betas), 1e-12, 1e-4)
     a1, a1e = a1_constant()
-    psi, psie = _psi_vec(alphas[:m], ef)
-    fval = 0.5 * a1 - 0.5 * alphas[:m] - psi
+    psi, psie = _psi_vec(alphas, ef)
+    fval = 0.5 * a1 - 0.5 * alphas - psi
     # term j carries (-1)^{j+1}
-    total = float(np.sum(np.where(j % 2 == 0, -2.0, 2.0) * beta * fval))
-    err = float(2.0 * beta @ (0.5 * a1e + psie)) + 4.0 * betas[m] * supf
+    total = float(np.sum(np.where(j % 2 == 0, -2.0, 2.0) * betas * fval))
+    err = float(2.0 * betas @ (0.5 * a1e + psie)) + 4.0 * beta * supf
     return total, err + 1e-14
 
 
@@ -564,31 +567,26 @@ def decomposition_values(
 ) -> dict[int, float]:
     """l(x) + D(x,n) + H(x) + (-1)^{n+1} (T^{n+1} W)(x) for each requested n.
 
-    All pieces share one orbit: D from the partial sums, the W remainder as
-    beta_n times the Wilton value of alpha_{n+1} reconstructed from the
-    orbit tail.  The result is n-free up to evaluation tolerances.  H is a
-    common additive term, so the n-independence spread does not depend on
-    its precision; it is evaluated at a capped tolerance.
+    All pieces share one orbit, walked to wilton's stop index k: D from the
+    partial sums, the W remainder as beta_n times the Wilton value of
+    alpha_{n+1} reconstructed from the orbit tail.  The result is n-free up
+    to evaluation tolerances.  H is a common additive term, so the
+    n-independence spread does not depend on its precision; it is evaluated
+    at a capped tolerance.
     """
-    alphas, betas, gammas, truncated = orbit_arrays(x, MAX_TERMS)
-    k = _alternating_stop(gammas, cfg.abs_tol)
-    if k is None:
-        raise (EffectiveRationalError if truncated else NonConvergenceError)(
-            f"orbit series at {x} did not reach tolerance"
-        )
+    k = wilton(x, cfg).terms_used
     if max(ns) + 2 >= k:
         raise ValueError(f"requested n {max(ns)} too deep for stop index {k}")
+    alphas, betas, gammas, _ = orbit_arrays(x, k - 1)
     hval, _ = _h_with_err(x, max(cfg.abs_tol, 1e-6))
     lx = -math.log(x)
     out: dict[int, float] = {}
     for n in ns:
-        signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-        L = float(signs @ gammas[: n + 1])
-        d_val = L - lx
+        d_val = _alternating_sum(gammas[: n + 1]) - lx
         # gamma_m(alpha_{n+1}) = (beta_{n+m}/beta_n) log(1/alpha_{n+1+m})
         m = np.arange(0, k - (n + 1))
         gam_shift = betas[n + 1 + m] / betas[n + 1] * (-np.log(alphas[n + 1 + m]))
-        w_shift = float(np.where(m % 2 == 0, 1.0, -1.0) @ gam_shift)
+        w_shift = _alternating_sum(gam_shift)
         remainder = betas[n + 1] * w_shift * (1.0 if (n + 1) % 2 == 0 else -1.0)
         out[n] = lx + d_val + hval + remainder
     return out
@@ -632,23 +630,18 @@ def g_func(
 ) -> GEval:
     """Evaluate g(x) by the requested route.
 
-    wilton_plus_H returns W(x) + H(x); its error is W's tail_bound (a
+    wilton_plus_H returns W(x) + H(x), each series on its own orbit(x)
+    walked only as deep as its rule needs; its error is W's tail_bound (a
     truncation heuristic plus a first-order orbit-rounding term, see
-    wilton) plus the H series bound, and an orbit that ends first raises
-    EffectiveRationalError (wilton).  direct_series returns -2 times a
-    Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64, of Phi1
-    with a heuristic error.  The orbit route is primary; the series route
+    wilton) plus the H series bound.  An orbit that ends first raises
+    EffectiveRationalError where x is effectively rational, and otherwise
+    ends both series with their tail bounds (require_float_end), which
+    below x ~ 1e-13 leaves log(1/x) - A(1) + x.  direct_series returns -2
+    times a Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64,
+    of Phi1 with a heuristic error.  The orbit route is primary; the series route
     exists as an independent cross-check.
     """
     if method == "wilton_plus_H":
-        if 0.0 < x < SMALLX_CUT:
-            a1, a1e = a1_constant()
-            return GEval(
-                point=x,
-                value=-math.log(x) - a1,
-                method=method,
-                est_error=720.0 * x + a1e,
-            )
         w = wilton(x, cfg)
         hval, herr = _h_with_err(x, cfg.abs_tol)
         return GEval(

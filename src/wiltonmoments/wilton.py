@@ -4,17 +4,17 @@ Wilton's function is the alternating series W(x) = sum_k (-1)^k gamma_k(x)
 with gamma_k = beta_{k-1} log(1/alpha_k); it satisfies the functional
 equation W(x) = log(1/x) - x W(alpha(x)).  The operator is
 (T f)(x) = x f(alpha(x)), iterated through the beta-product formula
-(T^n f)(x) = beta_{n-1}(x) f(alpha_n(x)) so one orbit serves every n.  The
-scalar evaluators end the orbit of an effectively rational x at its rational,
-where W diverges, and raise EffectiveRationalError where an orbit ends before
-they are done; the vectorized _orbit_series stops only at RATIONAL_GUARD.
-Every orbit walks at most MAX_TERMS steps.
+(T^n f)(x) = beta_{n-1}(x) f(alpha_n(x)) so one orbit serves every n.
+The scalar series pull steps of cf_dynamics.orbit until their rules stop
+them; apply_T and partial_sums take a fixed depth from orbit_arrays.  The
+vectorized _orbit_series stops only at RATIONAL_GUARD.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -23,12 +23,12 @@ from .cf_dynamics import (
     DEFAULT_CONFIG,
     MAX_TERMS,
     RATIONAL_GUARD,
-    SMALLX_CUT,
     EffectiveRationalError,
-    NonConvergenceError,
     ToleranceConfig,
+    orbit,
     orbit_arrays,
     orbit_gamma_matrix,
+    require_float_end,
 )
 
 
@@ -69,20 +69,6 @@ def apply_T(f: Callable[[float], float], x: float, n: int) -> float:
     return betas[n] * f(alphas[n])
 
 
-def _alternating_stop(gammas: np.ndarray, tol: float) -> int | None:
-    """Smallest k >= 1 with gamma_k < tol, gamma_{k+1} <= min(tol, gamma_k).
-
-    Summing terms 0..k-1 then leaves the classical alternating-series
-    enclosure once the terms decay; requiring two consecutive sub-tolerance
-    terms guards against an isolated small term before a spike.
-    """
-    n = len(gammas)
-    for k in range(1, n - 1):
-        if gammas[k] < tol and gammas[k + 1] <= tol and gammas[k + 1] <= gammas[k]:
-            return k
-    return None
-
-
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -99,46 +85,50 @@ def _rounding_bound(betas: np.ndarray, m: int) -> float:
     return _UNIT_ROUNDOFF * float(np.sum(s / betas[2 : m + 1]))
 
 
+def _alternating_sum(terms) -> float:
+    """sum_k (-1)^k terms[k], as one dot product."""
+    terms = np.asarray(terms)
+    return float(np.where(np.arange(terms.size) % 2 == 0, 1.0, -1.0) @ terms)
+
+
 def wilton(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WiltonEval:
     """Evaluate Wilton's function by its alternating orbit series.
 
-    tail_bound is a truncation part plus a rounding part, neither of them
-    rigorous.  The truncation part is the sum of the first two omitted
-    terms; a later large partial quotient can make a term spike past it.
-    The rounding part, _rounding_bound, is first order: it can miss where
-    the float orbit has left the branch of the true orbit (6 of 4000
-    measure points at abs_tol 1e-10, against a 60-digit evaluation at the
-    same double), and below abs_tol ~1e-8 it grows like u/beta_k while the
-    true error stays near 1e-8.
+    The series stops at the first k >= 1 with gamma_k < tol and gamma_{k+1}
+    <= min(tol, gamma_k), k + 2 steps into orbit(x), and sums terms 0..k-1;
+    two consecutive small terms guard against an isolated one before a
+    spike.  tail_bound is a truncation part plus a rounding part, neither of
+    them rigorous.  The truncation part is gamma_k + gamma_{k+1}; a later
+    large partial quotient can make a term spike past it.  The rounding
+    part, _rounding_bound, is first order: it can miss where the float orbit
+    has left the branch of the true orbit (6 of 4000 measure points at
+    abs_tol 1e-10, against a 60-digit evaluation at the same double), and
+    below abs_tol ~1e-8 it grows like u/beta_k while the true error stays
+    near 1e-8.
 
-    Below SMALLX_CUT, where a double cannot resolve {1/x}, W(x) =
-    log(1/x) - x W(alpha(x)) is log(1/x) to within 720 x, the bound of
-    g_func's small-x form.  That bound is heuristic: |W(y)| passes 720 only
-    within about e^-700 of a rational.  One ulp of log(1/x) is added for
-    its rounding.  An orbit that ends before the stopping rule holds (x
-    effectively rational, or a float orbit that cannot step on; see
-    orbit_arrays) raises EffectiveRationalError, and a budget overrun
-    raises NonConvergenceError.
+    An orbit that ends after j steps first is decided by require_float_end.
+    If the float orbit could not step on, all j terms are summed, and the
+    truncation part bounds the rest, beta_{j-1} W(alpha_j), by the heuristic
+    720 beta_{j-1} plus one ulp of the sum: |W(y)| passes 720 only within
+    about e^-700 of a rational.  Below x ~ 1e-13, where a double cannot
+    resolve {1/x}, that is log(1/x) within 720 x.
     """
-    if 0.0 < x < SMALLX_CUT:
-        value = -math.log(x)
-        return WiltonEval(x, value, 1, 720.0 * x + math.ulp(value))
     tol = cfg.abs_tol
-    alphas, betas, gammas, truncated = orbit_arrays(x, MAX_TERMS)
-    k = _alternating_stop(gammas, tol)
-    if k is None:
-        if truncated:
-            raise EffectiveRationalError(f"orbit of {x} ended before the W series converged")
-        raise NonConvergenceError(
-            f"Wilton series at {x} still above {tol} after {MAX_TERMS} terms"
-        )
-    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    return WiltonEval(
-        point=x,
-        value=float(signs @ gammas[:k]),
-        terms_used=k,
-        tail_bound=float(gammas[k] + gammas[k + 1]) + _rounding_bound(betas, k),
-    )
+    betas, gammas = [], []
+    for a, beta in islice(orbit(x), MAX_TERMS + 1):
+        betas.append(beta)
+        gammas.append(beta * -math.log(a))
+        k = len(gammas) - 2
+        if k >= 1 and gammas[k] < tol and gammas[k + 1] <= min(tol, gammas[k]):
+            value, trunc = _alternating_sum(gammas[:k]), gammas[k] + gammas[k + 1]
+            break
+    else:
+        require_float_end(x, "the W series", len(gammas))
+        k = len(gammas)
+        betas.append(beta * a)
+        value = _alternating_sum(gammas)
+        trunc = 720.0 * betas[-1] + math.ulp(value)
+    return WiltonEval(x, value, k, trunc + _rounding_bound(np.array(betas), k))
 
 
 def partial_sums(x: float, n: int) -> PartialSumEval:
@@ -154,8 +144,7 @@ def partial_sums(x: float, n: int) -> PartialSumEval:
     alphas, _, gammas, truncated = orbit_arrays(x, n)
     if truncated or len(gammas) <= n:
         raise EffectiveRationalError(f"orbit of {x} ended before depth {n}")
-    signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    L = float(signs @ gammas[: n + 1])
+    L = _alternating_sum(gammas[: n + 1])
     return PartialSumEval(point=x, n=n, L_value=L, D_value=L - ell(x))
 
 
@@ -173,7 +162,7 @@ def _orbit_series(
 
     Term k is (-1)^k (gamma_k - 2 beta_{k-1} f(alpha_k)); the default f = 0
     sums W alone.  A point stops at the first k >= 1 where gamma_k < tol,
-    gamma_{k+1} <= min(tol, gamma_k) (the rule of _alternating_stop) and
+    gamma_{k+1} <= min(tol, gamma_k) (the rule of wilton) and
     2 beta_{k-1} supf < h_tol.  It then writes its partial sum, the error
     gamma_k + gamma_{k+1} + 4 beta_{k-1} supf + 2 f_err sum_{j<k} beta_{j-1},
     k (unless terms is None) and ok = True, and leaves the working arrays,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiltonmoments import cotangent, special_fn
+from wiltonmoments import cotangent, moments, special_fn
 from wiltonmoments.cli import run, _build_parser, _csv, _to_json
 
 
@@ -168,6 +168,24 @@ class TestWiltonCmd:
         assert status == 1
         (row,) = json.loads(out)
         assert row["value"] is None and row["tail_bound"] is None
+
+    @pytest.mark.parametrize(
+        "x,value", [("5e-324", 744.4400719213812), ("1e-300", 690.7755278982137)]
+    )
+    def test_ended_orbit_below_double_range_is_a_row(self, x, value, capsys):
+        # 1/x overflows or rounds to an integer: W is log(1/x) within 720 x + ulp
+        status, out = run_capture(["wilton", "--x", x], capsys)
+        assert status == 0
+        (row,) = json.loads(out)
+        assert row["value"] == value and row["tail_bound"] == pytest.approx(1.1e-13, rel=0.05)
+
+    @pytest.mark.parametrize("fn", ["W", "H", "g"])
+    def test_points_whose_float_orbit_ends_on_the_guard(self, fn, capsys):
+        # 1e-13 and two seeded points near it end on RATIONAL_GUARD, and are
+        # not effectively rational
+        pts = "1e-13,1.2927207490124873e-13,1.5238107230328893e-12"
+        status, out = run_capture(["eval", "--fn", fn, "--x", pts], capsys)
+        assert status == 0 and "null" not in out
 
 
 class TestMomentCmd:
@@ -474,6 +492,58 @@ class TestEveryPointEndsCleanly:
         json.loads(out)
         if status == 0:
             assert "null" not in out  # a non-finite value is written as null
+
+
+def _assert_ends_cleanly(argv: list[str]) -> None:
+    """Exit 0 with finite values, or exit 1 or 2 with one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if status == 0:
+        json.loads(out)
+        assert "null" not in out and err == ""  # a non-finite value is written as null
+    else:
+        assert status in (1, 2) and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestSweepsEndCleanly:
+    """wm moment and wm cotangent-dist keep the contract of TestEveryPointEndsCleanly
+    on any --k/--samples and any --b (up to 2000), --a0, --a1, --sample and --kmax."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        k=st.floats() | st.floats(0.0, 30.0),
+        # above the bound a sample count never allocates, here or at an older version
+        samples=st.integers(-2, 2000) | st.integers(10**12, 10**18),
+    )
+    @example(k=2.0, samples=10**12)
+    @example(k=20.0, samples=2000)
+    @example(k=400.0, samples=2000)
+    def test_moment(self, k, samples):
+        _assert_ends_cleanly(["moment", "--k", repr(k), "--samples", str(samples)])
+
+    def test_samples_above_bound_is_usage_error(self, capsys):
+        assert run(["moment", "--k", "2", "--samples", str(moments.MAX_SAMPLES + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        b=st.integers(-2, 2000),
+        # mostly 0 < a0 <= a1 <= 1, near the range a sweep accepts
+        a=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=2).map(sorted)
+        | st.tuples(st.floats(-0.5, 1.5) | st.just(math.nan), st.floats(-0.5, 1.5)),
+        sample=st.none() | st.integers(-2, 1000),
+        kmax=st.integers(-2, 1200) | st.integers(cotangent.MAX_KMAX + 1, 10**15),
+    )
+    @example(b=1009, a=(0.5, 1.0), sample=None, kmax=1000)
+    @example(b=1009, a=(0.5, 1.0), sample=None, kmax=2)
+    def test_cotangent(self, b, a, sample, kmax):
+        argv = ["cotangent-dist", "--b", str(b), "--a0", repr(a[0]), "--a1", repr(a[1])]
+        argv += ["--kmax", str(kmax)] + ([] if sample is None else ["--sample", str(sample)])
+        _assert_ends_cleanly(argv)
 
 
 class TestJsonFormatting:

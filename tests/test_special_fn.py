@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from wiltonmoments import special_fn as sf
-from wiltonmoments.cf_dynamics import ToleranceConfig, orbit_arrays, sample_gauss_measure
+from wiltonmoments import cf_dynamics, special_fn as sf
+from wiltonmoments.cf_dynamics import (
+    EffectiveRationalError,
+    ToleranceConfig,
+    orbit_arrays,
+    sample_gauss_measure,
+)
 from wiltonmoments.wilton import wilton
 
+wilton_module = sys.modules[wilton.__module__]  # the package name wilton is the function
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 A1 = math.log(2.0 * math.pi) - np.euler_gamma  # closed form for A(1)
 CFG = ToleranceConfig(abs_tol=1e-10)
@@ -534,13 +540,142 @@ _PINNED_G = [
 ]
 
 
-def test_g_func_matches_pinned_values():
+def _pinned_points() -> list[float]:
     rng = np.random.default_rng(11)
     u = (np.arange(10) + rng.uniform(1e-9, 1.0 - 1e-9, 10)) / 10
-    pts = [p for x in np.exp2(u) - 1.0 for p in (float(x), 1.0 - float(x))]
+    return [p for x in np.exp2(u) - 1.0 for p in (float(x), 1.0 - float(x))]
+
+
+def test_g_func_matches_pinned_values():
     cfg = ToleranceConfig(abs_tol=1e-5)
-    got = [(g.value, float(g.est_error)) for g in (sf.g_func(x, cfg=cfg) for x in pts)]
+    gs = [sf.g_func(x, cfg=cfg) for x in _pinned_points()]
+    got = [(g.value, float(g.est_error)) for g in gs]
     assert got == _PINNED_G
+
+
+# W (value, terms_used, tail_bound) and H (value, err) at abs_tol 1e-5 on the
+# points above, pinned from the code that walked 200-step orbit arrays
+_PINNED_W = [
+    (4.718972437420512, 11, 1.2690388640886257e-06),
+    (-4.658853855781007, 12, 1.2682571676462962e-06),
+    (1.992413310955043, 13, 1.7053007553342037e-06),
+    (-1.5309275959186994, 14, 1.705463222260106e-06),
+    (1.0586123067749762, 8, 2.7170772849216866e-06),
+    (-0.3413988494141016, 9, 2.7173979526639504e-06),
+    (1.2207947031425361, 9, 6.6676423888141235e-06),
+    (-0.41116614387137357, 10, 6.667663508729259e-06),
+    (-0.964683999733239, 8, 7.950140105636233e-06),
+    (2.006166891977662, 9, 7.951122252307782e-06),
+    (2.2633960594454012, 6, 8.559391637919611e-07),
+    (-0.8934892439635869, 5, 8.558264786381044e-07),
+    (1.6833081636734106, 12, 6.16050375915189e-08),
+    (-0.3433123765529821, 11, 5.706937390699601e-08),
+    (-0.05942971504462725, 17, 4.640403722447874e-08),
+    (1.1608798793812922, 16, 4.5734409356686017e-08),
+    (-1.0635619884920824, 10, 6.041739728967016e-06),
+    (1.621150502839048, 9, 6.0727797097371225e-06),
+    (-2.6999400352738343, 10, 7.583156152183419e-06),
+    (2.9566621887353297, 9, 7.583544502029488e-06),
+]
+_PINNED_H = [
+    (-1.2513223144786128, 3.6327666297876493e-06),
+    (1.1912037360452656, 3.646705776842313e-06),
+    (-1.032127945735906, 5.543011432570047e-06),
+    (0.5706422558927675, 5.463707787220357e-06),
+    (-0.8229933723638565, 9.134867911863727e-06),
+    (0.10577993028309088, 9.294605083344004e-06),
+    (-0.8535463625262733, 9.378546671809052e-06),
+    (0.043917798098339705, 9.464456715133604e-06),
+    (-0.47947367908754784, 8.254498226383572e-06),
+    (-0.5620093164588629, 8.419456987997547e-06),
+    (-1.2259385949494328, 3.291534410267679e-06),
+    (-0.14396817764811445, 3.292480874638071e-06),
+    (-1.1018840910333858, 1.4796888827164947e-06),
+    (-0.23811171406191264, 1.5481448231896019e-06),
+    (-0.18721235083615614, 1.472851885553917e-06),
+    (-0.9142378170822338, 1.4646512704954694e-06),
+    (0.3876963493488437, 9.234883892011392e-06),
+    (-0.9452848755379905, 8.543409160598651e-06),
+    (0.9252342364387326, 1.1353616678488227e-05),
+    (-1.1819563538997204, 1.1868537606315343e-05),
+]
+
+
+def test_w_and_h_match_pinned_values():
+    cfg = ToleranceConfig(abs_tol=1e-5)
+    pts = _pinned_points()
+    ws = [wilton(x, cfg) for x in pts]
+    assert [(w.value, w.terms_used, w.tail_bound) for w in ws] == _PINNED_W
+    assert [tuple(map(float, sf._h_with_err(x, 1e-5))) for x in pts] == _PINNED_H
+
+
+def _counting_orbit(pulled: list[int]):
+    def orbit(x):
+        pulled.append(0)
+        for step in cf_dynamics.orbit(x):
+            pulled[-1] += 1
+            yield step
+
+    return orbit
+
+
+def test_series_pull_only_the_steps_their_rules_need(monkeypatch):
+    pulled: list[int] = []
+    monkeypatch.setattr(wilton_module, "orbit", _counting_orbit(pulled))
+    monkeypatch.setattr(sf, "orbit", _counting_orbit(pulled))
+    cfg = ToleranceConfig(abs_tol=1e-5)
+    for x in _pinned_points() + [float(x) for x in sample_gauss_measure(30, 5)]:
+        for tol in (1e-10, 1e-5):
+            pulled.clear()
+            w = wilton(x, ToleranceConfig(abs_tol=tol))
+            assert pulled == [w.terms_used + 2]
+        # H stops at the first m with 2 beta_{m-1} sup|F| < tol/2, m + 1 steps in
+        betas = orbit_arrays(x, 200)[1]
+        m = int(np.flatnonzero(2.0 * betas * sf.sup_f_bound() < 0.5e-5)[0])
+        pulled.clear()
+        sf._h_with_err(x, 1e-5)
+        assert pulled == [m + 1]
+        pulled.clear()
+        sf.g_func(x, cfg=cfg)
+        assert pulled == [w.terms_used + 2, m + 1]
+
+
+class TestTinyX:
+    """Below about 2e-12 the float orbit can end on RATIONAL_GUARD or on an
+    overflowing 1/x; the series then end with their tail bounds."""
+
+    _RNG = np.random.default_rng(3)
+    POINTS = [
+        *_RNG.uniform(1e-13, 2e-13, 400).tolist(),
+        *_RNG.uniform(1e-12, 2e-12, 400).tolist(),
+        1e-13,
+        1e-12,
+    ]
+
+    def test_finite_w_h_and_g(self):
+        for x in self.POINTS:
+            w = wilton(x)
+            h = sf._h_with_err(x, CFG.abs_tol)
+            g = sf.g_func(x)
+            assert all(map(math.isfinite, (w.value, w.tail_bound, *h, g.value, g.est_error))), x
+            assert abs(g.value - math.log(1.0 / x) + A1) <= g.est_error + 1e-9
+
+    @pytest.mark.parametrize("x,value,terms,tail", [
+        (5e-324, 744.4400719213812, 1, 1.1368683772161603e-13),
+        (1e-310, 713.8013788281542, 1, 1.1368683772161603e-13),
+        (1e-300, 690.7755278982137, 1, 1.1368683772161603e-13),
+        (1e-16, 36.841361487904734, 1, 7.9105427357601e-14),
+    ])
+    def test_ended_orbit_keeps_small_x_w(self, x, value, terms, tail):
+        # pinned from the former small-x branch: log(1/x) within 720 x + ulp
+        w = wilton(x)
+        assert (w.value, w.terms_used, w.tail_bound) == (value, terms, tail)
+
+    @pytest.mark.parametrize("x", [0.3, 0.7, 0.375, 0.5])
+    def test_rationals_still_raise(self, x):
+        for evaluate in (wilton, lambda y: sf._h_with_err(y, 1e-8), sf.g_func):
+            with pytest.raises(EffectiveRationalError):
+                evaluate(x)
 
 
 class TestAntisymmetryRegression:
