@@ -2,16 +2,17 @@
 
 Subcommands: eval, cf, wilton, moment, cotangent-dist, verify.  Each takes,
 after its name, only the settings it reads, declared once in _SETTINGS; any
-other flag, or a flag before the subcommand, is a usage error.  --seed and
---abs-tol resolve as flag > environment (WM_SEED, WM_ABS_TOL) > default,
-and only a subcommand with the flag reads the variable; a malformed
-environment value or tolerance is a usage error.  --abs-tol is the one
-numerical setting: the orbit depth of cf and the term budget of the series
-are the constants cf_dynamics.MAX_ORBIT_DEPTH and MAX_TERMS.  Composite-b
-cotangent sums run on one thread per CPU.  JSON output comes from the json
-module: floats round-trip exactly and nan/inf are written as null.  CSV
-carries 12 significant digits; both use '.' as the decimal separator and LF
-line endings, and CSV has a header row.
+other flag, or a flag before the subcommand, is a usage error.  argv is
+the whole configuration: no environment variable is read.  A bad
+tolerance, an unwritable output path and a point count above
+moments.MAX_SAMPLES are usage errors too.  moment --k takes an ascending
+comma-separated K list.  --abs-tol is the one numerical setting: the
+orbit depth of cf and the term budget of the series are the constants
+cf_dynamics.MAX_ORBIT_DEPTH and MAX_TERMS.  Composite-b cotangent sums run
+on one thread per CPU.  JSON output comes from the json module: floats
+round-trip exactly and nan/inf are written as null.  CSV carries 12
+significant digits; both use '.' as the decimal separator and LF line
+endings, and CSV has a header row.
 Exit codes: 0 success, 1 computation or verification failure, 2 usage.
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -79,27 +79,15 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit2(f"{name}={raw!r} is not a valid {cast.__name__}") from None
-
-
 # Every setting flag, declared once; each subcommand names the ones it reads.
 _SETTINGS = {
-    "--seed": dict(type=int, default=None, help="RNG seed (default WM_SEED, else 0)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default %(default)s)"),
     "--abs-tol": dict(
-        type=float, default=None, help="absolute tolerance (default WM_ABS_TOL, else 1e-8)"
+        type=float, default=DEFAULT_CONFIG.abs_tol, help="absolute tolerance (default %(default)s)"
     ),
     "--format": dict(choices=("csv", "json"), default="json"),
     "--output": dict(default=None, help="output path (default stdout)"),
 }
-# a setting left off the command line comes from its variable, else the fallback
-_ENV = {"seed": ("WM_SEED", int, 0), "abs_tol": ("WM_ABS_TOL", float, DEFAULT_CONFIG.abs_tol)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,8 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed "
         "tolerances (W 1e-8, H tail 2e-4, F table 1e-4), so there is no --abs-tol.",
     )
-    p_m.add_argument("--k", type=float, default=None)
-    p_m.add_argument("--sweep", default=None, help="comma-separated K list")
+    p_m.add_argument("--k", required=True, help="comma-separated K list, ascending")
     p_m.add_argument("--samples", type=int, default=1_000_000)
     p_m.add_argument("--method", choices=("mc", "quad"), default="mc")
 
@@ -184,16 +171,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bounded(flag: str, n: int) -> int:
+    # the point count is capped as moment's --samples is, before anything is allocated
+    if n > moments.MAX_SAMPLES:
+        raise SystemExit2(f"{flag} must be at most {moments.MAX_SAMPLES}, got {n}")
+    return n
+
+
 def _parse_points(args) -> list[float]:
     if getattr(args, "x", None):
         return [float(tok) for tok in str(args.x).split(",") if tok]
     if getattr(args, "grid", None):
         lo, hi, n = str(args.grid).split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
+        n = _bounded("--grid", int(n))
+        return [float(v) for v in np.linspace(float(lo), float(hi), n)]
     if getattr(args, "sample", None) is not None:
         if args.sample <= 0:
             raise SystemExit2(f"--sample must be positive, got {args.sample}")
-        return [float(v) for v in cf_dynamics.sample_gauss_measure(args.sample, args.seed)]
+        n = _bounded("--sample", args.sample)
+        return [float(v) for v in cf_dynamics.sample_gauss_measure(n, args.seed)]
     raise SystemExit2("one of --x / --grid / --sample is required")
 
 
@@ -226,9 +222,8 @@ def _cmd_eval(args) -> tuple[int, str]:
                 val, err = special_fn._f_with_err(x, cfg.abs_tol)
                 rows.append(["F", x, val, err, "phi2_formula"])
             elif args.fn == "Phi2":
-                val, err = special_fn._phi2_core(x, cfg.abs_tol)
-                snap, _, _ = special_fn._phi2_route(x - math.floor(x), cfg.abs_tol)
-                rows.append(["Phi2", x, val, err, "series" if snap is None else "rational_snap"])
+                val, err, snapped = special_fn._phi2_core(x, cfg.abs_tol)
+                rows.append(["Phi2", x, val, err, "rational_snap" if snapped else "series"])
         except (EffectiveRationalError, NonConvergenceError, ValueError) as exc:
             rows.append([args.fn, x, math.nan, math.nan, f"error: {exc}"])
             status = 1
@@ -259,13 +254,10 @@ def _cmd_wilton(args) -> tuple[int, str]:
 
 def _cmd_moment(args) -> tuple[int, str]:
     method = "mc_stratified" if args.method == "mc" else "quad_log_substitution"
-    if args.sweep:
-        ks = [float(tok) for tok in args.sweep.split(",") if tok]
-        ests = moments.gamma_ratio_sweep(ks, seed=args.seed, samples=args.samples, method=method)
-    elif args.k is not None:
-        ests = [moments.moment(args.k, seed=args.seed, samples=args.samples, method=method)]
-    else:
-        raise SystemExit2("moment needs --k or --sweep")
+    ks = [float(tok) for tok in args.k.split(",") if tok]
+    if not ks:
+        raise SystemExit2(f"--k needs at least one value, got {args.k!r}")
+    ests = moments.gamma_ratio_sweep(ks, seed=args.seed, samples=args.samples, method=method)
     header = "K value std_error gamma_ratio target_ratio rejections repair_rounds".split()
     rows = [[getattr(e, name) for name in header] for e in ests]
     return 0, _table(header, rows, args.format)
@@ -316,20 +308,16 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        given = vars(args)
-        for name, (env, cast, fallback) in _ENV.items():
-            if name in given and given[name] is None:
-                given[name] = _env_default(env, cast, fallback)
         status, text = args.cmd(args)
+        _emit(text, args.output)
     except SystemExit2 as exc:
         return int(exc.code)
     except (EffectiveRationalError, NonConvergenceError) as exc:
         sys.stderr.write(f"computation failed: {exc}\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --output or --per-r
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    _emit(text, args.output)
     return status
 
 

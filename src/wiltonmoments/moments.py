@@ -98,27 +98,30 @@ def log_moment_calibration(
     raise ValueError(f"unknown calibration method {method!r}")
 
 
+def _component(K: float, u: np.ndarray, gamma: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(x, t) by inverse CDF from uniforms u: t ~ Gamma(K+1) if gamma, else
+    x uniform on (0, 1/2)."""
+    if gamma:
+        t = gammaincinv(K + 1.0, u)
+        return np.exp(-t), t
+    x = 0.5 * np.maximum(u, 1e-12)
+    return x, -np.log(x)
+
+
 def _mixture_samples(K: float, n: int, seed: int):
     """Stratified draws from the defensive mixture over t > log 2.
 
-    Component 0: t ~ Gamma(K+1) on (0, inf) (values below log 2 get weight
-    zero through the indicator).  Component 1: x uniform on (0, 1/2).
+    The first n1 points come from the Gamma(K+1) component on (0, inf)
+    (values below log 2 get weight zero through the indicator), the rest
+    from x uniform on (0, 1/2).
     """
-    ss = np.random.SeedSequence(seed)
-    kids = ss.spawn(3)
+    kids = np.random.SeedSequence(seed).spawn(3)
     n1 = int(round(_GAMMA_SHARE * n))
     n2 = n - n1
-    rng1 = np.random.default_rng(kids[0])
-    rng2 = np.random.default_rng(kids[1])
-    u1 = (np.arange(n1) + rng1.random(n1)) / n1
-    t1 = gammaincinv(K + 1.0, u1)
-    x1 = np.exp(-t1)
-    u2 = (np.arange(n2) + rng2.random(n2)) / n2
-    x2 = 0.5 * np.maximum(u2, 1e-12)
-    x = np.concatenate([x1, x2])
-    t = np.concatenate([t1, -np.log(x2)])
-    comp = np.concatenate([np.zeros(n1, dtype=bool), np.ones(n2, dtype=bool)])
-    return x, t, comp, n1, n2, np.random.default_rng(kids[2])
+    u1 = (np.arange(n1) + np.random.default_rng(kids[0]).random(n1)) / n1
+    u2 = (np.arange(n2) + np.random.default_rng(kids[1]).random(n2)) / n2
+    (x1, t1), (x2, t2) = _component(K, u1, True), _component(K, u2, False)
+    return np.concatenate([x1, x2]), np.concatenate([t1, t2]), n1, np.random.default_rng(kids[2])
 
 
 def _mixture_density(t: np.ndarray, K: float, w1: float, w2: float) -> np.ndarray:
@@ -181,23 +184,17 @@ def moment(
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
 
-    x, t, comp, n1, n2, repair_rng = _mixture_samples(K, samples, seed)
+    x, t, n1, repair_rng = _mixture_samples(K, samples, seed)
+    n2 = samples - n1
     g, _, ok = g_batch(x)
     # only failed points are redrawn, so these are all the points ever failed
     rejections = int(np.count_nonzero(~ok))
     rounds = 0
     while not ok.all() and rounds < _MAX_REPAIR_ROUNDS:
         bad = np.flatnonzero(~ok)
-        bad_gamma = bad[~comp[bad]]
-        bad_unif = bad[comp[bad]]
-        if bad_gamma.size:
-            tg = gammaincinv(K + 1.0, repair_rng.random(bad_gamma.size))
-            t[bad_gamma] = tg
-            x[bad_gamma] = np.exp(-tg)
-        if bad_unif.size:
-            xu = 0.5 * np.maximum(repair_rng.random(bad_unif.size), 1e-12)
-            x[bad_unif] = xu
-            t[bad_unif] = -np.log(xu)
+        for idx, gamma in ((bad[bad < n1], True), (bad[bad >= n1], False)):
+            if idx.size:
+                x[idx], t[idx] = _component(K, repair_rng.random(idx.size), gamma)
         g_new, _, ok_new = g_batch(x[bad])
         g[bad] = g_new
         ok[bad] = ok_new

@@ -340,27 +340,28 @@ def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, f
     return None, n_terms, direct_err
 
 
-def _phi2_core(lam: float, tol: float) -> tuple[float, float]:
-    """(Phi2(lam), error bound).
+def _phi2_core(lam: float, tol: float) -> tuple[float, float, bool]:
+    """(Phi2(lam), error bound, whether a closed form at a rational gave it).
 
     Periodic reduction first, then the path `_phi2_route` chooses: the
     exact csc^2 form of `_phi2_rational` at a nearby p/q, or `_phi2_sums`
     with the absolute tail bound (1/6)/N (capped; the bound reflects it).
+    An integer lam is the closed form pi^2/36 with error 0.
     """
     if not math.isfinite(lam):
         raise ValueError("phi2 needs a finite argument")
     frac = lam - math.floor(lam)
     if frac == 0.0:
-        return PI2_OVER_36, 0.0
+        return PI2_OVER_36, 0.0, True
     snap, n_terms, err = _phi2_route(frac, tol)
     if snap is None:
-        return float(_phi2_sums(np.array([frac]), np.array([n_terms]))[0]), err
-    return _phi2_rational(*snap), err
+        return float(_phi2_sums(np.array([frac]), np.array([n_terms]))[0]), err, False
+    return _phi2_rational(*snap), err, True
 
 
 def phi2(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Phi2(lam) = sum_{n>=1} B2(n lam)/n^2; period 1, bounded by pi^2/36."""
-    val, _ = _phi2_core(lam, cfg.abs_tol)
+    val, _, _ = _phi2_core(lam, cfg.abs_tol)
     return val
 
 

@@ -78,6 +78,15 @@ class TestEval:
         assert status == 0
         assert json.loads(out)[0]["method"] == "series"
 
+    def test_phi2_at_an_integer_reports_its_closed_form(self, capsys):
+        # the integer is pi^2/36 with error 0 at every tolerance, not the series
+        argv = ["eval", "--fn", "Phi2", "--x", "1,0", "--abs-tol", "1e-3"]
+        status, out = run_capture(argv, capsys)
+        assert status == 0
+        for row in json.loads(out):
+            assert row["value"] == special_fn.PI2_OVER_36 and row["est_error"] == 0.0
+            assert row["method"] == "rational_snap"
+
     def test_subnormal_a_argument_is_finite(self, capsys):
         status, out = run_capture(["eval", "--fn", "A", "--x", "1e-320"], capsys)
         assert status == 0
@@ -217,13 +226,20 @@ class TestMomentCmd:
 
     def test_sweep(self, capsys):
         status, out = run_capture(
-            ["moment", "--sweep", "2,4", "--samples", "2000", "--seed", "2"], capsys
+            ["moment", "--k", "2,4", "--samples", "2000", "--seed", "2"], capsys
         )
         assert status == 0
-        assert len(json.loads(out)) == 2
+        assert [row["K"] for row in json.loads(out)] == [2.0, 4.0]
 
     def test_needs_k(self, capsys):
         assert run(["moment", "--samples", "100"]) == 2
+
+    @pytest.mark.parametrize("k", ["", ",", "4,2", "2,x"])
+    def test_k_list_without_ascending_values_is_usage_error(self, k, capsys):
+        assert run(["moment", "--k", k, "--samples", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_too_few_samples_is_usage_error(self, samples, capsys):
@@ -334,12 +350,21 @@ class TestVerifyCmd:
 
 
 class TestConfigPrecedence:
+    # argv is the whole configuration: --seed and --abs-tol read no variable
+    @staticmethod
+    def _env_changes_nothing(argv, name, value, capsys, monkeypatch):
+        before = run_capture(argv, capsys)
+        assert before[0] == 0
+        with monkeypatch.context() as env:
+            env.setenv(name, value)
+            assert run_capture(argv, capsys) == before
+
     def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("WM_SEED", "99")
-        _, out1 = run_capture(["wilton", "--sample", "3"], capsys)
-        monkeypatch.delenv("WM_SEED")
-        _, out2 = run_capture(["wilton", "--sample", "3", "--seed", "99"], capsys)
-        assert out1 == out2
+        self._env_changes_nothing(["wilton", "--sample", "3"], "WM_SEED", "99", capsys, monkeypatch)
+
+    def test_env_abs_tol(self, capsys, monkeypatch):
+        argv = ["eval", "--fn", "g", "--x", "0.31830988618379067"]
+        self._env_changes_nothing(argv, "WM_ABS_TOL", "1e-3", capsys, monkeypatch)
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WM_SEED", "1")
@@ -349,12 +374,19 @@ class TestConfigPrecedence:
         assert out1 == out2
 
     @pytest.mark.parametrize("name", ["WM_SEED", "WM_ABS_TOL"])
-    def test_malformed_env_is_usage_error(self, name, capsys, monkeypatch):
-        monkeypatch.setenv(name, "abc")
-        assert run(["wilton", "--sample", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and err.count("\n") == 1
-        assert name in err
+    def test_malformed_env_is_ignored(self, name, capsys, monkeypatch):
+        self._env_changes_nothing(["wilton", "--sample", "1"], name, "abc", capsys, monkeypatch)
+
+    def test_nan_abs_tol_from_env_is_ignored(self, capsys, monkeypatch):
+        argv = ["wilton", "--x", "0.31830988618379067"]
+        self._env_changes_nothing(argv, "WM_ABS_TOL", "nan", capsys, monkeypatch)
+
+    def test_unread_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("WM_ABS_TOL", "abc")
+        assert run(["verify", "--list"]) == 0
+        monkeypatch.delenv("WM_ABS_TOL")
+        monkeypatch.setenv("WM_SEED", "abc")
+        assert run(["eval", "--fn", "A", "--x", "1"]) == 0
 
     @pytest.mark.parametrize(
         "flags",
@@ -374,17 +406,6 @@ class TestConfigPrecedence:
         assert captured.out == ""
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
-    def test_nan_abs_tol_from_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("WM_ABS_TOL", "nan")
-        assert run(["wilton", "--x", "0.3"]) == 2
-
-    def test_unread_env_is_ignored(self, capsys, monkeypatch):
-        monkeypatch.setenv("WM_ABS_TOL", "abc")
-        assert run(["verify", "--list"]) == 0
-        monkeypatch.delenv("WM_ABS_TOL")
-        monkeypatch.setenv("WM_SEED", "abc")
-        assert run(["eval", "--fn", "A", "--x", "1"]) == 0
-
     def test_threads_flag_is_gone(self, capsys):
         assert run(["--threads", "2", "cotangent-dist", "--b", "101"]) == 2
         assert run(["cotangent-dist", "--b", "101", "--threads", "2"]) == 2
@@ -398,10 +419,24 @@ class TestConfigPrecedence:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing_dir", "directory"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["eval", "--fn", "A", "--x", "1"], "--output"),
+         (["cotangent-dist", "--b", "11"], "--per-r")],
+        ids=["output", "per_r"],
+    )
+    def test_unwritable_path_is_usage_error(self, argv, flag, missing, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "out.txt" if missing else tmp_path
+        assert run([*argv, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
 
 # the minimal arguments of each subcommand, and the former common flags it
-# reads; --max-terms, --max-orbit-depth and --rational-guard are gone, so none
-# reads them
+# reads; --max-terms, --max-orbit-depth, --rational-guard and moment's --sweep
+# are gone, so none reads them
 COMMANDS = {
     "eval": (["--fn", "A", "--x", "1"], {"--abs-tol", "--format", "--output"}),
     "cf": (["--x", "0.3"], {"--output"}),
@@ -412,7 +447,7 @@ COMMANDS = {
 }
 FLAG_VALUES = {
     "--seed": "1", "--abs-tol": "1e-6", "--max-terms": "100", "--max-orbit-depth": "40",
-    "--rational-guard": "1e-14", "--format": "csv", "--output": "out.txt",
+    "--rational-guard": "1e-14", "--format": "csv", "--output": "out.txt", "--sweep": "2,4",
 }
 
 
@@ -481,9 +516,24 @@ class TestEveryPointEndsCleanly:
     @example(math.nan)
     @example(math.inf)
     def test_point(self, cmd, x):
+        self._assert_ends_cleanly([*cmd, "--x", repr(x)])
+
+    @pytest.mark.parametrize("cmd", ["wilton", "eval"])
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    # above moments.MAX_SAMPLES a point count is refused before anything is allocated
+    @given(st.integers(-2, 50) | st.integers(10**12, 10**18))
+    @example(10**12)
+    def test_point_count(self, cmd, n):
+        if cmd == "wilton":
+            self._assert_ends_cleanly(["wilton", "--sample", str(n)])
+        else:
+            self._assert_ends_cleanly(["eval", "--fn", "W", "--grid", f"0.1:0.9:{n}"])
+
+    @staticmethod
+    def _assert_ends_cleanly(argv: list[str]) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = run([*cmd, "--x", repr(x)])
+            status = run(argv)
         out, err = out.getvalue(), err.getvalue()
         assert status in (0, 1, 2)
         if status == 2:
@@ -514,15 +564,19 @@ class TestSweepsEndCleanly:
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
-        k=st.floats() | st.floats(0.0, 30.0),
+        k=st.floats()
+        | st.floats(0.0, 30.0)
+        | st.lists(st.floats(0.0, 30.0), min_size=2, max_size=2),
         # above the bound a sample count never allocates, here or at an older version
         samples=st.integers(-2, 2000) | st.integers(10**12, 10**18),
     )
     @example(k=2.0, samples=10**12)
     @example(k=20.0, samples=2000)
     @example(k=400.0, samples=2000)
+    @example(k=[2.0, 4.0], samples=2000)
     def test_moment(self, k, samples):
-        _assert_ends_cleanly(["moment", "--k", repr(k), "--samples", str(samples)])
+        ks = ",".join(map(repr, k)) if isinstance(k, list) else repr(k)
+        _assert_ends_cleanly(["moment", "--k", ks, "--samples", str(samples)])
 
     def test_samples_above_bound_is_usage_error(self, capsys):
         assert run(["moment", "--k", "2", "--samples", str(moments.MAX_SAMPLES + 1)]) == 2

@@ -121,7 +121,7 @@ class TestPhi2:
         # continuity modulus over delta must cover the distance to Phi2(1/3)
         base = 1.0 / 3.0
         for delta in (1e-10, 1e-8):
-            v1, e1 = sf._phi2_core(base + delta, 1e-12)
+            v1, e1, _ = sf._phi2_core(base + delta, 1e-12)
             v2 = sf._phi2_rational(1, 3)
             assert abs(v1 - v2) <= e1 + sf._snap_error(delta) + 1e-12
 
@@ -176,10 +176,10 @@ class TestBigA:
         # where Phi2 takes its maximum pi^2/36 (exactly, with error 0)
         lam, tol = 1e-12, 1e-30
         (val,), (err,) = sf._psi_vec(lam, tol)
-        pval, perr = sf._phi2_core(1.0 / lam, tol / (lam * lam))
+        pval, perr, snapped = sf._phi2_core(1.0 / lam, tol / (lam * lam))
         nj, _ = sf._j_terms(np.array([lam]), tol)
         (jval,) = sf._j_sums(np.array([1.0 / lam]), nj)
-        assert pval == sf.PI2_OVER_36 and perr == 0.0
+        assert pval == sf.PI2_OVER_36 and perr == 0.0 and snapped
         assert abs(jval) <= 0.072 * lam**3
         assert val == 0.0 and err <= 1e-24
         assert abs(0.5 * lam * lam * pval - jval) <= err
