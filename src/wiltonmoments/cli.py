@@ -180,17 +180,21 @@ def _bounded(flag: str, n: int) -> int:
 
 def _parse_points(args) -> list[float]:
     if getattr(args, "x", None):
-        return [float(tok) for tok in str(args.x).split(",") if tok]
-    if getattr(args, "grid", None):
+        pts = [float(tok) for tok in str(args.x).split(",") if tok]
+    elif getattr(args, "grid", None):
         lo, hi, n = str(args.grid).split(":")
         n = _bounded("--grid", int(n))
-        return [float(v) for v in np.linspace(float(lo), float(hi), n)]
-    if getattr(args, "sample", None) is not None:
+        pts = [float(v) for v in np.linspace(float(lo), float(hi), n)]
+    elif getattr(args, "sample", None) is not None:
         if args.sample <= 0:
             raise SystemExit2(f"--sample must be positive, got {args.sample}")
         n = _bounded("--sample", args.sample)
-        return [float(v) for v in cf_dynamics.sample_gauss_measure(n, args.seed)]
-    raise SystemExit2("one of --x / --grid / --sample is required")
+        pts = [float(v) for v in cf_dynamics.sample_gauss_measure(n, args.seed)]
+    else:
+        raise SystemExit2("one of --x / --grid / --sample is required")
+    if not pts:
+        raise SystemExit2("the point list is empty")
+    return pts
 
 
 class SystemExit2(SystemExit):

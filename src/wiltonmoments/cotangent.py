@@ -5,9 +5,9 @@ c0(r/b) = -sum_{m=1}^{b-1} (m/b) cot(pi m r / b).  Two routes compute it:
 - Prime b: (Z/b)^* is cyclic, so with a primitive root g and a_i = g^i mod b
   all b-1 values form one cyclic correlation of length b-1,
   c0(a_j/b) = -sum_i (a_i/b) cot(pi a_{i+j}/b), evaluated by real FFTs in
-  O(b log b) (Rader 1968) and cached per b.  Its error is a measured,
-  heuristic figure of about 1e-15 b (5.8e-11 at b = 65537), not a rigorous
-  bound.
+  O(b log b) (Rader 1968), recomputed on every call.  Its error is a
+  measured, heuristic figure of about 1e-15 b (5.8e-11 at b = 65537), not a
+  rigorous bound.
 - Any other b, and the single-value `c0`: direct compensated O(b)
   summation per residue, which is also the test oracle for the prime route.
 
@@ -20,6 +20,7 @@ antisymmetrises each pair, so the identity holds exactly there as well.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ import numpy as np
 
 from .cf_dynamics import NonConvergenceError
 
-_CHUNK = 64  # r-values per work unit; fixed so reductions are order-stable
+_CHUNK = 64  # residues per work unit of the direct route's thread pool
 MAX_B = 10**7  # the prime path holds about 1 GB of arrays at this size
 MAX_KMAX = 10_000  # moments per summary; each is one more pass over the values
 
@@ -60,43 +61,27 @@ class DistributionSummary:
     normalized_moments: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "a0": self.a0,
-            "a1": self.a1,
-            "count": self.count,
-            "normalized_moments": list(self.normalized_moments),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_values(
         cls, b: int, a0: float, a1: float, values: np.ndarray, k_max: int
     ) -> "DistributionSummary":
-        """Moments of values/b, merged in fixed chunk order (order-stable);
-        a moment out of double range raises NonConvergenceError."""
+        """Means of |values/b|^K for K = 2, 4, ..., 2 k_max, one compensated
+        pass per K; a moment out of double range raises NonConvergenceError."""
         if not 1 <= k_max <= MAX_KMAX:
             raise ValueError(f"k_max must be in [1, {MAX_KMAX}], got {k_max}")
-        moment_sums = np.zeros(k_max)
-        with np.errstate(over="ignore"):  # a moment that overflows raises below
-            for i in range(0, values.size, _CHUNK):
-                scaled = values[i : i + _CHUNK] / b
-                sq = scaled * scaled
-                acc = sq.copy()
-                for j in range(k_max):
-                    moment_sums[j] += neumaier_sum(acc)
-                    if j + 1 < k_max:
-                        acc = acc * sq
-        count = int(values.size)
-        if not np.isfinite(moment_sums).all():
-            k = 2 * (1 + int(np.argmin(np.isfinite(moment_sums))))
-            raise NonConvergenceError(f"moment {k} of c0/b at b = {b} is out of double range")
-        return cls(
-            b=b,
-            a0=a0,
-            a1=a1,
-            count=count,
-            normalized_moments=[float(s / count) for s in moment_sums],
-        )
+        if values.size == 0:
+            raise ValueError("no values to take moments of")
+        scaled = np.abs(values / b)
+        moments = []
+        for k in range(2, 2 * k_max + 1, 2):
+            with np.errstate(over="ignore"):  # a moment that overflows raises below
+                m = neumaier_sum(scaled**k) / values.size
+            if not math.isfinite(m):
+                raise NonConvergenceError(f"moment {k} of c0/b at b = {b} is out of double range")
+            moments.append(m)
+        return cls(b=b, a0=a0, a1=a1, count=int(values.size), normalized_moments=moments)
 
 
 def neumaier_sum(values: np.ndarray) -> float:
@@ -121,7 +106,7 @@ def neumaier_sum(values: np.ndarray) -> float:
     return s + comp
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # the single-value c0 calls at one b reuse it
 def _cot_table(b: int) -> np.ndarray:
     """cot(pi k / b) for k = 0..b-1 (entry 0 unused), exactly antisymmetric."""
     table = np.zeros(b)
@@ -168,9 +153,8 @@ def _primitive_root(p: int) -> int:
     return g
 
 
-@lru_cache(maxsize=4)
 def _prime_values(b: int) -> np.ndarray:
-    """c0(r/b) for r = 0..b-1 at an odd prime b (entry 0 is 0), read-only."""
+    """c0(r/b) for r = 0..b-1 at an odd prime b (entry 0 is 0)."""
     n = b - 1
     g = _primitive_root(b)
     a = np.empty(n, dtype=np.int64)  # a_i = g^i mod b, by doubling blocks
@@ -189,7 +173,6 @@ def _prime_values(b: int) -> np.ndarray:
     out = np.zeros(b)
     out[a[:half]] = v
     out[a[half:]] = -v
-    out.flags.writeable = False
     return out
 
 
@@ -228,7 +211,7 @@ def c0(p: RationalPoint) -> float:
 def c0_values(b: int, rs: np.ndarray) -> np.ndarray:
     """c0(r/b) for an array of residues (assumed coprime to b).
 
-    Prime b reads all residues off one cached Rader correlation; any other
+    Prime b reads all residues off one Rader correlation; any other
     b takes the direct route.
     """
     _check_b(b)

@@ -90,8 +90,7 @@ def log_moment_calibration(
     if method in ("mc", "mc_stratified"):
         rng = np.random.default_rng(seed)
         u = (np.arange(samples) + rng.random(samples)) / samples
-        t = gammaincinv(K + 1.0, u)
-        x = np.exp(-t)
+        x, t = _component(K, u, True)
         ratio = np.power(-np.log(x) / t, K)
         value = float(np.exp(gammaln(K + 1.0)) * np.mean(ratio))
         return value

@@ -51,6 +51,19 @@ class TestEval:
     def test_missing_points_is_usage_error(self, capsys):
         assert run(["eval", "--fn", "A"]) == 2
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--fn", "g", "--x", ","], ["wilton", "--x", ","],
+         ["eval", "--fn", "W", "--grid", "0.1:0.9:0"]],
+        ids=["eval_x", "wilton_x", "eval_grid"],
+    )
+    def test_empty_point_list_is_usage_error(self, argv, fmt, capsys):
+        assert run(argv + fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+
     def test_out_of_domain_point_is_valid_json(self, capsys):
         status, out = run_capture(["eval", "--fn", "g", "--x", "2"], capsys)
         assert status == 1
@@ -312,6 +325,13 @@ class TestCotangentCmd:
         expected = [[int(r), float(v), float(v) / b] for r, v in zip(rs, vals)]
         assert text == _csv(["r", "c0", "c0_over_b"], expected)
 
+    def test_overflowing_moment_is_named(self, capsys):
+        assert run(["cotangent-dist", "--b", "1009", "--kmax", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation failed: moment 1208 ")
+        assert captured.err.count("\n") == 1
+
     def test_b_above_bound_is_usage_error(self, capsys):
         assert run(["cotangent-dist", "--b", str(10**7 + 19)]) == 2
         err = capsys.readouterr().err
@@ -479,11 +499,12 @@ class TestFlagTable:
         assert run(["moment", "--k", "2", "--samples", "100", "--out", "csv"]) == 2
 
     def test_readme_cli_lines_parse(self):
+        # every `wm` line of every sh block, so a removed flag cannot leave README stale
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        lines = [ln.split("#", 1)[0].split() for ln in block.splitlines()]
+        blocks = [part.split("```", 1)[0] for part in readme.split("```sh")[1:]]
+        lines = [ln.split("#", 1)[0].split() for bl in blocks for ln in bl.splitlines()]
         argvs = [ln[1:] for ln in lines if ln[:1] == ["wm"]]
-        assert len(argvs) >= 10
+        assert len(argvs) >= 13
         for argv in argvs:
             _build_parser().parse_args(argv)
 

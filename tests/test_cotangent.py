@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from wiltonmoments.cotangent import (
     MAX_B,
     DistributionSummary,
     RationalPoint,
+    _cot_table,
     _direct_values,
     _is_prime,
     _primitive_root,
@@ -106,6 +108,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             c0_sweep(101, 0.5, 1.0, 1, sample=sample)
 
+    @pytest.mark.parametrize("b", [20011, 20017])  # prime, and 20017 = 37 * 541
+    def test_moments_match_fsum(self, b):
+        vals = c0_values(b, sweep_residues(b, 0.5, 1.0))
+        s = DistributionSummary.from_values(b, 0.5, 1.0, vals, 3)
+        for K, m in zip((2, 4, 6), s.normalized_moments):
+            ref = math.fsum(abs(float(v) / b) ** K for v in vals) / vals.size
+            assert abs(m - ref) <= 1e-15 * ref
+
+    def test_no_values_is_an_error(self):
+        with pytest.raises(ValueError):
+            DistributionSummary.from_values(7, 0.5, 1.0, np.array([]), 2)
+
     def test_to_dict(self):
         d = c0_sweep(7, 0.5, 1.0, 1).to_dict()
         assert set(d) == {"b", "a0", "a1", "count", "normalized_moments"}
@@ -145,6 +159,20 @@ class TestPrimePath:
             c0_values(b, np.array([1]))
         with pytest.raises(ValueError, match="exceeds"):
             c0_sweep(b, 0.5, 1.0, 1)
+
+    def test_no_per_b_arrays_outlive_the_call(self):
+        # only the one-entry cot table stays; the Rader values are not kept
+        primes = (10007, 10009, 10037)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for p in primes:
+                c0_values(p, np.array([1, 2, 3]))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * max(primes) + 16_384
+        assert _cot_table.cache_info().currsize <= 1
 
     def test_sweep_equals_reduction_of_values(self):
         for b in (1009, 1007):
