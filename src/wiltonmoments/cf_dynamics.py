@@ -9,6 +9,8 @@ continued fraction by Euclid's algorithm; it decides which doubles are
 effectively rational (effective_denominator).  orbit steps the float orbit
 lazily, each scalar series stopping it by its own rule, and orbit_arrays
 collects it to a depth; ToleranceConfig carries their one tolerance, abs_tol.
+orbit_step, the one vectorized step, ends a row where orbit ends it, and
+tests effective_denominator only on a few candidate rows.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -33,6 +35,8 @@ MAX_TERMS = 200
 SMALLX_CUT = 1e-13
 RATIONAL_GUARD = 1e-15  # the float orbit never divides by an iterate below this
 RATIONAL_QMAX = 10_000  # largest denominator of an effectively rational x
+# orbit_step tests effective_denominator where alpha_{k+1} and beta_k pass these
+_CANDIDATE_ALPHA, _CANDIDATE_BETA = 1e-4, 1.0 / (2 * RATIONAL_QMAX + 2)
 
 
 class EffectiveRationalError(ArithmeticError):
@@ -104,12 +108,6 @@ def gauss_map(x: float) -> float:
     return z - math.floor(z)
 
 
-def gauss_map_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized gauss_map; bitwise-identical to the scalar version."""
-    z = 1.0 / np.asarray(x, dtype=np.float64)
-    return z - np.floor(z)
-
-
 def exact_cf(x: float) -> Iterator[tuple[int, int, int, int]]:
     """Exact continued fraction of the double x >= 0: Euclid's algorithm on
     x.as_integer_ratio() = m/n, yielding (a_k, r_k, p_k, q_k), k = 0, 1, ...
@@ -169,6 +167,31 @@ def orbit(x: float) -> Iterator[tuple[float, float]]:
             q_prev, q = q, a_k * q + q_prev
         if a < RATIONAL_GUARD or 0 < q_stop <= q:
             return
+
+
+def orbit_step(
+    alpha: np.ndarray, beta, x: np.ndarray, idx: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of orbit() on rows: from alpha_k and beta_{k-1}, (alpha_{k+1},
+    beta_k, ended), row i starting at x[idx[i]] (x[i] if idx is None).
+    ended marks where orbit() ends: alpha_{k+1} below RATIONAL_GUARD or nan
+    (1/alpha_k overflowed), or an effectively rational start at a candidate
+    step, alpha_{k+1} < _CANDIDATE_ALPHA with beta_k > _CANDIDATE_BETA, the
+    only rows effective_denominator sees (467 of moment(2)'s 5e5, seed 11).
+    Where q_K reaches q <= RATIONAL_QMAX, alpha_K <= 8 q^2 ulp(x) <= 1.8e-7
+    and beta_{K-1} > 1/(2q): the thresholds missed none of every reduced
+    p/q, q <= 1500, and its +-8-ulp neighbours (11.6M doubles), nor of 21M
+    near-rational doubles with q in [1500, 1e4].  The caller drops ended rows.
+    """
+    beta_next = beta * alpha
+    z = 1.0 / alpha
+    alpha_next = z - np.floor(z)
+    ended = ~(alpha_next >= RATIONAL_GUARD)  # also nan
+    candidates = (alpha_next < _CANDIDATE_ALPHA) & (beta_next > _CANDIDATE_BETA) & ~ended
+    for i in np.flatnonzero(candidates):
+        if effective_denominator(float(x[i if idx is None else idx[i]])):
+            ended[i] = True
+    return alpha_next, beta_next, ended
 
 
 def require_float_end(x: float, series: str, steps: int) -> None:
@@ -271,25 +294,3 @@ def sample_gauss_measure(n: int, seed: int) -> np.ndarray:
     tiny = np.finfo(np.float64).tiny
     return np.maximum(x, tiny)
 
-
-def orbit_gamma_matrix(xs: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_n(x) for n = 0..depth over an array of points.
-
-    Returns (gam, ok) where gam has shape (depth+1, len(xs)) and ok flags
-    points whose orbit stayed above RATIONAL_GUARD, the only stop here (no
-    effective_denominator test), for all requested steps.  gamma_n is
-    exactly (T^n l)(x), so this feeds the contraction tests.
-    """
-    alpha = np.asarray(xs, dtype=np.float64).copy()
-    npts = alpha.shape[0]
-    beta = np.ones(npts)
-    ok = (alpha > RATIONAL_GUARD) & (alpha < 1.0)
-    gam = np.zeros((depth + 1, npts))
-    for k in range(depth + 1):
-        safe = np.where(ok, alpha, 0.5)
-        gam[k] = np.where(ok, beta * (-np.log(safe)), np.nan)
-        beta = beta * safe
-        z = 1.0 / safe
-        alpha = z - np.floor(z)
-        ok &= alpha > RATIONAL_GUARD
-    return gam, ~np.isnan(gam).any(axis=0)

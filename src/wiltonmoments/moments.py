@@ -70,7 +70,7 @@ def _quad_log_substitution(f_of_x, K: float, lo: float, panels: int) -> float:
 
 def log_moment_calibration(
     K: float,
-    method: str = "quad_log_substitution",
+    method: str = "quad",
     samples: int = 200_000,
     seed: int = 0,
     panels: int = 1 << 14,
@@ -83,11 +83,11 @@ def log_moment_calibration(
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
-    if method in ("quad", "quad_log_substitution"):
+    if method == "quad":
         return _quad_log_substitution(
             lambda x: np.power(-np.log(x), K), K, 0.0, panels
         )
-    if method in ("mc", "mc_stratified"):
+    if method == "mc":
         rng = np.random.default_rng(seed)
         u = (np.arange(samples) + rng.random(samples)) / samples
         x, t = _component(K, u, True)
@@ -141,12 +141,12 @@ def moment(
     K: float,
     seed: int = 0,
     samples: int = 1_000_000,
-    method: str = "mc_stratified",
+    method: str = "mc",
     panels: int = 1 << 14,
 ) -> MomentEstimate:
     """Estimate int_0^1 |g(x)|^K dx for K > 0.
 
-    mc_stratified: stratified importance sampling in t = log(1/x) from the
+    mc: stratified importance sampling in t = log(1/x) from the
     Gamma(K+1) + uniform mixture, doubled onto (1/2, 1) via antisymmetry.
     Points whose orbit is effectively rational are redrawn from a reserved
     repair stream; the distinct points redrawn and the repair rounds are
@@ -154,12 +154,12 @@ def moment(
     NonConvergenceError, and so does an estimate that leaves double range
     (from about K = 170).  samples must be in [2, MAX_SAMPLES].
 
-    quad_log_substitution: deterministic panel quadrature on (log 2, inf)
+    quad: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
-    if method in ("quad", "quad_log_substitution"):
+    if method == "quad":
         def f(x):
             g, _, ok = g_batch(x)
             return np.where(ok, np.abs(g), 0.0) ** K
@@ -174,11 +174,11 @@ def moment(
             value=value,
             std_error=abs(full - halfres),
             samples=panels * 16,
-            method="quad_log_substitution",
+            method="quad",
             gamma_ratio=value / float(gamma_fn(K + 1.0)),
             rejections=0,
         )
-    if method not in ("mc", "mc_stratified"):
+    if method != "mc":
         raise ValueError(f"unknown moment method {method!r}")
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
@@ -229,7 +229,7 @@ def moment(
         value=value,
         std_error=std,
         samples=samples,
-        method="mc_stratified",
+        method="mc",
         gamma_ratio=math.exp(log_ratio),
         rejections=rejections,
         repair_rounds=rounds,
@@ -240,7 +240,7 @@ def gamma_ratio_sweep(
     Ks: list[float],
     seed: int = 0,
     samples: int = 1_000_000,
-    method: str = "mc_stratified",
+    method: str = "mc",
 ) -> list[MomentEstimate]:
     """One moment estimate per K, sharing the sampling budget and seed root."""
     if any(k <= 0 for k in Ks):
@@ -257,7 +257,7 @@ def h_moment(
     k: int,
     seed: int = 0,
     samples: int = 1_000_000,
-    method: str = "mc_stratified",
+    method: str = "mc",
 ) -> MomentEstimate:
     """H_k = int_0^1 (g(x)/pi)^{2k} dx = M(2k) / pi^{2k}."""
     if k < 1:

@@ -639,7 +639,9 @@ def g_func(
     ends both series with their tail bounds (require_float_end), which
     below x ~ 1e-13 leaves log(1/x) - A(1) + x.  direct_series returns -2
     times a Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64,
-    of Phi1 with a heuristic error.  The orbit route is primary; the series route
+    of Phi1 with a heuristic error: the window's spread, 64/2^20, and
+    1/(2^20 min(x, 1-x)) for the oscillation of period 1/min(x, 1-x) that
+    the window cannot average.  The orbit route is primary; the series route
     exists as an independent cross-check.
     """
     if method == "wilton_plus_H":
@@ -657,7 +659,7 @@ def g_func(
             point=x,
             value=-2.0 * mean,
             method=method,
-            est_error=2.0 * spread + 64.0 / (1 << 20),
+            est_error=2.0 * spread + (64.0 + 1.0 / min(x, 1.0 - x)) / (1 << 20),
         )
     raise ValueError(f"unknown g method {method!r}")
 
@@ -755,11 +757,11 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entirely (a double cannot resolve {1/x} there anyway).
 
     Returns (values, err_bounds, ok); not-ok points (value and bound 0) lie
-    outside (0, 1), nan included, or hit RATIONAL_GUARD mid-orbit or
-    MAX_TERMS, and should be resampled or excluded.  That float guard is
-    the only rational test (no effective_denominator, unlike g_func), so
-    values, errors and ok are bit for bit those of the float orbit.  Input
-    that is not 1-D raises ValueError.
+    outside (0, 1), nan included, or have an orbit that ends, where g_func's
+    does (cf_dynamics.orbit_step: an iterate below RATIONAL_GUARD or an
+    effectively rational x), or that runs MAX_TERMS steps first; they
+    should be resampled or excluded.  Every other value and error is bit for
+    bit that of the float orbit.  Input that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:

@@ -7,7 +7,8 @@ equation W(x) = log(1/x) - x W(alpha(x)).  The operator is
 (T^n f)(x) = beta_{n-1}(x) f(alpha_n(x)) so one orbit serves every n.
 The scalar series pull steps of cf_dynamics.orbit until their rules stop
 them; apply_T and partial_sums take a fixed depth from orbit_arrays.  The
-vectorized _orbit_series stops only at RATIONAL_GUARD.
+vectorized _orbit_series and iterate_l2_means step with orbit_step, which
+ends a row where orbit ends it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .cf_dynamics import (
     ToleranceConfig,
     orbit,
     orbit_arrays,
-    orbit_gamma_matrix,
+    orbit_step,
     require_float_end,
 )
 
@@ -166,9 +167,10 @@ def _orbit_series(
     2 beta_{k-1} supf < h_tol.  It then writes its partial sum, the error
     gamma_k + gamma_{k+1} + 4 beta_{k-1} supf + 2 f_err sum_{j<k} beta_{j-1},
     k (unless terms is None) and ok = True, and leaves the working arrays,
-    so each step costs only the points still running.  Points whose next
-    iterate is at most RATIONAL_GUARD, the only rational test here, or that
-    run MAX_TERMS steps are left as they were.
+    so each step costs only the points still running.  Points whose orbit
+    ends first (orbit_step: an iterate below RATIONAL_GUARD or an
+    effectively rational start, where wilton's ends) or that run MAX_TERMS
+    steps are left as they were.
     """
     value, err, terms, ok = out
     alpha = x[idx]
@@ -179,14 +181,10 @@ def _orbit_series(
     sign = 1.0
     k = 0
     while idx.size and k < MAX_TERMS:
-        beta_next = beta * alpha
-        z = 1.0 / alpha
-        alpha_next = z - np.floor(z)
-        hit = alpha_next <= RATIONAL_GUARD  # mid-orbit guard trip: dropped, not ok
-
-        g_next = np.where(hit, 0.0, beta_next * (-np.log(np.where(hit, 0.5, alpha_next))))
+        alpha_next, beta_next, ended = orbit_step(alpha, beta, x, idx)  # ended: dropped
+        g_next = np.where(ended, 0.0, beta_next * (-np.log(np.where(ended, 0.5, alpha_next))))
         w_done = (k >= 1) & (prev_g < tol) & (g_next <= tol) & (g_next <= prev_g)
-        stop = ~hit & w_done & (2.0 * beta * supf < h_tol)
+        stop = ~ended & w_done & (2.0 * beta * supf < h_tol)
         if stop.any():
             done = idx[stop]
             value[done] = val[stop]
@@ -200,17 +198,12 @@ def _orbit_series(
                 terms[done] = k
             ok[done] = True
 
-        keep = ~hit & ~stop
+        keep = ~ended & ~stop
         if not keep.all():
-            idx = idx[keep]
-            alpha = alpha[keep]
-            beta = beta[keep]
-            beta_next = beta_next[keep]
-            val = val[keep]
-            beta_sum = beta_sum[keep]
-            prev_g = prev_g[keep]
-            g_next = g_next[keep]
-            alpha_next = alpha_next[keep]
+            idx, alpha, beta, val, beta_sum = (a[keep] for a in (idx, alpha, beta, val, beta_sum))
+            alpha_next, beta_next, prev_g, g_next = (
+                a[keep] for a in (alpha_next, beta_next, prev_g, g_next)
+            )
         val += sign * (prev_g - 2.0 * beta * f(alpha))
         beta_sum += beta
         prev_g = g_next
@@ -226,13 +219,12 @@ def wilton_batch(
     """Vectorized Wilton evaluation: _orbit_series with F = 0.
 
     Returns (values, tail_bounds, terms_used, ok).  ok is False where x is
-    outside (RATIONAL_GUARD, 1) or the orbit hit RATIONAL_GUARD or ran
-    MAX_TERMS steps before the stopping rule fired; such entries hold 0.
-    The float guard is the only rational test (no effective_denominator),
-    so values are bit for bit those of the float orbit.
-    Iterates are produced by the same float operations as gauss_map, so
-    residuals of the functional equation cancel structurally down to the
-    tail bounds.  Input that is not 1-D raises ValueError.
+    outside (RATIONAL_GUARD, 1), where the orbit ends first (orbit_step: an
+    iterate below RATIONAL_GUARD or an effectively rational x, where wilton
+    raises) or after MAX_TERMS steps; such entries hold 0.  Iterates are
+    produced by the same float operations as gauss_map, so residuals of the
+    functional equation cancel structurally down to the tail bounds.  Input
+    that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:
@@ -247,9 +239,18 @@ def wilton_batch(
 def iterate_l2_means(xs: np.ndarray, n_max: int) -> np.ndarray:
     """Monte Carlo means of (T^n l)^2 over the sample, n = 0..n_max.
 
-    Common samples across n keep successive ratios stable; points whose
-    orbit hits RATIONAL_GUARD are dropped from every n.
+    Common samples across n keep successive ratios stable; points outside
+    (RATIONAL_GUARD, 1) and points whose orbit ends (orbit_step) before
+    alpha_{n_max} are dropped from every n.
     """
-    gam, valid = orbit_gamma_matrix(xs, n_max)
-    g = gam[:, valid]
+    x = np.asarray(xs, dtype=np.float64)
+    live = (x > RATIONAL_GUARD) & (x < 1.0)
+    alpha, beta = np.where(live, x, 0.5), 1.0  # a dead row steps from 0.5 to 0 and ends
+    gam = [-np.log(alpha)]
+    for _ in range(n_max):
+        alpha, beta, ended = orbit_step(alpha, beta, x)
+        live &= ~ended
+        alpha = np.where(live, alpha, 0.5)
+        gam.append(beta * -np.log(alpha))
+    g = np.array(gam)[:, live]
     return np.mean(g * g, axis=1)

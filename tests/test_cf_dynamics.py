@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wiltonmoments import cf_dynamics
 from wiltonmoments.cf_dynamics import (
     EffectiveRationalError,
     Interval,
@@ -15,10 +17,13 @@ from wiltonmoments.cf_dynamics import (
     gauss_map,
     gauss_measure,
     gauss_measure_cdf,
+    orbit,
     orbit_arrays,
+    orbit_step,
     sample_gauss_measure,
 )
-from wiltonmoments.wilton import wilton
+from wiltonmoments.special_fn import g_batch
+from wiltonmoments.wilton import wilton, wilton_batch
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -297,3 +302,84 @@ class TestOrbitArrays:
         np.testing.assert_allclose(alphas, exp.iterates, rtol=1e-15)
         np.testing.assert_allclose(betas, exp.betas, rtol=1e-14)
         np.testing.assert_allclose(gammas, exp.gammas, rtol=1e-13)
+
+
+def _short_fractions_and_neighbours(qmax: int) -> np.ndarray:
+    """Every reduced p/q with q <= qmax and its +-1..8-ulp neighbours."""
+    pts = np.array([p / q for q in range(2, qmax + 1) for p in range(1, q) if math.gcd(p, q) == 1])
+    out, lo, hi = [pts], pts, pts
+    for _ in range(8):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+        out += [lo, hi]
+    return np.concatenate(out)
+
+
+def _orbit_length(x: float, cap: int = 60) -> int:
+    return sum(1 for _ in islice(orbit(x), cap))
+
+
+def _step_lengths(xs: np.ndarray, cap: int = 60) -> np.ndarray:
+    """Iterates of each x before orbit_step ends its row, alpha_0 included."""
+    alpha, beta, n = xs, np.ones(xs.size), np.ones(xs.size, dtype=int)
+    running = np.ones(xs.size, dtype=bool)
+    for _ in range(cap - 1):
+        alpha, beta, ended = orbit_step(alpha, beta, xs)
+        running &= ~ended
+        n += running
+        alpha = np.where(running, alpha, 0.5)
+    return n
+
+
+class TestOrbitStep:
+    def test_one_step_matches_orbit(self):
+        xs = sample_gauss_measure(1000, 5)
+        alpha, beta, ended = orbit_step(xs, 1.0, xs)
+        assert not ended.any()
+        assert beta.tobytes() == xs.tobytes()
+        assert alpha.tolist() == [next(islice(orbit(x), 1, None))[0] for x in xs.tolist()]
+
+    def test_gathers_starts_by_index(self):
+        x = np.array([GOLDEN, 0.3])
+        alpha, beta, idx = x[[1]], np.ones(1), np.array([1])
+        for _ in range(_orbit_length(0.3) - 1):
+            alpha, beta, ended = orbit_step(alpha, beta, x, idx)
+            assert not ended[0]
+        assert orbit_step(alpha, beta, x, idx)[2][0]
+
+    def test_guard_is_strict_as_in_orbit(self, monkeypatch):
+        a1 = gauss_map(GOLDEN)
+        for guard, ends in ((a1, False), (math.nextafter(a1, 1.0), True)):
+            monkeypatch.setattr(cf_dynamics, "RATIONAL_GUARD", guard)
+            assert orbit_step(np.array([GOLDEN]), 1.0, np.array([GOLDEN]))[2][0] == ends
+            assert _orbit_length(GOLDEN, 2) == (1 if ends else 2)
+
+    def test_overflow_ends_as_in_orbit(self):
+        x = 2.0**-1050
+        assert _orbit_length(x) == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert orbit_step(np.array([x]), 1.0, np.array([x]))[2][0]
+
+    def test_ends_rational_rows_where_orbit_ends(self):
+        xs = _short_fractions_and_neighbours(100)
+        assert _step_lengths(xs).tolist() == [_orbit_length(x) for x in xs.tolist()]
+
+
+class TestArrayRoutesEndWhereOrbitEnds:
+    """g_batch and wilton_batch refuse what wilton refuses: an effectively
+    rational x, whose orbit ends before the series converge."""
+
+    @pytest.mark.parametrize("x", [0.3, 0.7])
+    def test_decimal_rationals_not_ok(self, x):
+        with pytest.raises(EffectiveRationalError):
+            wilton(x)
+        assert not g_batch(np.array([x]))[2][0]
+        assert not wilton_batch(np.array([x]))[3][0]
+
+    def test_short_fractions_and_flagged_neighbours_not_ok(self):
+        pts = _short_fractions_and_neighbours(200)
+        flagged = pts[[effective_denominator(float(x)) is not None for x in pts]]
+        assert flagged.size > 90_000
+        g_ok = g_batch(flagged)[2]
+        w_ok = wilton_batch(flagged)[3]
+        assert not g_ok.any(), flagged[g_ok][:10]
+        assert not w_ok.any(), flagged[w_ok][:10]

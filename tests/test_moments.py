@@ -93,6 +93,12 @@ class TestMoment:
         with pytest.raises(ValueError):
             mo.moment(1.0, method="trapezoid")
 
+    @pytest.mark.parametrize("method", ["mc_stratified", "quad_log_substitution"])
+    def test_one_name_per_method(self, method):
+        for estimate in (mo.moment, mo.log_moment_calibration):
+            with pytest.raises(ValueError, match="unknown"):
+                estimate(2.0, method=method)
+
     @pytest.mark.parametrize("K", [math.nan, math.inf])
     def test_non_finite_k(self, K):
         with pytest.raises(ValueError, match="finite"):

@@ -307,6 +307,15 @@ class TestG:
             b = sf.g_func(x, "direct_series", CFG6)
             assert abs(a.value - b.value) < max(1e-3, a.est_error + b.est_error)
 
+    @pytest.mark.parametrize("x", [1e-8, 1.0 - 1e-6])
+    def test_direct_series_error_covers_slow_oscillation(self, x):
+        # the partial sums oscillate with period 1/min(x, 1-x), far wider
+        # than the 64-term window here; the error must say so
+        a = sf.g_func(x, "wilton_plus_H", CFG6)
+        b = sf.g_func(x, "direct_series", CFG6)
+        assert abs(a.value - b.value) > 0.1
+        assert abs(a.value - b.value) <= b.est_error
+
     def test_antisymmetry(self):
         for x in (1.0 / math.pi, 0.2345678901, GOLDEN):
             a = sf.g_func(x, "wilton_plus_H", CFG6)

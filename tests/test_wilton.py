@@ -228,3 +228,9 @@ class TestContraction:
         bound = ((math.sqrt(5.0) - 1.0) / 2.0) ** 2 + 0.05
         ratios = means[3:] / means[2:-1]
         assert (ratios <= bound).all()
+
+    def test_rational_points_leave_the_means(self):
+        xs = sample_gauss_measure(30_000, 17)
+        means = iterate_l2_means(xs, 9)
+        assert iterate_l2_means(np.append(xs, [0.3, 0.7]), 9).tobytes() == means.tobytes()
+
