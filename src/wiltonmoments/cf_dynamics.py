@@ -10,7 +10,9 @@ effectively rational (effective_denominator).  orbit steps the float orbit
 lazily, each scalar series stopping it by its own rule, and orbit_arrays
 collects it to a depth; ToleranceConfig carries their one tolerance, abs_tol.
 orbit_step, the one vectorized step, ends a row where orbit ends it, and
-tests effective_denominator only on a few candidate rows.
+tests effective_denominator only on a few candidate rows.  pool_map is the
+one thread pool: the row sweeps, the inverse-CDF draws and the direct sums
+run their independent work items on it.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -18,10 +20,13 @@ seed, so parallel callers stay deterministic.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +42,9 @@ RATIONAL_GUARD = 1e-15  # the float orbit never divides by an iterate below this
 RATIONAL_QMAX = 10_000  # largest denominator of an effectively rational x
 # orbit_step tests effective_denominator where alpha_{k+1} and beta_k pass these
 _CANDIDATE_ALPHA, _CANDIDATE_BETA = 1e-4, 1.0 / (2 * RATIONAL_QMAX + 2)
+# rows per pool_map block of an array sweep: a thread's temporaries stay a few
+# MB (per-CPU halves raised peak RSS 10-15%), and 2^13 was bound by the GIL
+_BLOCK = 1 << 15
 
 
 class EffectiveRationalError(ArithmeticError):
@@ -192,6 +200,21 @@ def orbit_step(
         if effective_denominator(float(x[i if idx is None else idx[i]])):
             ended[i] = True
     return alpha_next, beta_next, ended
+
+
+def pool_map(fn: Callable, items: Iterable) -> list:
+    """[fn(item) for item in items] on min(os.cpu_count(), len(items)) threads,
+    inline for one item or one CPU, each item in a copy of the caller's
+    context (np.errstate is a context variable in numpy 2).  Row sweeps pass
+    _BLOCK-row blocks; every caller's items write disjoint rows, so the
+    worker count changes the wall time only, never a bit of the result."""
+    items = list(items)
+    workers = min(os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        return [f.result() for f in futures]
 
 
 def require_float_end(x: float, series: str, steps: int) -> None:

@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cf_dynamics import NonConvergenceError
+from .cf_dynamics import NonConvergenceError, pool_map
 
-_CHUNK = 64  # residues per work unit of the direct route's thread pool
+_CHUNK = 64  # residues per pool_map work item of the direct route
 MAX_B = 10**7  # the prime path holds about 1 GB of arrays at this size
 MAX_KMAX = 10_000  # moments per summary; each is one more pass over the values
 
@@ -179,7 +177,7 @@ def _prime_values(b: int) -> np.ndarray:
 def _direct_values(b: int, rs: np.ndarray) -> np.ndarray:
     """c0(r/b) by compensated O(b) sums, in fixed chunks of residues.
 
-    More than one chunk runs on one thread per CPU; that changes the wall
+    The chunks run on one thread per CPU (pool_map); that changes the wall
     time only, because each value depends on (r, b) alone.
     """
     table = _cot_table(b)
@@ -191,14 +189,7 @@ def _direct_values(b: int, rs: np.ndarray) -> np.ndarray:
         for i in range(lo, min(lo + _CHUNK, rs.size)):
             out[i] = -neumaier_sum(m_over_b * table[(m * int(rs[i])) % b])
 
-    starts = range(0, rs.size, _CHUNK)
-    workers = min(os.cpu_count() or 1, len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+    pool_map(fill, range(0, rs.size, _CHUNK))
     return out
 
 

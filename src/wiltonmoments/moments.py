@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaincinv, gammaln
 from scipy.special import gamma as gamma_fn
 
-from .cf_dynamics import NonConvergenceError
+from .cf_dynamics import _BLOCK, NonConvergenceError, pool_map
 from .special_fn import g_batch
 
 LOG2 = math.log(2.0)
@@ -29,7 +29,7 @@ TARGET_RATIO = math.exp(np.euler_gamma) / math.pi
 
 _GAMMA_SHARE = 0.95  # mixture weight of the Gamma(K+1) component
 _MAX_REPAIR_ROUNDS = 8
-MAX_SAMPLES = 10**7  # the MC route holds 145-170 bytes per sample, 1.7 GB here
+MAX_SAMPLES = 10**7  # the MC route holds 68-77 bytes per sample, 0.83 GB here
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,9 +99,12 @@ def log_moment_calibration(
 
 def _component(K: float, u: np.ndarray, gamma: bool) -> tuple[np.ndarray, np.ndarray]:
     """(x, t) by inverse CDF from uniforms u: t ~ Gamma(K+1) if gamma, else
-    x uniform on (0, 1/2)."""
+    x uniform on (0, 1/2).  The Gamma quantiles fill t in blocks of _BLOCK
+    rows on one thread per CPU (pool_map), each the same bits as one call."""
     if gamma:
-        t = gammaincinv(K + 1.0, u)
+        t = np.empty(u.size)
+        blocks = range(0, u.size, _BLOCK)
+        pool_map(lambda i: gammaincinv(K + 1.0, u[i : i + _BLOCK], out=t[i : i + _BLOCK]), blocks)
         return np.exp(-t), t
     x = 0.5 * np.maximum(u, 1e-12)
     return x, -np.log(x)

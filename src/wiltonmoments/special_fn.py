@@ -46,7 +46,6 @@ import dataclasses
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -59,6 +58,7 @@ from .cf_dynamics import (
     exact_cf,
     orbit,
     orbit_arrays,
+    pool_map,
     require_float_end,
 )
 from .wilton import _alternating_sum, _orbit_series, wilton
@@ -271,8 +271,8 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     factor 2 and summing its largest count n_use for all its rows, in
     column chunks of min(n_use, _ROW_BLOCK) terms that fix each row's
     summation order.  Buckets of _POOL_MIN or more elements (rows x n_use)
-    are split at row-block boundaries into one job per CPU on one thread
-    pool, with the same bits for any worker count; the rest run serially.
+    are split at row-block boundaries into one job per CPU on pool_map,
+    with the same bits for any worker count; the rest run serially.
     """
     order = np.argsort(nn, kind="stable")
     fr_s, nn_s = fr[order], nn[order]
@@ -293,9 +293,7 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
         if parts == 1:  # a small bucket runs here and now
             _phi2_rows(*pooled.pop())
         start = stop
-    if pooled:
-        with ThreadPoolExecutor(max_workers=min(cpus, len(pooled))) as pool:
-            list(pool.map(_phi2_rows, *zip(*pooled)))
+    pool_map(lambda job: _phi2_rows(*job), pooled)
     out = np.empty_like(res)
     out[order] = res
     return out
@@ -761,7 +759,9 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     does (cf_dynamics.orbit_step: an iterate below RATIONAL_GUARD or an
     effectively rational x), or that runs MAX_TERMS steps first; they
     should be resampled or excluded.  Every other value and error is bit for
-    bit that of the float orbit.  Input that is not 1-D raises ValueError.
+    bit that of the float orbit at any CPU count: the sweep runs in _BLOCK-row
+    blocks on pool_map, after the F table, sup|F| and A(1) are built here.
+    Input that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .cf_dynamics import (
+    _BLOCK,
     DEFAULT_CONFIG,
     MAX_TERMS,
     RATIONAL_GUARD,
@@ -29,6 +30,7 @@ from .cf_dynamics import (
     orbit,
     orbit_arrays,
     orbit_step,
+    pool_map,
     require_float_end,
 )
 
@@ -170,8 +172,14 @@ def _orbit_series(
     so each step costs only the points still running.  Points whose orbit
     ends first (orbit_step: an iterate below RATIONAL_GUARD or an
     effectively rational start, where wilton's ends) or that run MAX_TERMS
-    steps are left as they were.
+    steps are left as they were.  More than _BLOCK rows run as blocks of
+    _BLOCK on pool_map, each compacting on its own; a row's arithmetic does
+    not depend on its block, so every bit is that of one sweep.
     """
+    if idx.size > _BLOCK:
+        blocks = (idx[lo : lo + _BLOCK] for lo in range(0, idx.size, _BLOCK))
+        pool_map(lambda b: _orbit_series(x, b, out, tol, f, supf, h_tol, f_err), blocks)
+        return
     value, err, terms, ok = out
     alpha = x[idx]
     beta = np.ones(idx.size)
@@ -223,8 +231,9 @@ def wilton_batch(
     iterate below RATIONAL_GUARD or an effectively rational x, where wilton
     raises) or after MAX_TERMS steps; such entries hold 0.  Iterates are
     produced by the same float operations as gauss_map, so residuals of the
-    functional equation cancel structurally down to the tail bounds.  Input
-    that is not 1-D raises ValueError.
+    functional equation cancel structurally down to the tail bounds.  Rows
+    run in _BLOCK-row blocks on one thread per CPU, with unchanged bits.
+    Input that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:
@@ -241,7 +250,7 @@ def iterate_l2_means(xs: np.ndarray, n_max: int) -> np.ndarray:
 
     Common samples across n keep successive ratios stable; points outside
     (RATIONAL_GUARD, 1) and points whose orbit ends (orbit_step) before
-    alpha_{n_max} are dropped from every n.
+    alpha_{n_max} are dropped from every n; with none left it raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     live = (x > RATIONAL_GUARD) & (x < 1.0)
@@ -252,5 +261,7 @@ def iterate_l2_means(xs: np.ndarray, n_max: int) -> np.ndarray:
         live &= ~ended
         alpha = np.where(live, alpha, 0.5)
         gam.append(beta * -np.log(alpha))
+    if not live.any():
+        raise ValueError(f"no point of the sample has an orbit that reaches n_max = {n_max}")
     g = np.array(gam)[:, live]
     return np.mean(g * g, axis=1)

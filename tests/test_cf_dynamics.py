@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -20,8 +21,10 @@ from wiltonmoments.cf_dynamics import (
     orbit,
     orbit_arrays,
     orbit_step,
+    pool_map,
     sample_gauss_measure,
 )
+from wiltonmoments.moments import moment
 from wiltonmoments.special_fn import g_batch
 from wiltonmoments.wilton import wilton, wilton_batch
 
@@ -383,3 +386,42 @@ class TestArrayRoutesEndWhereOrbitEnds:
         w_ok = wilton_batch(flagged)[3]
         assert not g_ok.any(), flagged[g_ok][:10]
         assert not w_ok.any(), flagged[w_ok][:10]
+
+
+def _at_each_worker_count(monkeypatch, run):
+    """run() at 1, 2 and 3 CPUs; frequent thread switches would expose a
+    lost or shared write."""
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: cpus)
+            results.append(run())
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+class TestPoolMap:
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        # numpy 2 keeps errstate in a context variable, which a new thread
+        # does not inherit
+        monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: 3)
+        with np.errstate(divide="ignore"):
+            seen = pool_map(lambda i: (i, np.geterr()["divide"]), range(6))
+        assert seen == [(i, "ignore") for i in range(6)]
+
+    def test_array_routes_do_not_depend_on_worker_count(self, monkeypatch):
+        xs = np.append(
+            sample_gauss_measure(3 * cf_dynamics._BLOCK + 1000, 5), [0.3, 0.7, 1e-14, np.nan]
+        )
+        runs = _at_each_worker_count(monkeypatch, lambda: (g_batch(xs), wilton_batch(xs)))
+        for g_run, w_run in runs[1:]:
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(runs[0][0], g_run))
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(runs[0][1], w_run))
+        assert runs[0][0][2].sum() == xs.size - 3  # not ok: 0.3, 0.7 and nan
+
+    def test_moment_does_not_depend_on_worker_count(self, monkeypatch):
+        runs = _at_each_worker_count(monkeypatch, lambda: moment(2.0, seed=11, samples=10**5))
+        assert runs[0] == runs[1] == runs[2]

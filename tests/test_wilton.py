@@ -234,3 +234,8 @@ class TestContraction:
         means = iterate_l2_means(xs, 9)
         assert iterate_l2_means(np.append(xs, [0.3, 0.7]), 9).tobytes() == means.tobytes()
 
+    @pytest.mark.parametrize("xs", [[0.3, 0.7, 0.5], [0.5], [0.0, 1.0]])
+    def test_sample_with_no_surviving_point_is_refused(self, xs):
+        with pytest.raises(ValueError, match="n_max = 9"):
+            iterate_l2_means(np.array(xs), 9)
+
