@@ -204,12 +204,13 @@ def orbit_step(
 
 def pool_map(fn: Callable, items: Iterable) -> list:
     """[fn(item) for item in items] on min(os.cpu_count(), len(items)) threads,
-    inline for one item or one CPU, each item in a copy of the caller's
-    context (np.errstate is a context variable in numpy 2).  Row sweeps pass
-    _BLOCK-row blocks; every caller's items write disjoint rows, so the
-    worker count changes the wall time only, never a bit of the result."""
+    inline for one item (before asking for the CPU count) or one CPU, each
+    item in a copy of the caller's context (np.errstate is a context variable
+    in numpy 2).  Row sweeps pass _BLOCK-row blocks; every caller's items
+    write disjoint rows or return what the caller combines in item order, so
+    the worker count changes the wall time only, never a bit of the result."""
     items = list(items)
-    workers = min(os.cpu_count() or 1, len(items))
+    workers = min(os.cpu_count() or 1, len(items)) if len(items) > 1 else 1
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -9,7 +9,9 @@ doubles the half-interval estimate to (0, 1).  The quadrature route uses
 fixed Gauss-Legendre panels in t with a refinement-difference error.
 
 Sampling is stratified through inverse-CDF quantiles with seeded jitter,
-so a (seed, config) pair reproduces every estimate bit for bit.
+so a (seed, config) pair reproduces every estimate bit for bit.  The
+Gamma functions come from scipy.special, imported at the first call that
+needs one, so importing this module (and the CLI) does not load scipy.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln
-from scipy.special import gamma as gamma_fn
 
 from .cf_dynamics import _BLOCK, NonConvergenceError, pool_map
 from .special_fn import g_batch
@@ -47,6 +47,7 @@ class MomentEstimate:
 
 def _panel_edges(K: float, lo: float, panels: int) -> np.ndarray:
     """Panel edges on [lo, T(K)] graded geometrically near the left end."""
+    from scipy.special import gammaincinv
     t_hi = float(gammaincinv(K + 1.0, 1.0 - 1e-16)) + 5.0
     n_graded = min(64, panels // 4) if lo < 1e-6 else 0
     if n_graded:
@@ -88,6 +89,7 @@ def log_moment_calibration(
             lambda x: np.power(-np.log(x), K), K, 0.0, panels
         )
     if method == "mc":
+        from scipy.special import gammaln
         rng = np.random.default_rng(seed)
         u = (np.arange(samples) + rng.random(samples)) / samples
         x, t = _component(K, u, True)
@@ -102,6 +104,7 @@ def _component(K: float, u: np.ndarray, gamma: bool) -> tuple[np.ndarray, np.nda
     x uniform on (0, 1/2).  The Gamma quantiles fill t in blocks of _BLOCK
     rows on one thread per CPU (pool_map), each the same bits as one call."""
     if gamma:
+        from scipy.special import gammaincinv  # in this thread, before pool_map
         t = np.empty(u.size)
         blocks = range(0, u.size, _BLOCK)
         pool_map(lambda i: gammaincinv(K + 1.0, u[i : i + _BLOCK], out=t[i : i + _BLOCK]), blocks)
@@ -127,6 +130,7 @@ def _mixture_samples(K: float, n: int, seed: int):
 
 
 def _mixture_density(t: np.ndarray, K: float, w1: float, w2: float) -> np.ndarray:
+    from scipy.special import gammaln
     log_pg = K * np.log(t) - t - gammaln(K + 1.0)
     pg = np.exp(log_pg)
     pu = np.where(t > LOG2, 2.0 * np.exp(-t), 0.0)
@@ -162,6 +166,7 @@ def moment(
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
+    from scipy.special import gamma as gamma_fn, gammaln
     if method == "quad":
         def f(x):
             g, _, ok = g_batch(x)

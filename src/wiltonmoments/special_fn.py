@@ -188,13 +188,15 @@ def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
     """sum_{n <= nj_i} G(n T_i) for each i.
 
     The n-grids of all points are laid end to end and evaluated _J_BLOCK
-    terms at a time; np.add.reduceat sums each point's run in a block.
+    terms at a time, one pool_map item per block; np.add.reduceat sums each
+    point's run in a block.  The block sums are added here in block order,
+    so a grid that spans blocks has the same bits at any worker count.
     """
     ends = np.cumsum(nj)
     starts = ends - nj
     total = int(ends[-1]) if len(ends) else 0
-    out = np.zeros(len(T))
-    for b0 in range(0, total, _J_BLOCK):
+
+    def block(b0):
         b1 = min(b0 + _J_BLOCK, total)
         i0 = int(np.searchsorted(ends, b0, side="right"))
         i1 = int(np.searchsorted(starts, b1))
@@ -202,7 +204,11 @@ def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
         cnt = np.minimum(ends[i0:i1], b1) - lo
         k = np.arange(b0 + 1, b1 + 1) - np.repeat(starts[i0:i1], cnt)
         y = k * np.repeat(T[i0:i1], cnt)
-        out[i0:i1] += np.add.reduceat(g_tail_integral(y), lo - b0)
+        return i0, i1, np.add.reduceat(g_tail_integral(y), lo - b0)
+
+    out = np.zeros(len(T))
+    for i0, i1, sums in pool_map(block, range(0, total, _J_BLOCK)):
+        out[i0:i1] += sums
     return out
 
 
@@ -277,7 +283,6 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     order = np.argsort(nn, kind="stable")
     fr_s, nn_s = fr[order], nn[order]
     res = np.zeros(len(fr_s))
-    cpus = os.cpu_count() or 1
     pooled = []
     start = 0
     while start < len(fr_s):
@@ -287,7 +292,7 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
         width = min(n_use, _ROW_BLOCK)
         rows = _ROW_BLOCK // width
         n_blocks = -(-(stop - start) // rows)
-        parts = min(cpus, n_blocks) if (stop - start) * n_use >= _POOL_MIN else 1
+        parts = min(os.cpu_count() or 1, n_blocks) if (stop - start) * n_use >= _POOL_MIN else 1
         cuts = [min(start + rows * (n_blocks * i // parts), stop) for i in range(parts + 1)]
         pooled += [(fr_s[lo:hi], res[lo:hi], n_use, width) for lo, hi in zip(cuts, cuts[1:])]
         if parts == 1:  # a small bucket runs here and now

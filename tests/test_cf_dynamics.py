@@ -25,7 +25,7 @@ from wiltonmoments.cf_dynamics import (
     sample_gauss_measure,
 )
 from wiltonmoments.moments import moment
-from wiltonmoments.special_fn import g_batch
+from wiltonmoments.special_fn import g_batch, g_func
 from wiltonmoments.wilton import wilton, wilton_batch
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -411,6 +411,18 @@ class TestPoolMap:
         with np.errstate(divide="ignore"):
             seen = pool_map(lambda i: (i, np.geterr()["divide"]), range(6))
         assert seen == [(i, "ignore") for i in range(6)]
+
+    def test_scalar_g_never_asks_for_the_cpu_count(self, monkeypatch):
+        # one item or none runs inline; each scalar psi has one J block and no
+        # pooled Phi2 bucket, and os.cpu_count reads /sys on every call
+        def no_count():
+            raise AssertionError("os.cpu_count called")
+
+        cfg = cf_dynamics.ToleranceConfig(abs_tol=1e-5)
+        g_func(0.31830988618379067, cfg=cfg)  # builds A(1) (two J blocks) and sup|F|
+        monkeypatch.setattr(cf_dynamics.os, "cpu_count", no_count)
+        assert pool_map(lambda i: i + 1, [1]) == [2] and pool_map(abs, []) == []
+        g_func(0.31830988618379067, cfg=cfg)
 
     def test_array_routes_do_not_depend_on_worker_count(self, monkeypatch):
         xs = np.append(

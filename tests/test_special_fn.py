@@ -470,6 +470,67 @@ class TestFTable:
             sys.setswitchinterval(interval)
         assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
 
+    def test_j_sums_do_not_depend_on_worker_count(self, monkeypatch):
+        # a quarter of the F table's nodes at its tolerance (about 10 blocks,
+        # many points straddling a boundary) and four grids over three blocks
+        # long; frequent thread switches would expose a lost or shared write
+        xs = np.linspace(1e-3, 1.0, 1 << 16)
+        nj, _ = sf._j_terms(xs, 1e-4)
+        at = [100, 20_000, 40_000, 60_000]
+        T = np.insert(1.0 / xs, at, [1.0, 1.3, 2.0, 7.5])
+        nj = np.insert(nj, at, 3 * sf._J_BLOCK + 7)
+        assert nj.sum() > 20 * sf._J_BLOCK
+        ref = _j_sums_serial(T, nj)
+        sums = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(sf.os, "cpu_count", lambda: cpus)
+                sums.append(sf._j_sums(T, nj))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(s, ref) for s in sums)
+
+    def test_j_sums_add_blocks_in_block_order(self, monkeypatch):
+        # at 64 terms per block, grids 40 blocks long have block sums of
+        # comparable size, so the order they are added in shows in the bits;
+        # a pool that finishes its items last-first must change nothing
+        monkeypatch.setattr(sf, "_J_BLOCK", 64)
+        xs = np.linspace(1e-3, 1.0, 1 << 12)
+        nj, _ = sf._j_terms(xs, 1e-4)
+        at = np.arange(100, 4000, 500)
+        T = np.insert(1.0 / xs, at, np.geomspace(1e-3, 10.0, at.size))
+        nj = np.insert(nj, at, 40 * 64 + 7)
+        ref = _j_sums_serial(T, nj)
+        assert not np.array_equal(_j_sums_serial(T, nj, last_first=True), ref)
+
+        def last_first(fn, items):
+            items = list(items)
+            return [fn(item) for item in items[::-1]][::-1]
+
+        monkeypatch.setattr(sf, "pool_map", last_first)
+        assert np.array_equal(sf._j_sums(T, nj), ref)
+
+
+def _j_sums_serial(T, nj, last_first=False):
+    """sf._j_sums as one serial loop that adds each block into out in place,
+    in block order or last block first."""
+    ends = np.cumsum(nj)
+    starts = ends - nj
+    out = np.zeros(len(T))
+    blocks = range(0, int(ends[-1]), sf._J_BLOCK)
+    for b0 in reversed(blocks) if last_first else blocks:
+        b1 = min(b0 + sf._J_BLOCK, int(ends[-1]))
+        i0 = int(np.searchsorted(ends, b0, side="right"))
+        i1 = int(np.searchsorted(starts, b1))
+        lo = np.maximum(starts[i0:i1], b0)
+        cnt = np.minimum(ends[i0:i1], b1) - lo
+        k = np.arange(b0 + 1, b1 + 1) - np.repeat(starts[i0:i1], cnt)
+        y = k * np.repeat(T[i0:i1], cnt)
+        out[i0:i1] += np.add.reduceat(sf.g_tail_integral(y), lo - b0)
+    return out
+
 
 def _psi_phi2_inputs(tol):
     """The fractional parts and Phi2 term counts _psi_vec makes on a grid."""
