@@ -5,13 +5,14 @@ attached to a point x: partial quotients a_k, iterates alpha_k, convergents
 p_k/q_k, the products beta_k = alpha_0 * ... * alpha_k, and the terms
 gamma_k = beta_{k-1} * log(1/alpha_k).  The invariant measure has density
 1/((1+x) log 2).  A double is exactly a rational m/2^e, and exact_cf is its
-continued fraction by Euclid's algorithm; it decides which doubles are
-effectively rational (effective_denominator).  orbit steps the float orbit
-lazily, each scalar series stopping it by its own rule, and orbit_arrays
-collects it to a depth; ToleranceConfig carries their one tolerance, abs_tol.
-orbit_step, the one vectorized step, ends a row where orbit ends it, and
-tests effective_denominator only on a few candidate rows.  pool_map is the
-one thread pool: the row sweeps, the inverse-CDF draws and the direct sums
+continued fraction by Euclid's algorithm; nearby_fraction, the one search
+for a fraction near a double, decides which doubles are effectively rational
+(effective_denominator) and where Phi2 snaps to one.  orbit steps the float
+orbit lazily, each scalar series stopping it by its own rule, and
+orbit_arrays collects it to a depth; ToleranceConfig carries their one
+tolerance, abs_tol.  orbit_step, the one vectorized step, ends a row by
+orbit's end test.  pool_map is the one thread pool and the one reader of
+the CPU count: the row sweeps, the inverse-CDF draws and the direct sums
 run their independent work items on it.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
@@ -40,7 +41,7 @@ MAX_TERMS = 200
 SMALLX_CUT = 1e-13
 RATIONAL_GUARD = 1e-15  # the float orbit never divides by an iterate below this
 RATIONAL_QMAX = 10_000  # largest denominator of an effectively rational x
-# orbit_step tests effective_denominator where alpha_{k+1} and beta_k pass these
+# the end test asks effective_denominator where alpha_{k+1} and beta_k pass these
 _CANDIDATE_ALPHA, _CANDIDATE_BETA = 1e-4, 1.0 / (2 * RATIONAL_QMAX + 2)
 # rows per pool_map block of an array sweep: a thread's temporaries stay a few
 # MB (per-CPU halves raised peak RSS 10-15%), and 2^13 was bound by the GIL
@@ -136,44 +137,51 @@ def exact_cf(x: float) -> Iterator[tuple[int, int, int, int]]:
         num, den = den, r
 
 
-def effective_denominator(x: float) -> int | None:
-    """q of the first convergent p/q of x in (0, 1) with q <= RATIONAL_QMAX
-    and |x - p/q| <= 4 ulp(x), tested exactly in ints; None if there is none
-    (x is not effectively rational).  The convergent 0/1 does not count: it
-    is within 4 ulp only of the four smallest subnormals."""
+def nearby_fraction(x: float, qmax: int, eps: float) -> tuple[int, int] | None:
+    """(p, q) of the first convergent p/q of exact_cf(x), 0/1 included, with
+    q <= qmax and |x - p/q| <= eps, or None if there is none.  The distance
+    is tested exactly in ints: r/(n q) <= eps_num/eps_den."""
     n = x.as_integer_ratio()[1]
-    ulp_den = math.ulp(x).as_integer_ratio()[1]
-    for _, r, _, q in islice(exact_cf(x), 1, None):
-        if q > RATIONAL_QMAX:
+    eps_num, eps_den = eps.as_integer_ratio()
+    for _, r, p, q in exact_cf(x):
+        if q > qmax:
             return None
-        if r * ulp_den <= 4 * n * q:
-            return q
+        if r * eps_den <= eps_num * n * q:
+            return p, q
     return None
+
+
+def effective_denominator(x: float) -> int | None:
+    """q of the nearby_fraction p/q of x in (0, 1) within RATIONAL_QMAX and
+    4 ulp(x); None if there is none (x is not effectively rational).  The
+    convergent 0/1 does not count: it is within 4 ulp only of the four
+    smallest subnormals, whose next convergent has q above RATIONAL_QMAX."""
+    hit = nearby_fraction(x, RATIONAL_QMAX, 4 * math.ulp(x))
+    return hit[1] if hit and hit[0] else None
 
 
 def orbit(x: float) -> Iterator[tuple[float, float]]:
     """Float orbit of x, lazily: yields (alpha_k, beta_{k-1}), k = 0, 1, ...,
-    with alpha_0 = x and beta_{-1} = 1.  It ends at the step k >= 1 where
-    alpha_k is below RATIONAL_GUARD or, for x effectively rational with
-    denominator q (effective_denominator), where q_k, from the float
-    quotients, reaches q, and at step 1 where 1/x overflows (x below
-    1/DBL_MAX); otherwise the caller stops it."""
+    with alpha_0 = x and beta_{-1} = 1, until the caller stops it or its end
+    test holds: 1/alpha_{k-1} overflows, alpha_k < RATIONAL_GUARD, or x is
+    effectively rational at a candidate step, alpha_k < _CANDIDATE_ALPHA
+    with beta_{k-1} > _CANDIDATE_BETA.  Where the float quotients' q_k
+    reaches x's effective denominator q, alpha_k <= 8 q^2 ulp(x) <= 1.8e-7
+    and beta_{k-1} > 1/(2q); the first candidate step is that step for
+    every reduced p/q, q <= 1500, and its +-8-ulp neighbours (11.6M doubles)."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"orbit needs x in (0, 1), got {x}")
-    q_stop = effective_denominator(x) or 0
     a, beta = x, 1.0
-    q_prev, q = 0, 1
     while True:
         yield a, beta
         beta *= a
         z = 1.0 / a
         if z == math.inf:
             return
-        a_k = math.floor(z)
-        a = z - a_k
-        if q_stop:
-            q_prev, q = q, a_k * q + q_prev
-        if a < RATIONAL_GUARD or 0 < q_stop <= q:
+        a = z - math.floor(z)
+        if a < RATIONAL_GUARD or (
+            a < _CANDIDATE_ALPHA and beta > _CANDIDATE_BETA and effective_denominator(x)
+        ):
             return
 
 
@@ -181,15 +189,9 @@ def orbit_step(
     alpha: np.ndarray, beta, x: np.ndarray, idx: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One step of orbit() on rows: from alpha_k and beta_{k-1}, (alpha_{k+1},
-    beta_k, ended), row i starting at x[idx[i]] (x[i] if idx is None).
-    ended marks where orbit() ends: alpha_{k+1} below RATIONAL_GUARD or nan
-    (1/alpha_k overflowed), or an effectively rational start at a candidate
-    step, alpha_{k+1} < _CANDIDATE_ALPHA with beta_k > _CANDIDATE_BETA, the
-    only rows effective_denominator sees (467 of moment(2)'s 5e5, seed 11).
-    Where q_K reaches q <= RATIONAL_QMAX, alpha_K <= 8 q^2 ulp(x) <= 1.8e-7
-    and beta_{K-1} > 1/(2q): the thresholds missed none of every reduced
-    p/q, q <= 1500, and its +-8-ulp neighbours (11.6M doubles), nor of 21M
-    near-rational doubles with q in [1500, 1e4].  The caller drops ended rows.
+    beta_k, ended), row i starting at x[idx[i]] (x[i] if idx is None), and
+    ended marks where orbit() ends, by its end test (467 candidate rows of
+    moment(2)'s 5e5, seed 11).  The caller drops ended rows.
     """
     beta_next = beta * alpha
     z = 1.0 / alpha

@@ -34,10 +34,12 @@ which is exact on (0, 1], gives F(0+) = A(1)/2 and F(1) = 0 identically,
 and makes |psi| = O(x^2) so tiny arguments cost nothing.
 
 `_psi_vec` is the one psi evaluator, for the F table and for scalar F, A
-and H alike, on one direct Phi2 sum (`_phi2_sums`) and one J sum
-(`_j_sums`).  Only a Phi2 sum of 2048 terms or more looks for a nearby
-rational p/q, where Phi2 is taken at p/q in closed form, a csc^2(pi r/q)
-sum over the residues r <= q/2 (`_phi2_rational`).
+and H alike, on one Phi2 route (`_phi2_vec`, also under scalar Phi2) and
+one J sum (`_j_sums`).  Only a Phi2 sum of 2048 terms or more looks for a
+nearby rational p/q, by cf_dynamics.nearby_fraction, the search that also
+decides effective rationality; there Phi2 is taken at p/q in closed form,
+a csc^2(pi r/q) sum over the residues r <= q/2 (`_phi2_rational`).
+Otherwise it is one direct sum (`_phi2_sums`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 from itertools import islice
 
 import numpy as np
@@ -54,8 +55,10 @@ from .cf_dynamics import (
     DEFAULT_CONFIG,
     MAX_TERMS,
     SMALLX_CUT,
+    EffectiveRationalError,
     ToleranceConfig,
-    exact_cf,
+    effective_denominator,
+    nearby_fraction,
     orbit,
     orbit_arrays,
     pool_map,
@@ -76,7 +79,7 @@ _J_BLOCK = 1 << 16  # G evaluations per _j_sums block; 2^20 runs 2.7x slower (ca
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
 _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in L2
-_POOL_MIN = 1 << 22  # _phi2_sums bucket work from which its row blocks go to threads
+_POOL_MIN = 1 << 22  # elements (rows x terms) per _phi2_sums part on the pool
 
 # Bernoulli polynomials B3..B8, descending powers, for the G asymptotics.
 _BPOLY = {
@@ -216,17 +219,6 @@ def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
 # Phi2
 # ----------------------------------------------------------------------
 
-def _snap_rational(x: float, qmax: int, eps: float) -> tuple[int, int] | None:
-    """First convergent p/q of x in [0, 1] (exact_cf) with q <= qmax and
-    |x - p/q| <= eps, if any."""
-    for _, _, p, q in exact_cf(x):
-        if q > qmax:
-            return None
-        if abs(x - p / q) <= eps:
-            return p, q
-    return None
-
-
 def _phi2_rational(p: int, q: int) -> float:
     """Exact Phi2(p/q) in O(q).
 
@@ -276,9 +268,10 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     Points are bucketed by term count, each bucket spanning at most a
     factor 2 and summing its largest count n_use for all its rows, in
     column chunks of min(n_use, _ROW_BLOCK) terms that fix each row's
-    summation order.  Buckets of _POOL_MIN or more elements (rows x n_use)
-    are split at row-block boundaries into one job per CPU on pool_map,
-    with the same bits for any worker count; the rest run serially.
+    summation order.  Each bucket is cut into parts of whole row blocks,
+    about _POOL_MIN elements (rows x n_use) each; a one-part bucket runs
+    here, and all other parts go to one pool_map call, with the same bits
+    for any worker count.
     """
     order = np.argsort(nn, kind="stable")
     fr_s, nn_s = fr[order], nn[order]
@@ -291,11 +284,11 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
         n_use = int(nn_s[stop - 1])
         width = min(n_use, _ROW_BLOCK)
         rows = _ROW_BLOCK // width
-        n_blocks = -(-(stop - start) // rows)
-        parts = min(os.cpu_count() or 1, n_blocks) if (stop - start) * n_use >= _POOL_MIN else 1
-        cuts = [min(start + rows * (n_blocks * i // parts), stop) for i in range(parts + 1)]
-        pooled += [(fr_s[lo:hi], res[lo:hi], n_use, width) for lo, hi in zip(cuts, cuts[1:])]
-        if parts == 1:  # a small bucket runs here and now
+        part = rows * max(1, _POOL_MIN // (rows * n_use))
+        for lo in range(start, stop, part):
+            hi = min(lo + part, stop)  # the next bucket sums another n_use
+            pooled.append((fr_s[lo:hi], res[lo:hi], n_use, width))
+        if stop - start <= part:  # a one-part bucket runs here and now
             _phi2_rows(*pooled.pop())
         start = stop
     pool_map(lambda job: _phi2_rows(*job), pooled)
@@ -333,7 +326,7 @@ def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, f
         return None, n_terms, direct_err
     qmax = min(_SNAP_QMAX, n_terms // 4)
     eps = max(_SNAP_EPS, 0.1 * tol / (math.log(1.0 / min(tol, 0.1)) + 2.0))
-    snap = _snap_rational(frac, qmax, eps)
+    snap = nearby_fraction(frac, qmax, eps)
     if snap is not None:
         p, q = snap
         err = _snap_error(abs(frac - p / q))
@@ -343,23 +336,32 @@ def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, f
     return None, n_terms, direct_err
 
 
-def _phi2_core(lam: float, tol: float) -> tuple[float, float, bool]:
-    """(Phi2(lam), error bound, whether a closed form at a rational gave it).
+def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Phi2(fr), error bound, whether a closed form gave it) for fr in [0, 1):
+    pi^2/36 with error 0 at fr = 0, else the sum of nn terms (`_phi2_sums`),
+    error 1/(6 nn), or from _SNAP_MIN_TERMS terms on the path `_phi2_route`
+    chooses at tolerance tol (nn is updated in place)."""
+    direct = fr > 0.0
+    phi = np.full(fr.shape, PI2_OVER_36)
+    err = np.where(direct, 1.0 / (6.0 * nn), 0.0)
+    for i in np.flatnonzero(direct & (nn >= _SNAP_MIN_TERMS)):
+        snap, nn[i], err[i] = _phi2_route(float(fr[i]), float(tol[i]))
+        if snap is not None:
+            phi[i] = _phi2_rational(*snap)
+            direct[i] = False
+    phi[direct] = _phi2_sums(fr[direct], nn[direct])
+    return phi, err, ~direct
 
-    Periodic reduction first, then the path `_phi2_route` chooses: the
-    exact csc^2 form of `_phi2_rational` at a nearby p/q, or `_phi2_sums`
-    with the absolute tail bound (1/6)/N (capped; the bound reflects it).
-    An integer lam is the closed form pi^2/36 with error 0.
-    """
+
+def _phi2_core(lam: float, tol: float) -> tuple[float, float, bool]:
+    """(Phi2(lam), error bound, whether a closed form gave it): `_phi2_vec`
+    at the periodic reduction of lam, with N = ceil(1/(6 tol)) direct terms
+    (at least 1, at most 2^26; the bound reflects the cap)."""
     if not math.isfinite(lam):
         raise ValueError("phi2 needs a finite argument")
-    frac = lam - math.floor(lam)
-    if frac == 0.0:
-        return PI2_OVER_36, 0.0, True
-    snap, n_terms, err = _phi2_route(frac, tol)
-    if snap is None:
-        return float(_phi2_sums(np.array([frac]), np.array([n_terms]))[0]), err, False
-    return _phi2_rational(*snap), err, True
+    nn = np.array([max(1, math.ceil(min(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))], dtype=float)
+    phi, err, snapped = _phi2_vec(np.array([lam - math.floor(lam)]), nn, np.array([tol]))
+    return float(phi[0]), float(err[0]), bool(snapped[0])
 
 
 def phi2(lam: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -376,13 +378,11 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     """psi(x) = (x^2/2) Phi2(1/x) - J(1/x) over points x in [0, 1], with
     error bounds; tol is one tolerance or one per point.
 
-    Phi2 takes N = ceil(x^2/(6 tol)) terms (at most 2^26, error
-    (x^2/2)/(6N)), J the `_j_terms` count at the same tol.  A point whose
-    Phi2 sum needs _SNAP_MIN_TERMS terms or more goes through
-    `_phi2_route`, which may take the csc^2 form at a nearby rational.
-    Below x = 1e-9, |psi| <= (pi^2/72) x^2 + 0.072 x^3 is far below any
-    working tolerance (and x^2 may underflow), so psi is 0 with bound
-    0.14 x^2.
+    Phi2 comes from `_phi2_vec` at tolerance tol/x^2, from N =
+    ceil(x^2/(6 tol)) terms (at most 2^26), and J takes the `_j_terms`
+    count at tol.  Below x = 1e-9, |psi| <= (pi^2/72) x^2 + 0.072 x^3 is
+    far below any working tolerance (and x^2 may underflow), so psi is 0
+    with bound 0.14 x^2.
     """
     x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     tol = np.broadcast_to(tol, x.shape)
@@ -395,15 +395,7 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the caps
         nn = np.clip(np.ceil(x * x / (6.0 * tol)), 1.0, _PHI2_MAX_TERMS)
         nj, jerr = _j_terms(x, tol)
-    direct = fr > 0.0
-    phi = np.full(x.shape, PI2_OVER_36)
-    phierr = np.where(direct, 1.0 / (6.0 * nn), 0.0)
-    for i in np.flatnonzero(direct & (nn >= _SNAP_MIN_TERMS)):
-        snap, nn[i], phierr[i] = _phi2_route(float(fr[i]), float(tol[i] / (x[i] * x[i])))
-        if snap is not None:
-            phi[i] = _phi2_rational(*snap)
-            direct[i] = False
-    phi[direct] = _phi2_sums(fr[direct], nn[direct])
+    phi, phierr, _ = _phi2_vec(fr, nn, tol / (x * x))
     half = 0.5 * x * x
     val[big] = half * phi - _j_sums(T, nj)
     err[big] = half * phierr + jerr
@@ -482,7 +474,7 @@ def big_a_integral(lam: float, t_max: float = 1e4) -> tuple[float, float]:
 
     # substituting u = lam t: int_T^inf B1({lam t}) t^-2 dt = lam * b1_tail(lam T)
     tail = 0.25 / T + 0.5 * b1_tail(T) + 0.5 * lam * b1_tail(lam * T)
-    snap = _snap_rational(lam, 10_000, 1e-9)
+    snap = nearby_fraction(lam, 10_000, 1e-9)
     if snap is not None and snap[0] > 0:
         p, q = snap
         tail += 1.0 / (12.0 * p * q * T)
@@ -644,8 +636,10 @@ def g_func(
     times a Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64,
     of Phi1 with a heuristic error: the window's spread, 64/2^20, and
     1/(2^20 min(x, 1-x)) for the oscillation of period 1/min(x, 1-x) that
-    the window cannot average.  The orbit route is primary; the series route
-    exists as an independent cross-check.
+    the window cannot average; it raises EffectiveRationalError where x is
+    effectively rational, since the series diverges at every rational.  The
+    orbit route is primary; the series route exists as an independent
+    cross-check.
     """
     if method == "wilton_plus_H":
         w = wilton(x, cfg)
@@ -657,6 +651,8 @@ def g_func(
             est_error=w.tail_bound + herr,
         )
     if method == "direct_series":
+        if 0.0 < x < 1.0 and effective_denominator(x):
+            raise EffectiveRationalError(f"the Phi1 series diverges at the effectively rational {x}")
         mean, spread = _phi1_cesaro(x, 1 << 20, 64)
         return GEval(
             point=x,

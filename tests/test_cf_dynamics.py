@@ -18,6 +18,7 @@ from wiltonmoments.cf_dynamics import (
     gauss_map,
     gauss_measure,
     gauss_measure_cdf,
+    nearby_fraction,
     orbit,
     orbit_arrays,
     orbit_step,
@@ -213,6 +214,28 @@ class TestExactCF:
         assert terms[-1][1] == 0 and Fraction(terms[-1][2], terms[-1][3]) == Fraction(x)
 
 
+class TestNearbyFraction:
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=1, max_value=10**6),
+        st.floats(min_value=1e-16, max_value=1e-3),
+    )
+    @example(0.5 + 2.0**-20, 10, 2.0**-20)  # at distance exactly eps from 1/2
+    @example(0.5 + 2.0**-20, 10, math.nextafter(2.0**-20, 0.0))
+    @example(1e-300, 5, 1e-16)  # 0/1 counts
+    @example(0.3, 9, 1e-3)  # 3/10 is past qmax
+    def test_matches_fraction_scan(self, x, qmax, eps):
+        expect = None
+        for _, _, p, q in exact_cf(x):
+            if q > qmax:
+                break
+            if abs(Fraction(x) - Fraction(p, q)) <= Fraction(eps):
+                expect = (p, q)
+                break
+        assert nearby_fraction(x, qmax, eps) == expect
+
+
 class TestEffectiveRationality:
     @pytest.mark.parametrize(
         "x,q", [(0.3, 10), (0.7, 10), (0.1, 10), (0.2, 5), (1 / 3, 3), (0.375, 8)]
@@ -321,6 +344,25 @@ def _orbit_length(x: float, cap: int = 60) -> int:
     return sum(1 for _ in islice(orbit(x), cap))
 
 
+def _q_count_length(x: float, cap: int = 60) -> int:
+    """Reference for _orbit_length: steps of the float orbit up to the end
+    below RATIONAL_GUARD or at 1/x overflow, or, for x effectively rational
+    with denominator q, up to where q_k from the float quotients reaches q."""
+    q_stop = effective_denominator(x) or 0
+    a, n, q_prev, q = x, 1, 0, 1
+    while n < cap:
+        z = 1.0 / a
+        if z == math.inf:
+            break
+        a_k = math.floor(z)
+        a = z - a_k
+        q_prev, q = q, a_k * q + q_prev
+        if a < cf_dynamics.RATIONAL_GUARD or 0 < q_stop <= q:
+            break
+        n += 1
+    return n
+
+
 def _step_lengths(xs: np.ndarray, cap: int = 60) -> np.ndarray:
     """Iterates of each x before orbit_step ends its row, alpha_0 included."""
     alpha, beta, n = xs, np.ones(xs.size), np.ones(xs.size, dtype=int)
@@ -363,8 +405,10 @@ class TestOrbitStep:
             assert orbit_step(np.array([x]), 1.0, np.array([x]))[2][0]
 
     def test_ends_rational_rows_where_orbit_ends(self):
-        xs = _short_fractions_and_neighbours(100)
-        assert _step_lengths(xs).tolist() == [_orbit_length(x) for x in xs.tolist()]
+        xs = np.append(_short_fractions_and_neighbours(200), sample_gauss_measure(20_000, 7))
+        ref = [_q_count_length(x) for x in xs.tolist()]
+        assert [_orbit_length(x) for x in xs.tolist()] == ref
+        assert _step_lengths(xs).tolist() == ref
 
 
 class TestArrayRoutesEndWhereOrbitEnds:

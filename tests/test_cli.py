@@ -114,6 +114,13 @@ class TestEval:
         (row,) = json.loads(out)
         assert row["value"] is None and row["method"].startswith("error:")
 
+    def test_direct_series_at_a_rational_is_an_error_row(self, capsys):
+        argv = ["eval", "--fn", "g", "--method", "direct_series", "--x", "0.5"]
+        status, out = run_capture(argv, capsys)
+        assert status == 1
+        (row,) = json.loads(out)
+        assert row["value"] is None and row["method"].startswith("error:")
+
     @pytest.mark.parametrize("fn", ["g", "W"])
     def test_effectively_rational_points_are_error_rows(self, fn, capsys):
         status, out = run_capture(["eval", "--fn", fn, "--x", "0.3,0.7,0.4"], capsys)

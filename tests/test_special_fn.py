@@ -307,6 +307,12 @@ class TestG:
             b = sf.g_func(x, "direct_series", CFG6)
             assert abs(a.value - b.value) < max(1e-3, a.est_error + b.est_error)
 
+    @pytest.mark.parametrize("x", [0.5, 0.25, 0.75, 1.0 / 3.0, 0.3])
+    def test_direct_series_refuses_effectively_rational_points(self, x):
+        # the Phi1 series diverges at every rational
+        with pytest.raises(EffectiveRationalError):
+            sf.g_func(x, "direct_series", CFG6)
+
     @pytest.mark.parametrize("x", [1e-8, 1.0 - 1e-6])
     def test_direct_series_error_covers_slow_oscillation(self, x):
         # the partial sums oscillate with period 1/min(x, 1-x), far wider
@@ -464,11 +470,13 @@ class TestFTable:
         sys.setswitchinterval(1e-5)
         try:
             for cpus in (1, 2, 3):
-                monkeypatch.setattr(sf.os, "cpu_count", lambda: cpus)
+                monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: cpus)
                 sums.append(sf._phi2_sums(fr, nn))
+            monkeypatch.setattr(sf, "_POOL_MIN", 1 << 16)  # many parts in each bucket
+            sums.append(sf._phi2_sums(fr, nn))
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
+        assert all(np.array_equal(sums[0], s) for s in sums[1:])
 
     def test_j_sums_do_not_depend_on_worker_count(self, monkeypatch):
         # a quarter of the F table's nodes at its tolerance (about 10 blocks,
@@ -486,7 +494,7 @@ class TestFTable:
         sys.setswitchinterval(1e-5)
         try:
             for cpus in (1, 2, 3):
-                monkeypatch.setattr(sf.os, "cpu_count", lambda: cpus)
+                monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: cpus)
                 sums.append(sf._j_sums(T, nj))
         finally:
             sys.setswitchinterval(interval)
