@@ -47,7 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from itertools import islice
+from itertools import islice, takewhile
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .cf_dynamics import (
     EffectiveRationalError,
     ToleranceConfig,
     effective_denominator,
+    exact_cf,
     nearby_fraction,
     orbit,
     orbit_arrays,
@@ -634,10 +635,13 @@ def g_func(
     ends both series with their tail bounds (require_float_end), which
     below x ~ 1e-13 leaves log(1/x) - A(1) + x.  direct_series returns -2
     times a Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64,
-    of Phi1 with a heuristic error: the window's spread, 64/2^20, and
-    1/(2^20 min(x, 1-x)) for the oscillation of period 1/min(x, 1-x) that
-    the window cannot average; it raises EffectiveRationalError where x is
-    effectively rational, since the series diverges at every rational.  The
+    of Phi1 with a heuristic error: the window's spread, 64/2^20, and the
+    largest 1/(2^20 q |q x - p|) over the convergents p/q of exact_cf(x)
+    with q <= 2^20 (the distance exact in ints), for the partial sums of
+    the nearby fraction that the window still sees; q = 1 gives the
+    oscillation of period 1/min(x, 1-x).  It raises EffectiveRationalError
+    where x is effectively rational or is itself such a p/q, since the
+    series diverges at every rational.  The
     orbit route is primary; the series route exists as an independent
     cross-check.
     """
@@ -654,11 +658,18 @@ def g_func(
         if 0.0 < x < 1.0 and effective_denominator(x):
             raise EffectiveRationalError(f"the Phi1 series diverges at the effectively rational {x}")
         mean, spread = _phi1_cesaro(x, 1 << 20, 64)
+        # |q x - p| = r/n exactly, for x = m/n and each convergent p/q up to 2^20
+        n = x.as_integer_ratio()[1]
+        cf = list(takewhile(lambda c: c[3] <= 1 << 20, exact_cf(x)))
+        _, r, p, q = cf[-1]
+        if not r:
+            raise EffectiveRationalError(f"the Phi1 series diverges at {x} = {p}/{q}")
+        near = max(n / (q * r) for _, r, _, q in cf)
         return GEval(
             point=x,
             value=-2.0 * mean,
             method=method,
-            est_error=2.0 * spread + (64.0 + 1.0 / min(x, 1.0 - x)) / (1 << 20),
+            est_error=2.0 * spread + (64.0 + near) / (1 << 20),
         )
     raise ValueError(f"unknown g method {method!r}")
 
@@ -673,9 +684,11 @@ class _FTable:
     interpolation between them.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
-    O(x^2)).  lookup finds the segment by direct index on the uniform grid
-    and returns exactly what np.interp(x, xs, f) returns for finite
-    x >= xmin.
+    O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
+    2^18 + 1).  Slope and F are stored interleaved, one complex128 per node
+    (f is a view of it), so lookup finds the segment by direct index on the
+    uniform grid, recomputes its two end nodes, gathers (slope, F) once and
+    returns exactly what np.interp(x, xs, f) returns for finite x >= xmin.
 
     err_bound is the largest node error, plus A(1)'s, plus _interp_error(h)
     = w(h)/2 + 0.55 h, where w(d) = d (log(1/(3d)) + 2) is _snap_error's
@@ -709,30 +722,34 @@ class _FTable:
         # p < 60, this table misses F by at most 4.5e-5 and a 2^20 one by
         # 4.7e-5, an error the 1e-4 nodes make.
         size = 1 << 18
+        self._h = h = (1.0 - xmin) / size
         a1, a1e = a1_constant()
         self.a1 = a1
-        xs = np.linspace(xmin, 1.0, size + 1)
+        # node i is i h + xmin, as lookup computes it: np.linspace(xmin, 1, size + 1)'s bits
+        self.xs = xs = np.arange(size + 1) * h + xmin
         psi, psie = _psi_vec(xs, 1e-4)
-        self.xs = xs
-        self.f = 0.5 * a1 - 0.5 * xs - psi
-        self.err_bound = float(np.max(psie)) + a1e + _interp_error((1.0 - xmin) / size)
-        # slope[size] = 0 makes x >= 1 return f[size], as np.interp does
-        self._slope = np.append(np.diff(self.f) / np.diff(xs), 0.0)
+        # (slope, F) per node, interleaved so lookup gathers both at once; f is a
+        # view, and slope[size] = 0 makes x >= 1 return f[size], as np.interp does
+        self._sf = np.zeros(size + 1, dtype=np.complex128)
+        self.f = self._sf.imag
+        self.f[:] = 0.5 * a1 - 0.5 * xs - psi
+        self._sf.real[:-1] = np.diff(self.f) / np.diff(xs)
+        self.err_bound = float(np.max(psie)) + a1e + _interp_error(h)
         self._inv_h = size / (1.0 - xmin)
         self._last = size - 1
 
     def lookup(self, x: np.ndarray) -> np.ndarray:
-        xs = self.xs
-        i = np.fmin(np.fmax((x - self.xmin) * self._inv_h, 0.0), self._last)
+        h, xmin = self._h, self.xmin
+        i = np.fmin(np.fmax((x - xmin) * self._inv_h, 0.0), self._last)
         i = i.astype(np.intp)
         # the rounded index is off by at most one segment either way
-        i -= (x < xs[i]) & (i > 0)
-        i += x >= xs[i + 1]
-        return np.where(
-            x < self.xmin,
-            0.5 * self.a1 - 0.5 * x,
-            self._slope[i] * (x - xs[i]) + self.f[i],
-        )
+        i -= (x < i * h + xmin) & (i > 0)
+        i += x >= (i + 1) * h + xmin
+        sf = self._sf[i]
+        out = sf.real * (x - (i * h + xmin)) + sf.imag
+        low = np.flatnonzero(x < xmin)
+        out[low] = 0.5 * self.a1 - 0.5 * x[low]
+        return out
 
 
 @functools.cache

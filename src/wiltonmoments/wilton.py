@@ -169,12 +169,14 @@ def _orbit_series(
     2 beta_{k-1} supf < h_tol.  It then writes its partial sum, the error
     gamma_k + gamma_{k+1} + 4 beta_{k-1} supf + 2 f_err sum_{j<k} beta_{j-1},
     k (unless terms is None) and ok = True, and leaves the working arrays,
-    so each step costs only the points still running.  Points whose orbit
-    ends first (orbit_step: an iterate below RATIONAL_GUARD or an
-    effectively rational start, where wilton's ends) or that run MAX_TERMS
-    steps are left as they were.  More than _BLOCK rows run as blocks of
-    _BLOCK on pool_map, each compacting on its own; a row's arithmetic does
-    not depend on its block, so every bit is that of one sweep.
+    so each step costs only the points still running: one flatnonzero each
+    finds the rows that stop and the rows that go on, and take gathers them.
+    Points whose orbit ends first (orbit_step: an iterate below
+    RATIONAL_GUARD or an effectively rational start, where wilton's ends) or
+    that run MAX_TERMS steps are left as they were.  More than _BLOCK rows
+    run as blocks of _BLOCK on pool_map, each compacting on its own; a row's
+    arithmetic does not depend on its block, so every bit is that of one
+    sweep.
     """
     if idx.size > _BLOCK:
         blocks = (idx[lo : lo + _BLOCK] for lo in range(0, idx.size, _BLOCK))
@@ -193,24 +195,25 @@ def _orbit_series(
         g_next = np.where(ended, 0.0, beta_next * (-np.log(np.where(ended, 0.5, alpha_next))))
         w_done = (k >= 1) & (prev_g < tol) & (g_next <= tol) & (g_next <= prev_g)
         stop = ~ended & w_done & (2.0 * beta * supf < h_tol)
-        if stop.any():
-            done = idx[stop]
-            value[done] = val[stop]
+        s = np.flatnonzero(stop)
+        if s.size:
+            done = idx.take(s)
+            value[done] = val.take(s)
             err[done] = (
-                prev_g[stop]
-                + g_next[stop]
-                + 4.0 * beta[stop] * supf
-                + 2.0 * f_err * beta_sum[stop]
+                prev_g.take(s)
+                + g_next.take(s)
+                + 4.0 * beta.take(s) * supf
+                + 2.0 * f_err * beta_sum.take(s)
             )
             if terms is not None:
                 terms[done] = k
             ok[done] = True
 
-        keep = ~ended & ~stop
-        if not keep.all():
-            idx, alpha, beta, val, beta_sum = (a[keep] for a in (idx, alpha, beta, val, beta_sum))
-            alpha_next, beta_next, prev_g, g_next = (
-                a[keep] for a in (alpha_next, beta_next, prev_g, g_next)
+        keep = np.flatnonzero(~(ended | stop))
+        if keep.size < idx.size:
+            idx, alpha, beta, val, beta_sum, alpha_next, beta_next, prev_g, g_next = (
+                a.take(keep)
+                for a in (idx, alpha, beta, val, beta_sum, alpha_next, beta_next, prev_g, g_next)
             )
         val += sign * (prev_g - 2.0 * beta * f(alpha))
         beta_sum += beta

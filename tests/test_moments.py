@@ -1,7 +1,10 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import expit, gammaincinv
 from scipy.special import gamma as gamma_fn
 
 from wiltonmoments import moments as mo
@@ -34,6 +37,63 @@ class TestCalibration:
             mo.log_moment_calibration(0.0)
         with pytest.raises(ValueError):
             mo.log_moment_calibration(1.0, method="simpson")
+
+
+QUANTILE_KS = [0.01, 0.5, 2.0, 20.0, 40.0, 169.0]
+
+
+def _ulps(t, ref):
+    return np.abs(t - ref) / np.spacing(np.abs(ref))
+
+
+def _mp_quantile(a: float, u: float, start: float) -> float:
+    with mp.workdps(40):
+        if u <= 0.5:
+            root = mp.findroot(lambda t: mp.gammainc(a, 0, t, regularized=True) - u, start)
+        else:
+            root = mp.findroot(lambda t: mp.gammainc(a, t, mp.inf, regularized=True) - (1 - mp.mpf(u)), start)
+        return float(root)
+
+
+class TestGammaQuantiles:
+    @pytest.mark.parametrize("K", QUANTILE_KS)
+    def test_within_128_ulp_of_gammaincinv(self, K):
+        rng = np.random.default_rng(int(100 * K))
+        n = 1 << 17
+        tail = np.geomspace(mo._U_EDGE, 0.5, 20_000)
+        u = np.concatenate([(np.arange(n) + rng.random(n)) / n, tail, 1.0 - tail])
+        u = u[(u >= mo._U_EDGE) & (u <= 1.0 - mo._U_EDGE)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = mo._gamma_quantiles(K + 1.0, u)
+        assert _ulps(t, gammaincinv(K + 1.0, u)).max() <= 128
+
+    @pytest.mark.parametrize("K", QUANTILE_KS)
+    def test_edges_take_gammaincinv(self, K):
+        # where the start or the density underflows
+        u = np.array([0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, np.nextafter(mo._U_EDGE, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = mo._gamma_quantiles(K + 1.0, u)
+        assert t.tobytes() == gammaincinv(K + 1.0, u).tobytes()
+        assert t[0] == 0.0
+
+    def test_as_accurate_as_gammaincinv(self):
+        # 40-digit roots of P(a, t) = u (Q(a, t) = 1 - u above 1/2) at 20 points
+        # per K.  Both routes end on scipy's P or Q, whose rounding (about 30 ulp
+        # where a log t is near -27) decides which is closer at a given point, so
+        # the RMS over the points is compared, not the largest error.
+        z = np.linspace(-mo._Z_EDGE, mo._Z_EDGE, 20) + np.random.default_rng(5).uniform(-0.5, 0.5, 20)
+        u = np.clip(expit(z), mo._U_EDGE, 1.0 - mo._U_EDGE)
+        for K in QUANTILE_KS:
+            a = K + 1.0
+            ours, scipys = mo._gamma_quantiles(a, u), gammaincinv(a, u)
+            ref = np.array([_mp_quantile(a, ui, start) for ui, start in zip(u.tolist(), scipys.tolist())])
+            rms = [math.sqrt(np.mean(_ulps(t, ref) ** 2)) for t in (ours, scipys)]
+            assert rms[0] <= rms[1] + 4.0, (K, rms)
+
+    def test_nodes_are_cached_per_k(self):
+        assert mo._gamma_nodes(21.0) is mo._gamma_nodes(21.0)
 
 
 class TestMoment:

@@ -313,6 +313,27 @@ class TestG:
         with pytest.raises(EffectiveRationalError):
             sf.g_func(x, "direct_series", CFG6)
 
+    def test_direct_series_error_covers_nearby_fractions(self):
+        # the window at n ~ 2^20 still sees the partial sums of a short p/q
+        # next to x; the error must say so
+        rng = np.random.default_rng(20261019)
+        xs = [0.5 + 1e-9, 0.5 + 1e-12, 0.3 + 1e-10]
+        while len(xs) < 63:
+            q = int(rng.integers(2, 41))
+            p = int(rng.integers(1, q))
+            if math.gcd(p, q) == 1:
+                xs.append(p / q + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-12, -3))
+        for x in xs:
+            a = sf.g_func(x, "wilton_plus_H", CFG6)
+            b = sf.g_func(x, "direct_series", CFG6)
+            assert abs(a.value - b.value) <= a.est_error + b.est_error, x
+
+    def test_direct_series_refuses_short_dyadics(self):
+        # 2^-15 is a fraction whose denominator the window sees, though not
+        # effectively rational
+        with pytest.raises(EffectiveRationalError):
+            sf.g_func(2.0**-15, "direct_series", CFG6)
+
     @pytest.mark.parametrize("x", [1e-8, 1.0 - 1e-6])
     def test_direct_series_error_covers_slow_oscillation(self, x):
         # the partial sums oscillate with period 1/min(x, 1-x), far wider
@@ -436,6 +457,12 @@ class TestFTable:
         assert np.array_equal(tab.lookup(inside), np.interp(inside, xs, tab.f))
         below = np.array([np.nextafter(tab.xmin, 0.0), 0.5 * tab.xmin, 1e-300, 0.0])
         assert np.array_equal(tab.lookup(below), 0.5 * tab.a1 - 0.5 * below)
+
+    def test_nodes_are_linspace_and_f_is_a_view(self):
+        # lookup recomputes node i as i h + xmin and gathers (slope, F) from one array
+        tab = sf._ftable()
+        assert tab.xs.tobytes() == np.linspace(tab.xmin, 1.0, (1 << 18) + 1).tobytes()
+        assert np.shares_memory(tab.f, tab._sf)
 
     def test_bound_holds_next_to_kinks(self):
         # psi has log-type kinks at the rationals q/p; probe 0.3 and 0.5 of
