@@ -146,8 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_m = _add_command(
         sub, "moment", _cmd_moment, "--seed --format --output",
         help="estimate int |g|^K dx",
-        description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed "
-        "tolerances (W 1e-8, H tail 2e-4, F table 1e-4), so there is no --abs-tol.",
+        description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed tolerances "
+        "(W at 1% of the F-table error, H tail 2e-4, F table 1e-4), so there is no --abs-tol.",
     )
     p_m.add_argument("--k", required=True, help="comma-separated K list, ascending")
     p_m.add_argument("--samples", type=int, default=1_000_000)

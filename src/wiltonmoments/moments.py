@@ -1,20 +1,19 @@
 """Moment estimation for M(K) = int_0^1 |g(x)|^K dx, real K > 0.
 
 The mass of |g|^K sits near x = exp(-K), so every estimator works in
-t = log(1/x).  The Monte Carlo route importance-samples t from a
-Gamma(K+1) density (exact for the dominant log(1/x)^K behavior), mixed
+t = log(1/x).  The Monte Carlo route importance-samples t from a close fit
+to Gamma(K+1) (exact for the dominant log(1/x)^K behavior), mixed
 5% with a uniform density on x in (0, 1/2) that keeps the weights of the
 spike regions near low rationals bounded; antisymmetry g(1-x) = -g(x)
 doubles the half-interval estimate to (0, 1).  The quadrature route uses
 fixed Gauss-Legendre panels in t with a refinement-difference error.
 
-Sampling is stratified through inverse-CDF quantiles with seeded jitter,
-so a (seed, config) pair reproduces every estimate bit for bit.  A Gamma
-quantile is one Halley step on P(K+1, t) = u from a start interpolated in
-log t against logit u on 4096 exact gammaincinv nodes, cached per K; rows
-with u outside [1e-12, 1 - 1e-12] take gammaincinv itself.  The Gamma
-functions come from scipy.special, imported at the first call that needs
-one, so importing this module (and the CLI) does not load scipy.
+Sampling is stratified through inverse-CDF maps with seeded jitter, so a
+(seed, config) pair reproduces every estimate bit for bit.  The fit's map
+is piecewise linear in (logit u, log t) through 4096 exact gammaincinv
+nodes per K, and each draw carries its exact density, all that importance
+sampling needs of a proposal.  scipy.special is imported at the first
+call that needs it, so importing this module (and the CLI) does not.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ TARGET_RATIO = math.exp(np.euler_gamma) / math.pi
 
 _GAMMA_SHARE = 0.95  # mixture weight of the Gamma(K+1) component
 _MAX_REPAIR_ROUNDS = 8
-MAX_SAMPLES = 10**7  # the MC route holds 66-74 bytes per sample, 0.74 GB here
-_U_EDGE = 1e-12  # Gamma quantiles of u outside [_U_EDGE, 1 - _U_EDGE] are exact
+MAX_SAMPLES = 10**7  # the MC route holds 58-60 bytes per sample, 0.60 GB here
+_U_EDGE = 1e-12  # the end nodes of the Gamma map sit at u = _U_EDGE and 1 - _U_EDGE
 _Z_EDGE = math.log((1.0 - _U_EDGE) / _U_EDGE)  # logit(1 - _U_EDGE)
 
 
@@ -47,7 +46,7 @@ class MomentEstimate:
     method: str
     gamma_ratio: float
     target_ratio: float = TARGET_RATIO
-    rejections: int = 0  # distinct points redrawn
+    rejections: int = 0  # distinct points redrawn because their orbit ended first
     repair_rounds: int = 0
 
 
@@ -86,7 +85,8 @@ def log_moment_calibration(
 
     Runs the same machinery as the |g|^K estimators with g replaced by
     log(1/x), so a match against Gamma(K+1) validates the integrator
-    itself.
+    itself; mc weighs each Gamma draw t by its own density p,
+    Gamma(K+1) mean(t^K e^{-t} / (Gamma(K+1) p)), so it also tests p.
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
@@ -98,66 +98,71 @@ def log_moment_calibration(
         from scipy.special import gammaln
         rng = np.random.default_rng(seed)
         u = (np.arange(samples) + rng.random(samples)) / samples
-        x, t = _component(K, u, True)
-        ratio = np.power(-np.log(x) / t, K)
-        value = float(np.exp(gammaln(K + 1.0)) * np.mean(ratio))
-        return value
+        _, t, p = _component(K, u, True)
+        ratio = np.exp(K * np.log(t) - t - gammaln(K + 1.0)) / p
+        return float(np.exp(gammaln(K + 1.0)) * np.mean(ratio))
     raise ValueError(f"unknown calibration method {method!r}")
 
 
-@functools.lru_cache(maxsize=8)  # a K sweep holds 64 KB per recent K, not per K seen
-def _gamma_nodes(a: float) -> tuple[np.ndarray, np.ndarray]:
-    """(logit u, log t), read-only, at 4096 u evenly spaced in logit on
-    [_U_EDGE, 1 - _U_EDGE], with t = gammaincinv(a, u) exact; about 5 ms
-    per a."""
+@functools.lru_cache(maxsize=8)  # a K sweep holds 96 KB per recent K, not per K seen
+def _gamma_nodes(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, log t, s), read-only: 4096 nodes z evenly spaced in logit u on
+    [_U_EDGE, 1 - _U_EDGE], t = gammaincinv(a, expit(z)) exact, and each
+    segment's slope s_j of log t against z; about 5 ms per a."""
     from scipy.special import expit, gammaincinv
     z = np.linspace(-_Z_EDGE, _Z_EDGE, 4096)
-    nodes = z, np.log(gammaincinv(a, expit(z)))
+    log_t = np.log(gammaincinv(a, expit(z)))
+    nodes = z, log_t, np.diff(log_t) / np.diff(z)
     for arr in nodes:
         arr.setflags(write=False)
     return nodes
 
 
-def _gamma_quantiles(a: float, u: np.ndarray) -> np.ndarray:
-    """t with P(a, t) = u: one Halley step on P(a, t) - u from the start
-    exp(interp(logit u)) on _gamma_nodes(a), with Q(a, t) in place of
-    1 - P(a, t) where u > 1/2.  Within 128 ulp of gammaincinv for u in
-    [_U_EDGE, 1 - _U_EDGE]; other u (where the start or the density
-    underflows) take gammaincinv itself."""
-    from scipy.special import gammainc, gammaincc, gammaincinv, gammaln
-    z, log_t = _gamma_nodes(a)
-    uc = np.clip(u, _U_EDGE, 1.0 - _U_EDGE)
-    t = np.exp(np.interp(np.log(uc) - np.log1p(-uc), z, log_t))
-    upper = uc > 0.5
-    # f = P(a, t) - u, each side gathered: gammainc with where= crashes in scipy 1.17
-    f = np.empty_like(t)
-    i = np.flatnonzero(~upper)
-    f[i] = gammainc(a, t[i]) - uc[i]
-    i = np.flatnonzero(upper)
-    f[i] = (1.0 - uc[i]) - gammaincc(a, t[i])
-    r = f / np.exp((a - 1.0) * np.log(t) - t - gammaln(a))  # f / P'
-    t -= r / (1.0 - 0.5 * r * ((a - 1.0) / t - 1.0))  # P''/P' = (a-1)/t - 1
-    i = np.flatnonzero(~((u >= _U_EDGE) & (u <= 1.0 - _U_EDGE)))
-    t[i] = gammaincinv(a, u[i])
-    return t
+def _gamma_draws(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, p): t = exp(L(logit u)), L piecewise linear through _gamma_nodes(a)
+    and along the end segments past them, and p = u (1 - u) / (t s_j) on
+    segment j, that map's exact density at t.  u = 0 gives t = p = 0."""
+    z, log_t, s = _gamma_nodes(a)
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 or 1
+        zu = np.log(u) - np.log1p(-u)
+        # direct index on the uniform grid; within rounding of a node either segment gives t
+        j = np.clip((zu - z[0]) * ((z.size - 1) / (z[-1] - z[0])), 0, s.size - 1).astype(np.intp)
+        t = np.exp(log_t[j] + s[j] * (zu - z[j]))
+        p = u * (1.0 - u) / (t * s[j])
+    p[u == 0.0] = 0.0
+    return t, p
 
 
-def _component(K: float, u: np.ndarray, gamma: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x, t) by inverse CDF from uniforms u: t ~ Gamma(K+1) if gamma
-    (_gamma_quantiles), else x uniform on (0, 1/2).  The Gamma quantiles
-    fill t in blocks of _BLOCK rows on one thread per CPU (pool_map), each
-    the same bits as one call."""
+def _gamma_density(a: float, t: np.ndarray) -> np.ndarray:
+    """p of _gamma_draws(a, .) at t > 0, by the inverse map: the segment j
+    of log t, then z = logit u on it, with u (1 - u) = e^-|z| / (1 + e^-|z|)^2."""
+    z, log_t, s = _gamma_nodes(a)
+    L = np.log(t)
+    j = np.clip(np.searchsorted(log_t, L, side="right") - 1, 0, s.size - 1)
+    e = np.exp(-np.abs(z[j] + (L - log_t[j]) / s[j]))
+    return e / (1.0 + e) ** 2 / (t * s[j])
+
+
+def _component(K: float, u: np.ndarray, gamma: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, t, p) by inverse CDF from uniforms u, p the Gamma component's
+    density at t: _gamma_draws(K + 1, u) if gamma, in _BLOCK-row blocks on
+    pool_map, each the same bits as one call; else x uniform on (0, 1/2)
+    and p by _gamma_density."""
+    a = K + 1.0
     if gamma:
-        _gamma_nodes(K + 1.0)  # imports scipy and builds the nodes in this thread
-        t = np.empty(u.size)
+        _gamma_nodes(a)  # imports scipy and builds the nodes in this thread
+        x, t, p = np.empty(u.size), np.empty(u.size), np.empty(u.size)
 
         def block(i):
-            t[i : i + _BLOCK] = _gamma_quantiles(K + 1.0, u[i : i + _BLOCK])
+            rows = slice(i, i + _BLOCK)
+            t[rows], p[rows] = _gamma_draws(a, u[rows])
+            np.exp(-t[rows], out=x[rows])
 
         pool_map(block, range(0, u.size, _BLOCK))
-        return np.exp(-t), t
+        return x, t, p
     x = 0.5 * np.maximum(u, 1e-12)
-    return x, -np.log(x)
+    t = -np.log(x)
+    return x, t, _gamma_density(a, t)
 
 
 def _mixture_samples(K: float, n: int, seed: int):
@@ -172,16 +177,9 @@ def _mixture_samples(K: float, n: int, seed: int):
     n2 = n - n1
     u1 = (np.arange(n1) + np.random.default_rng(kids[0]).random(n1)) / n1
     u2 = (np.arange(n2) + np.random.default_rng(kids[1]).random(n2)) / n2
-    (x1, t1), (x2, t2) = _component(K, u1, True), _component(K, u2, False)
-    return np.concatenate([x1, x2]), np.concatenate([t1, t2]), n1, np.random.default_rng(kids[2])
-
-
-def _mixture_density(t: np.ndarray, K: float, w1: float, w2: float) -> np.ndarray:
-    from scipy.special import gammaln
-    log_pg = K * np.log(t) - t - gammaln(K + 1.0)
-    pg = np.exp(log_pg)
-    pu = np.where(t > LOG2, 2.0 * np.exp(-t), 0.0)
-    return w1 * pg + w2 * pu
+    first, second = _component(K, u1, True), _component(K, u2, False)
+    x, t, p = (np.concatenate(pair) for pair in zip(first, second))
+    return x, t, p, n1, np.random.default_rng(kids[2])
 
 
 def _require_finite(K: float, value: float, std_error: float) -> None:
@@ -202,11 +200,12 @@ def moment(
 
     mc: stratified importance sampling in t = log(1/x) from the
     Gamma(K+1) + uniform mixture, doubled onto (1/2, 1) via antisymmetry.
-    Points whose orbit is effectively rational are redrawn from a reserved
-    repair stream; the distinct points redrawn and the repair rounds are
-    reported, and a rejection rate above 1% of the points raises
-    NonConvergenceError, and so does an estimate that leaves double range
-    (from about K = 170).  samples must be in [2, MAX_SAMPLES].
+    Points whose orbit ends first (g_batch's ok is False; at K = 20 these
+    end on RATIONAL_GUARD, where {1/x} is a short dyadic in floats) are
+    redrawn from a reserved repair stream; the distinct points redrawn and
+    the repair rounds are reported, and a rejection rate above 1% of the
+    points raises NonConvergenceError, and so does an estimate that leaves
+    double range (from about K = 170).  samples must be in [2, MAX_SAMPLES].
 
     quad: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
@@ -238,9 +237,9 @@ def moment(
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
 
-    x, t, n1, repair_rng = _mixture_samples(K, samples, seed)
+    x, t, p, n1, repair_rng = _mixture_samples(K, samples, seed)
     n2 = samples - n1
-    g, _, ok = g_batch(x)
+    g, ok = g_batch(x)[::2]
     # only failed points are redrawn, so these are all the points ever failed
     rejections = int(np.count_nonzero(~ok))
     rounds = 0
@@ -248,11 +247,10 @@ def moment(
         bad = np.flatnonzero(~ok)
         for idx, gamma in ((bad[bad < n1], True), (bad[bad >= n1], False)):
             if idx.size:
-                x[idx], t[idx] = _component(K, repair_rng.random(idx.size), gamma)
-        g_new, _, ok_new = g_batch(x[bad])
-        g[bad] = g_new
-        ok[bad] = ok_new
+                x[idx], t[idx], p[idx] = _component(K, repair_rng.random(idx.size), gamma)
+        g[bad], ok[bad] = g_batch(x[bad])[::2]
         rounds += 1
+    del x
     if rejections > 0.01 * samples:
         raise NonConvergenceError(
             f"rejection rate {rejections / samples:.3%} exceeds 1% at K={K}"
@@ -262,11 +260,11 @@ def moment(
     w2 = n2 / samples
     # at large K the weights leave double range; the result is then rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        dens = _mixture_density(t, K, w1, w2)
+        p = w1 * p + w2 * np.where(t > LOG2, 2.0 * np.exp(-t), 0.0)  # the mixture's density
         absg = np.abs(g)
         logf = np.where(absg > 0.0, K * np.log(np.where(absg > 0, absg, 1.0)) - t, -np.inf)
         f_over_p = np.where(
-            (t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / dens, 0.0
+            (t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / p, 0.0
         )
         # an exact power-of-two scale keeps the variance in range
         scale = math.ldexp(1.0, math.frexp(float(f_over_p.max()))[1] - 1)

@@ -762,15 +762,16 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The Wilton sum and the H sum share one compacting orbit sweep
     (wilton._orbit_series, the loop wilton_batch also runs); a point stops
-    once the W rule holds at 1e-8 and the H tail 2 beta sup|F| is below
-    2e-4, within MAX_TERMS steps; these tolerances are fixed.  F
-    comes from `_FTable`: 2^18 segments, nodes built at psi tolerance 1e-4,
-    and an err_bound (about 1.28e-4) that adds the interpolation term
-    _interp_error(h) = 2.76e-5, proven given _snap_error's modulus of Phi2;
-    err_bound enters each point's reported error.  Below SMALLX_CUT the exact
-    relation g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to
-    g(x) = log(1/x) - A(1) + O(720 x), so those points skip the orbit
-    entirely (a double cannot resolve {1/x} there anyway).
+    once the W rule holds at err_bound / 100 and the H tail 2 beta sup|F|
+    is below 2e-4, within MAX_TERMS steps.  F comes from `_FTable`: 2^18
+    segments, nodes built at psi tolerance 1e-4, and an err_bound (about
+    1.28e-4) that adds the interpolation term _interp_error(h) = 2.76e-5,
+    proven given _snap_error's modulus of Phi2.  Every orbit point's error
+    carries at least 2 err_bound of F, so W's truncation (below twice its
+    tolerance) is 1% of it or less.  Below SMALLX_CUT the exact relation
+    g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to g(x) = log(1/x)
+    - A(1) + O(720 x), so those points skip the orbit (a double cannot
+    resolve {1/x} there anyway).
 
     Returns (values, err_bounds, ok); not-ok points (value and bound 0) lie
     outside (0, 1), nan included, or have an orbit that ends, where g_func's
@@ -798,5 +799,6 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ok[small] = True
 
     idx = np.flatnonzero((x >= SMALLX_CUT) & (x < 1.0))
-    _orbit_series(x, idx, out, 1e-8, f=tab.lookup, supf=supf, h_tol=2e-4, f_err=tab.err_bound)
+    w_tol = tab.err_bound / 100
+    _orbit_series(x, idx, out, w_tol, f=tab.lookup, supf=supf, h_tol=2e-4, f_err=tab.err_bound)
     return gsum, err, ok

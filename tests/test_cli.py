@@ -226,13 +226,13 @@ class TestMomentCmd:
         assert out1 == out2
 
     def test_fixed_tolerances_are_documented(self, capsys):
-        # g_batch runs at W 1e-8, H tail 2e-4 and the 1e-4 F table, so
-        # moment takes no --abs-tol, and the help text says so
+        # g_batch runs W to 1% of the F table's error, the H tail to 2e-4 and
+        # the 1e-4 F table, so moment takes no --abs-tol, and the help text says so
         argv = ["moment", "--k", "2", "--samples", "2000", "--seed", "3"]
         assert run(argv + ["--abs-tol", "1e-2"]) == 2
         assert run(["moment", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "fixed tolerances (W 1e-8, H tail 2e-4, F table 1e-4)" in text
+        assert "fixed tolerances (W at 1% of the F-table error, H tail 2e-4, F table 1e-4)" in text
         assert "there is no --abs-tol" in text
 
     def test_csv_columns(self, capsys):

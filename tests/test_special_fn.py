@@ -395,6 +395,22 @@ class TestGBatch:
         ref_err = np.array([g.est_error for g in sc])
         assert (np.abs(vals - ref) <= errs + ref_err).all()
 
+    @pytest.mark.parametrize("K, seed", [(2.0, 11), (20.0, 12)])
+    def test_w_budget_on_moment_draws(self, K, seed):
+        # W stops at err_bound / 100, so its truncation (under 2 err_bound / 100)
+        # is 1% or less of the F term every orbit row carries; rows below
+        # SMALLX_CUT take the small-x form and carry neither
+        from wiltonmoments.moments import _mixture_samples
+
+        xs = _mixture_samples(K, 2000, seed)[0]
+        vals, errs, ok = sf.g_batch(xs)
+        orbit = ok & (xs >= cf_dynamics.SMALLX_CUT)
+        assert orbit.sum() > 1800
+        assert (errs[orbit] >= 2.0 * sf._ftable().err_bound).all()
+        for x, v, e in zip(xs[ok].tolist(), vals[ok], errs[ok]):
+            g = sf.g_func(x, "wilton_plus_H", CFG6)
+            assert abs(v - g.value) <= e + g.est_error, x
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(xs=arrays(
         np.float64,
