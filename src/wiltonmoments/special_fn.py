@@ -35,11 +35,11 @@ and makes |psi| = O(x^2) so tiny arguments cost nothing.
 
 `_psi_vec` is the one psi evaluator, for the F table and for scalar F, A
 and H alike, on one Phi2 route (`_phi2_vec`, also under scalar Phi2) and
-one J sum (`_j_sums`).  Only a Phi2 sum of 2048 terms or more looks for a
-nearby rational p/q, by cf_dynamics.nearby_fraction, the search that also
-decides effective rationality; there Phi2 is taken at p/q in closed form,
-a csc^2(pi r/q) sum over the residues r <= q/2 (`_phi2_rational`).
-Otherwise it is one direct sum (`_phi2_sums`).
+one J sum (`_j_sums`).  A Phi2 sum of 2048 terms or more walks exact_cf
+once: it stops where a proven continued-fraction tail bound allows, and
+takes nearby_fraction's p/q, where close and cheaper, in closed form, a
+csc^2(pi r/q) sum over r <= q/2 (`_phi2_rational`).  Otherwise it is one
+direct sum of ceil(1/(6 tol)) terms (`_phi2_sums`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from itertools import islice, takewhile
+from itertools import chain, islice, takewhile
 
 import numpy as np
 
@@ -313,35 +313,80 @@ def _interp_error(h: float) -> float:
     return 0.5 * _snap_error(h) + 0.55 * h
 
 
+def _phi2_weight(q: int, r: int, n: int) -> float:
+    """c_k = 2 beta_k/q_k of `_phi2_route`'s bound, d_k = r/(n q) from exact_cf."""
+    return min(1.0 / 3.0, 1 / (3 * q * q) + (q + 1) * r / (q * n))
+
+
 def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, float]:
     """Path choice for Phi2(frac), frac in (0, 1): (snap, n_terms, err).
 
-    The direct series takes n_terms = ceil(1/(6 tol)) terms (at least 1, at
-    most 2^26) with error 1/(6 n_terms).  From _SNAP_MIN_TERMS terms on, a
-    nearby rational is searched: snap is the (p, q) to evaluate at, or None
-    for the direct series; err is the chosen path's error bound.
+    Below _SNAP_MIN_TERMS terms the direct series takes n_max = ceil(1/(6
+    tol)) terms (at least 1, at most 2^26), error 1/(6 n_max).  From there on
+    it takes as few terms N <= n_max as its tail bound, plus 1e-14 + 1e-20 N
+    for rounding (the sum's and the bound's own), allows at tol.  snap is the
+    (p, q) of nearby_fraction's first hit, found on the same exact_cf walk,
+    to take Phi2 at in O(q) where q//2 <= N and its error is small enough, or
+    None; err is the chosen path's bound.
+
+    The bound.  With convergents p_k/q_k of frac, next quotient a_{k+1} and
+    d_k = |frac - p_k/q_k|, the terms c+1..c+q_k sum to at most beta_k =
+    min(q_k/6, 1/(6 q_k) + d_k q_k (q_k+1)/2): j p_k runs over all residues
+    mod q_k, sum_r B2(t + r/q) = B2(q t)/q, and B2, 1-Lipschitz on the circle,
+    moves by at most j d_k at term c+j.  Ostrowski's greedy M = sum_k b_k q_k,
+    b_k <= min(a_{k+1}, M/q_k), cuts 1..M into such blocks, so |P(M)| =
+    |sum_{n<=M} B2(n frac)| <= C(M) = sum_{q_k<=M} beta_k min(a_{k+1}, M/q_k),
+    nondecreasing in M.  Abel summation with w(M) = 1/M^2 - 1/(M+1)^2 and
+    M w(M) <= 2/M - 2/(M+1) bounds the tail past N = L - 1 by 2 sum_{M>N}
+    C(M) w(M) <= sum_k c_k g_k(max(L, q_k)), c_k = 2 beta_k/q_k, g_k(L) = 2/L
+    - 1/U_k below U_k = a_{k+1} q_k (inf past n_max or for the last
+    convergent) and U_k/L^2 from there on.  The walk adds level k once q_{k+1}
+    is known, and 7/q_{k+1}^2 closes the levels above it: the i-th has q >=
+    phi^(i-1) q_{k+1} and adds at most 1 + M/(6 q^2) to C(M) (a_{j+1} d_j q_j
+    < 1/q_j), which summed against w(M) is below 6.53/q_{k+1}^2 (at q_{k+1} =
+    1; an integral bounds the sum past 400 q_{k+1}).  Between breakpoints the
+    bound is A + B/L + C/L^2, and N is its root on the first piece that meets
+    tol at its end.
     """
-    n_terms = max(1, math.ceil(min(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))
-    direct_err = 1.0 / (6.0 * n_terms)
-    if n_terms < _SNAP_MIN_TERMS:
-        return None, n_terms, direct_err
-    qmax = min(_SNAP_QMAX, n_terms // 4)
+    n_max = max(1, math.ceil(min(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))
+    direct_err = 1.0 / (6.0 * n_max)
+    if n_max < _SNAP_MIN_TERMS:
+        return None, n_max, direct_err
+    qmax = min(_SNAP_QMAX, n_max // 4)
     eps = max(_SNAP_EPS, 0.1 * tol / (math.log(1.0 / min(tol, 0.1)) + 2.0))
-    snap = nearby_fraction(frac, qmax, eps)
+    (eps_num, eps_den), den = eps.as_integer_ratio(), frac.as_integer_ratio()[1]
+    t, n_terms, err = tol - 1e-14 - 1e-20 * n_max, n_max, direct_err
+    snap, searching, lq, P = None, True, 0, 0.0
+    for a, r, p, q in chain(exact_cf(frac), [(math.inf, 0, 0, math.inf)]):
+        if searching and lq:  # level k: U_k = a_{k+1} q_k, q = q_{k+1} (inf past the last)
+            U = a * lq if a * lq <= n_max else math.inf
+            for R, A, B, C in ((U, -lc / U, 2.0 * lc, P), (q, 0.0, 0.0, P + lc * U)):
+                R, A = min(R, n_max + 1), A + 7 / (q * q)
+                if A + (B + C / R) / R <= t:
+                    L = math.ceil((B + math.sqrt(B * B + 4.0 * C * (t - A))) / (2.0 * (t - A)))
+                    n_terms, err = L - 1, A + (B + C / L) / L + 1e-14 + 1e-20 * (L - 1)
+                    searching = False
+                    break
+            P += lc * U
+        if snap is None and q <= qmax and r * eps_den <= eps_num * den * q:
+            snap = p, q
+        if q > n_max or not searching and (snap or q > min(qmax, 2 * n_terms + 1)):
+            break
+        lq, lc = q, _phi2_weight(q, r, den)
     if snap is not None:
         p, q = snap
-        err = _snap_error(abs(frac - p / q))
+        serr = _snap_error(abs(frac - p / q))
         # q == 1: frac in (0,1) snapped to an integer boundary
-        if q == 1 or err <= 0.5 * tol or err <= direct_err:
-            return snap, n_terms, err + 1e-13
-    return None, n_terms, direct_err
+        if q // 2 <= n_terms and (q == 1 or serr <= 0.5 * tol or serr <= err):
+            return snap, n_terms, serr + 1e-13
+    return None, n_terms, err
 
 
 def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, ...]:
     """(Phi2(fr), error bound, whether a closed form gave it) for fr in [0, 1):
     pi^2/36 with error 0 at fr = 0, else the sum of nn terms (`_phi2_sums`),
-    error 1/(6 nn), or from _SNAP_MIN_TERMS terms on the path `_phi2_route`
-    chooses at tolerance tol (nn is updated in place)."""
+    error 1/(6 nn), or from _SNAP_MIN_TERMS terms on `_phi2_route`'s path at
+    tolerance tol: its shorter sum (nn is updated in place) or its snap."""
     direct = fr > 0.0
     phi = np.full(fr.shape, PI2_OVER_36)
     err = np.where(direct, 1.0 / (6.0 * nn), 0.0)
@@ -356,8 +401,8 @@ def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarr
 
 def _phi2_core(lam: float, tol: float) -> tuple[float, float, bool]:
     """(Phi2(lam), error bound, whether a closed form gave it): `_phi2_vec`
-    at the periodic reduction of lam, with N = ceil(1/(6 tol)) direct terms
-    (at least 1, at most 2^26; the bound reflects the cap)."""
+    at the periodic reduction of lam, with at most N = ceil(1/(6 tol)) direct
+    terms (at least 1, at most 2^26; the bound reflects the cap)."""
     if not math.isfinite(lam):
         raise ValueError("phi2 needs a finite argument")
     nn = np.array([max(1, math.ceil(min(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))], dtype=float)
@@ -379,11 +424,11 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     """psi(x) = (x^2/2) Phi2(1/x) - J(1/x) over points x in [0, 1], with
     error bounds; tol is one tolerance or one per point.
 
-    Phi2 comes from `_phi2_vec` at tolerance tol/x^2, from N =
-    ceil(x^2/(6 tol)) terms (at most 2^26), and J takes the `_j_terms`
-    count at tol.  Below x = 1e-9, |psi| <= (pi^2/72) x^2 + 0.072 x^3 is
-    far below any working tolerance (and x^2 may underflow), so psi is 0
-    with bound 0.14 x^2.
+    Phi2 comes from `_phi2_vec` at tolerance tol/x^2: N = ceil(x^2/(6 tol))
+    terms (at most 2^26), or from 2048 on as few as its tail bound allows;
+    J takes the `_j_terms` count at tol.  Below x = 1e-9, |psi| <= (pi^2/72)
+    x^2 + 0.072 x^3 is far below any working tolerance (and x^2 may
+    underflow), so psi is 0 with bound 0.14 x^2.
     """
     x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     tol = np.broadcast_to(tol, x.shape)

@@ -83,9 +83,11 @@ class TestEval:
         assert json.loads(out)[0]["method"] == "rational_snap"
 
     def test_phi2_reports_series_when_snap_is_too_far(self, capsys):
-        # at the default abs_tol 1e-8 this point snaps to 28247/132119
+        # at abs_tol 1e-9 this point snaps to 28247/132119 (66059 csc^2 terms
+        # against 123077 direct ones); at the default 1e-8, 38121 direct terms
+        # are cheaper than the snap
         argv = ["eval", "--fn", "Phi2", "--x", "0.2137996805918318"]
-        _, out = run_capture(argv, capsys)
+        _, out = run_capture(argv + ["--abs-tol", "1e-9"], capsys)
         assert json.loads(out)[0]["method"] == "rational_snap"
         status, out = run_capture(argv + ["--abs-tol", "1e-4"], capsys)
         assert status == 0

@@ -634,10 +634,102 @@ class TestPsiKernels:
         assert snap == (1, 3) and n >= sf._SNAP_MIN_TERMS
 
 
+def _phi2_stress_set() -> list[float]:
+    """Uniform fractions; p/q + d with q <= 40 and |d| log-uniform in
+    [1e-12, 1e-3]; short dyadics, whose exact continued fractions end early."""
+    rng = np.random.default_rng(5)
+    q = rng.integers(2, 41, 60)
+    near = rng.integers(1, q) / q + rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(-12, -3, 60)
+    dyadic = rng.integers(1, 1 << 10, 20) / 1024.0
+    return [float(x) for x in np.concatenate([rng.uniform(0.0, 1.0, 40), near, dyadic])]
+
+
+class TestPhi2TailBound:
+    def test_route_error_is_honest(self):
+        # the route's value (its N-term sum, or the closed form where it snaps)
+        # against a 2^23-term sum, whose own tail is at most 1/(6 2^23)
+        fr = np.array(_phi2_stress_set())
+        ref = sf._phi2_sums(fr, np.full(fr.size, float(1 << 23)))
+        misses = 0
+        for f, r in zip(fr, ref):
+            for tol in (1e-4, 1e-5, 1e-6):
+                snap, n, err = sf._phi2_route(float(f), tol)
+                if snap is None:
+                    (val,) = sf._phi2_sums(np.array([f]), np.array([float(n)]))
+                else:
+                    val = sf._phi2_rational(*snap)
+                misses += abs(val - r) > err + 1.0 / (6 << 23)
+        assert misses == 0
+
+    def test_block_and_partial_sums_stay_within_their_bounds(self):
+        # the two steps under `_phi2_route`'s bound, for M up to 2^16: the terms
+        # c+1..c+q_k sum to at most beta_k = c_k q_k/2, and P(M) = sum_{n<=M}
+        # B2(n frac) is at most C(M) = sum_{q_k<=M} beta_k min(a_{k+1}, M/q_k).
+        # A short dyadic's period meets beta_k, so half of it fails there, and
+        # the blocks of a uniform fraction need beta_k's d_k part
+        M = np.arange(1, (1 << 16) + 1, dtype=np.float64)
+        for f in _phi2_stress_set():
+            P = np.concatenate(([0.0], np.cumsum(sf.bernoulli2(M * f))))
+            n = f.as_integer_ratio()[1]
+            cf = list(cf_dynamics.exact_cf(f))
+            C = np.zeros(M.size)
+            for (_, r, _, q), (a, *_) in zip(cf, cf[1:] + [(math.inf,)]):
+                if q > M.size:
+                    break
+                beta = sf._phi2_weight(q, r, n) * q / 2.0
+                if 2 * q <= M.size:
+                    assert np.max(np.abs(P[q:] - P[:-q])) <= beta + 1e-9
+                C += np.where(M >= q, beta * np.minimum(a, M / q), 0.0)
+            assert np.all(np.abs(P[1:]) <= C + 1e-9)
+
+    def test_route_contract(self):
+        # never more terms than ceil(1/(6 tol)), the full count; a snap only
+        # where q//2 <= N; an error within tol wherever 1/(6 ceil(1/(6 tol)))
+        # was, and never above it
+        for f in _phi2_stress_set() + [GOLDEN, 1.0 / 3.0, 1.0 / math.pi, 1e-300, 1.0 - 2**-53]:
+            for tol in (1e-5, 1e-6, 1e-8, 1e-10, 1e-12):
+                n_max = max(1, math.ceil(min(1.0 / (6.0 * tol), sf._PHI2_MAX_TERMS)))
+                snap, n, err = sf._phi2_route(f, tol)
+                assert 1 <= n <= n_max
+                assert snap is None or snap[1] // 2 <= n
+                assert err <= max(tol, 1.0 / (6.0 * n_max))
+
+    def test_route_edges(self):
+        # tol >= 1/6 takes one term, frac = 0 is pi^2/36 exactly
+        assert sf._phi2_route(0.3, 0.2) == (None, 1, 1.0 / 6.0)
+        assert sf._phi2_core(0.0, 1e-8) == (sf.PI2_OVER_36, 0.0, True)
+        assert sf._phi2_core(7.0, 1e-12) == (sf.PI2_OVER_36, 0.0, True)
+
+
 # g_func (abs_tol 1e-5) on pairs (x, 1 - x), x = 2^U - 1 with U stratified
 # over ten strata (jitter seed 11), and its (value, est_error) pinned from
-# the serial F/H code before the F-table threads came in
+# the Phi2 route that stops each direct sum at its continued-fraction tail
+# bound
 _PINNED_G = [
+    (3.4676501229418992, 4.901805493876275e-06),
+    (-3.4676501396234665, 5.510806640249177e-06),
+    (0.9602853654950829, 7.275263937769392e-06),
+    (-0.9602853366189423, 7.851425200855965e-06),
+    (0.2356189349624307, 1.1851926569965868e-05),
+    (-0.23561892644012467, 1.2011731127490712e-05),
+    (0.36724833966244497, 1.6195864639420015e-05),
+    (-0.36724834669762574, 1.6253440203664676e-05),
+    (-1.4441576788207868, 1.6204638332019807e-05),
+    (1.444157575518799, 1.637057924030533e-05),
+    (1.037457464225338, 4.355164933884448e-06),
+    (-1.0374574216117014, 4.1483073532761756e-06),
+    (0.5814240902563093, 2.313187076001362e-06),
+    (-0.581424099073362, 2.169316300161477e-06),
+    (-0.2466420644474847, 2.4333373812324348e-06),
+    (0.24664206810859568, 2.4190603632207933e-06),
+    (-0.6758656360746355, 1.533700329733313e-05),
+    (0.675865629283954, 1.4711589549596633e-05),
+    (-1.7747057986179697, 1.9556106690525034e-05),
+    (1.7747058312076878, 1.9451378199589685e-05),
+]
+# the same, pinned from the serial F/H code that summed every direct Phi2 sum
+# of 2048 terms or more to ceil(1/(6 tol)) terms
+_PINNED_G_FULL_SUMS = [
     (3.4676501229418992, 4.901805493876275e-06),
     (-3.467650119735741, 4.914962944488609e-06),
     (0.960285365219137, 7.248312187904251e-06),
@@ -672,10 +764,14 @@ def test_g_func_matches_pinned_values():
     gs = [sf.g_func(x, cfg=cfg) for x in _pinned_points()]
     got = [(g.value, float(g.est_error)) for g in gs]
     assert got == _PINNED_G
+    # the shorter sums move g by less than the two error bounds together
+    for (v, e), (v0, e0) in zip(got, _PINNED_G_FULL_SUMS):
+        assert abs(v - v0) <= e + e0
 
 
-# W (value, terms_used, tail_bound) and H (value, err) at abs_tol 1e-5 on the
-# points above, pinned from the code that walked 200-step orbit arrays
+# W (value, terms_used, tail_bound) at abs_tol 1e-5 on the points above,
+# pinned from the code that walked 200-step orbit arrays; H (value, err)
+# pinned with _PINNED_G, and from that code (_PINNED_H_FULL_SUMS)
 _PINNED_W = [
     (4.718972437420512, 11, 1.2690388640886257e-06),
     (-4.658853855781007, 12, 1.2682571676462962e-06),
@@ -699,6 +795,28 @@ _PINNED_W = [
     (2.9566621887353297, 9, 7.583544502029488e-06),
 ]
 _PINNED_H = [
+    (-1.2513223144786128, 3.6327666297876493e-06),
+    (1.1912037161575402, 4.242549472602881e-06),
+    (-1.0321279454599601, 5.569963182435188e-06),
+    (0.5706422592997571, 6.145961978595858e-06),
+    (-0.8229933718125455, 9.134849285044181e-06),
+    (0.10577992297397694, 9.294333174826762e-06),
+    (-0.8535463634800912, 9.528222250605893e-06),
+    (0.0439177971737478, 9.585776694935417e-06),
+    (-0.47947367908754784, 8.254498226383572e-06),
+    (-0.5620093164588629, 8.419456987997547e-06),
+    (-1.2259385952200632, 3.4992257700924867e-06),
+    (-0.14396817764811445, 3.292480874638071e-06),
+    (-1.1018840734171014, 2.251582038409843e-06),
+    (-0.2381117225203799, 2.112246926254481e-06),
+    (-0.18721234940285747, 2.386933344007956e-06),
+    (-0.9142378112726965, 2.3733259538641072e-06),
+    (0.38769635241744693, 9.295263568366114e-06),
+    (-0.945284873555094, 8.63880983985951e-06),
+    (0.9252342366558646, 1.1972950538341615e-05),
+    (-1.181956357527642, 1.1867833697560196e-05),
+]
+_PINNED_H_FULL_SUMS = [
     (-1.2513223144786128, 3.6327666297876493e-06),
     (1.1912037360452656, 3.646705776842313e-06),
     (-1.032127945735906, 5.543011432570047e-06),
@@ -727,7 +845,10 @@ def test_w_and_h_match_pinned_values():
     pts = _pinned_points()
     ws = [wilton(x, cfg) for x in pts]
     assert [(w.value, w.terms_used, w.tail_bound) for w in ws] == _PINNED_W
-    assert [tuple(map(float, sf._h_with_err(x, 1e-5))) for x in pts] == _PINNED_H
+    hs = [tuple(map(float, sf._h_with_err(x, 1e-5))) for x in pts]
+    assert hs == _PINNED_H
+    for (v, e), (v0, e0) in zip(hs, _PINNED_H_FULL_SUMS):
+        assert abs(v - v0) <= e + e0
 
 
 def _counting_orbit(pulled: list[int]):
