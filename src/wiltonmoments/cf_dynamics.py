@@ -11,9 +11,11 @@ for a fraction near a double, decides which doubles are effectively rational
 orbit lazily, each scalar series stopping it by its own rule, and
 orbit_arrays collects it to a depth; ToleranceConfig carries their one
 tolerance, abs_tol.  orbit_step, the one vectorized step, ends a row by
-orbit's end test.  pool_map is the one thread pool and the one reader of
-the CPU count: the row sweeps, the inverse-CDF draws and the direct sums
-run their independent work items on it.
+orbit's end test, and float_end_error is the one rule, for scalar series
+and rows alike, that ends or refuses a series whose orbit ended first.
+pool_map is the one thread pool and the one reader of the CPU count: the
+row sweeps, the inverse-CDF draws and the direct sums run their
+independent work items on it.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -220,15 +222,17 @@ def pool_map(fn: Callable, items: Iterable) -> list:
         return [f.result() for f in futures]
 
 
-def require_float_end(x: float, series: str, steps: int) -> None:
+def float_end_error(x: float, series: str, steps: int) -> ArithmeticError | None:
     """For a series that ran out of steps of orbit(x) before its rule held:
-    raise NonConvergenceError at the cap of MAX_TERMS + 1 steps, and
-    EffectiveRationalError where x is effectively rational.  Otherwise the
-    float orbit could not step on, and the series ends with its tail bound."""
+    NonConvergenceError at the cap of MAX_TERMS + 1 steps, EffectiveRationalError
+    where x is effectively rational, and otherwise None: the float orbit could
+    not step on, and the series ends with its tail bound.  The scalar series
+    raise the error, and _orbit_series leaves the row not ok."""
     if steps > MAX_TERMS:
-        raise NonConvergenceError(f"{series} at {x} still above tolerance after {steps} steps")
+        return NonConvergenceError(f"{series} at {x} still above tolerance after {steps} steps")
     if effective_denominator(x):
-        raise EffectiveRationalError(f"orbit of {x} ended before {series} converged")
+        return EffectiveRationalError(f"orbit of {x} ended before {series} converged")
+    return None
 
 
 def orbit_arrays(x: float, max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:

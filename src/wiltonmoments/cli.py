@@ -261,7 +261,7 @@ def _cmd_moment(args) -> tuple[int, str]:
     if not ks:
         raise SystemExit2(f"--k needs at least one value, got {args.k!r}")
     ests = moments.gamma_ratio_sweep(ks, seed=args.seed, samples=args.samples, method=args.method)
-    header = "K value std_error gamma_ratio target_ratio rejections repair_rounds".split()
+    header = "K value std_error gamma_ratio target_ratio rejections".split()
     rows = [[getattr(e, name) for name in header] for e in ests]
     return 0, _table(header, rows, args.format)
 

@@ -31,7 +31,6 @@ LOG2 = math.log(2.0)
 TARGET_RATIO = math.exp(np.euler_gamma) / math.pi
 
 _GAMMA_SHARE = 0.95  # mixture weight of the Gamma(K+1) component
-_MAX_REPAIR_ROUNDS = 8
 MAX_SAMPLES = 10**7  # the MC route holds 58-60 bytes per sample, 0.60 GB here
 _U_EDGE = 1e-12  # the end nodes of the Gamma map sit at u = _U_EDGE and 1 - _U_EDGE
 _Z_EDGE = math.log((1.0 - _U_EDGE) / _U_EDGE)  # logit(1 - _U_EDGE)
@@ -46,8 +45,7 @@ class MomentEstimate:
     method: str
     gamma_ratio: float
     target_ratio: float = TARGET_RATIO
-    rejections: int = 0  # distinct points redrawn because their orbit ended first
-    repair_rounds: int = 0
+    rejections: int = 0  # points g_batch refuses (see moment), each of weight 0
 
 
 def _panel_edges(K: float, lo: float, panels: int) -> np.ndarray:
@@ -172,14 +170,14 @@ def _mixture_samples(K: float, n: int, seed: int):
     (values below log 2 get weight zero through the indicator), the rest
     from x uniform on (0, 1/2).
     """
-    kids = np.random.SeedSequence(seed).spawn(3)
+    kids = np.random.SeedSequence(seed).spawn(2)
     n1 = int(round(_GAMMA_SHARE * n))
     n2 = n - n1
     u1 = (np.arange(n1) + np.random.default_rng(kids[0]).random(n1)) / n1
     u2 = (np.arange(n2) + np.random.default_rng(kids[1]).random(n2)) / n2
     first, second = _component(K, u1, True), _component(K, u2, False)
     x, t, p = (np.concatenate(pair) for pair in zip(first, second))
-    return x, t, p, n1, np.random.default_rng(kids[2])
+    return x, t, p, n1
 
 
 def _require_finite(K: float, value: float, std_error: float) -> None:
@@ -200,12 +198,11 @@ def moment(
 
     mc: stratified importance sampling in t = log(1/x) from the
     Gamma(K+1) + uniform mixture, doubled onto (1/2, 1) via antisymmetry.
-    Points whose orbit ends first (g_batch's ok is False; at K = 20 these
-    end on RATIONAL_GUARD, where {1/x} is a short dyadic in floats) are
-    redrawn from a reserved repair stream; the distinct points redrawn and
-    the repair rounds are reported, and a rejection rate above 1% of the
-    points raises NonConvergenceError, and so does an estimate that leaves
-    double range (from about K = 170).  samples must be in [2, MAX_SAMPLES].
+    A point g_batch refuses (ok is False: x effectively rational, or an
+    orbit that runs MAX_TERMS steps) weighs 0 and is counted in rejections;
+    a rejection rate above 1% of the points raises NonConvergenceError, and
+    so does an estimate that leaves double range (from about K = 170).
+    samples must be in [2, MAX_SAMPLES].
 
     quad: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
@@ -237,19 +234,10 @@ def moment(
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
 
-    x, t, p, n1, repair_rng = _mixture_samples(K, samples, seed)
+    x, t, p, n1 = _mixture_samples(K, samples, seed)
     n2 = samples - n1
     g, ok = g_batch(x)[::2]
-    # only failed points are redrawn, so these are all the points ever failed
     rejections = int(np.count_nonzero(~ok))
-    rounds = 0
-    while not ok.all() and rounds < _MAX_REPAIR_ROUNDS:
-        bad = np.flatnonzero(~ok)
-        for idx, gamma in ((bad[bad < n1], True), (bad[bad >= n1], False)):
-            if idx.size:
-                x[idx], t[idx], p[idx] = _component(K, repair_rng.random(idx.size), gamma)
-        g[bad], ok[bad] = g_batch(x[bad])[::2]
-        rounds += 1
     del x
     if rejections > 0.01 * samples:
         raise NonConvergenceError(
@@ -285,7 +273,6 @@ def moment(
         method="mc",
         gamma_ratio=math.exp(log_ratio),
         rejections=rejections,
-        repair_rounds=rounds,
     )
 
 

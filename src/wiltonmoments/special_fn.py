@@ -59,11 +59,11 @@ from .cf_dynamics import (
     ToleranceConfig,
     effective_denominator,
     exact_cf,
+    float_end_error,
     nearby_fraction,
     orbit,
     orbit_arrays,
     pool_map,
-    require_float_end,
 )
 from .wilton import _alternating_sum, _orbit_series, wilton
 
@@ -576,7 +576,7 @@ def h_func(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
 def _h_with_err(x: float, tol: float) -> tuple[float, float]:
     """H(x), stopped at the first m with 2 beta_{m-1} sup|F| < tol/2, m + 1
     steps into orbit(x), and its error, with the tail term 4 beta_{m-1}
-    sup|F|; an orbit that ends first is decided by require_float_end, and
+    sup|F|; an orbit that ends first is decided by float_end_error, and
     if the float orbit could not step on, H is summed to its end."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"h_func needs x in (0, 1), got {x}")
@@ -588,7 +588,8 @@ def _h_with_err(x: float, tol: float) -> tuple[float, float]:
         alphas.append(a)
         betas.append(beta)
     else:
-        require_float_end(x, "the H series", len(alphas))
+        if err := float_end_error(x, "the H series", len(alphas)):
+            raise err
         beta = beta * a
     m = len(alphas)
     j = np.arange(m, dtype=np.float64)
@@ -677,7 +678,7 @@ def g_func(
     truncation heuristic plus a first-order orbit-rounding term, see
     wilton) plus the H series bound.  An orbit that ends first raises
     EffectiveRationalError where x is effectively rational, and otherwise
-    ends both series with their tail bounds (require_float_end), which
+    ends both series with their tail bounds (float_end_error), which
     below x ~ 1e-13 leaves log(1/x) - A(1) + x.  direct_series returns -2
     times a Cesaro average of the partial sums S_n, 2^20 <= n < 2^20 + 64,
     of Phi1 with a heuristic error: the window's spread, 64/2^20, and the
@@ -818,14 +819,14 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     - A(1) + O(720 x), so those points skip the orbit (a double cannot
     resolve {1/x} there anyway).
 
-    Returns (values, err_bounds, ok); not-ok points (value and bound 0) lie
-    outside (0, 1), nan included, or have an orbit that ends, where g_func's
-    does (cf_dynamics.orbit_step: an iterate below RATIONAL_GUARD or an
-    effectively rational x), or that runs MAX_TERMS steps first; they
-    should be resampled or excluded.  Every other value and error is bit for
-    bit that of the float orbit at any CPU count: the sweep runs in _BLOCK-row
-    blocks on pool_map, after the F table, sup|F| and A(1) are built here.
-    Input that is not 1-D raises ValueError.
+    Returns (values, err_bounds, ok).  A point whose orbit ends first
+    (orbit_step) ends as in g_func (float_end_error): its sums run to the
+    orbit's end with W's and H's tail bounds.  Not-ok points (value and bound
+    0) lie outside (0, 1), nan included, are effectively rational (g_func
+    raises) or run MAX_TERMS steps; a caller weighs them 0.  Every other
+    value and error is bit for bit that of the float orbit at any CPU count:
+    the sweep runs in _BLOCK-row blocks on pool_map, after the F table,
+    sup|F| and A(1) are built here.  Input that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:

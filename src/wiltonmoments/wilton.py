@@ -27,11 +27,11 @@ from .cf_dynamics import (
     RATIONAL_GUARD,
     EffectiveRationalError,
     ToleranceConfig,
+    float_end_error,
     orbit,
     orbit_arrays,
     orbit_step,
     pool_map,
-    require_float_end,
 )
 
 
@@ -109,7 +109,7 @@ def wilton(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WiltonEval:
     below abs_tol ~1e-8 it grows like u/beta_k while the true error stays
     near 1e-8.
 
-    An orbit that ends after j steps first is decided by require_float_end.
+    An orbit that ends after j steps first is decided by float_end_error.
     If the float orbit could not step on, all j terms are summed, and the
     truncation part bounds the rest, beta_{j-1} W(alpha_j), by the heuristic
     720 beta_{j-1} plus one ulp of the sum: |W(y)| passes 720 only within
@@ -126,7 +126,8 @@ def wilton(x: float, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WiltonEval:
             value, trunc = _alternating_sum(gammas[:k]), gammas[k] + gammas[k + 1]
             break
     else:
-        require_float_end(x, "the W series", len(gammas))
+        if err := float_end_error(x, "the W series", len(gammas)):
+            raise err
         k = len(gammas)
         betas.append(beta * a)
         value = _alternating_sum(gammas)
@@ -168,15 +169,17 @@ def _orbit_series(
     gamma_{k+1} <= min(tol, gamma_k) (the rule of wilton) and
     2 beta_{k-1} supf < h_tol.  It then writes its partial sum, the error
     gamma_k + gamma_{k+1} + 4 beta_{k-1} supf + 2 f_err sum_{j<k} beta_{j-1},
-    k (unless terms is None) and ok = True, and leaves the working arrays,
-    so each step costs only the points still running: one flatnonzero each
-    finds the rows that stop and the rows that go on, and take gathers them.
-    Points whose orbit ends first (orbit_step: an iterate below
-    RATIONAL_GUARD or an effectively rational start, where wilton's ends) or
-    that run MAX_TERMS steps are left as they were.  More than _BLOCK rows
-    run as blocks of _BLOCK on pool_map, each compacting on its own; a row's
-    arithmetic does not depend on its block, so every bit is that of one
-    sweep.
+    k (unless terms is None) and ok = True.  A point whose orbit ends after
+    alpha_k first (orbit_step) stops there by the scalar series' end rule,
+    float_end_error: unless x is effectively rational it writes its sum
+    through term k, k + 1, ok = True and the error of wilton and _h_with_err,
+    720 beta_k + ulp(value) + 4 beta_k supf, plus 2 f_err sum_{j<=k}
+    beta_{j-1}.  Other points are left as they were.  A stopped point leaves
+    the working arrays, so each step costs only the points still running:
+    one flatnonzero each finds the rows that stop and the rows that go on,
+    and take gathers them.  More than _BLOCK rows run as blocks of _BLOCK on
+    pool_map, each compacting on its own; a row's arithmetic does not depend
+    on its block, so every bit is that of one sweep.
     """
     if idx.size > _BLOCK:
         blocks = (idx[lo : lo + _BLOCK] for lo in range(0, idx.size, _BLOCK))
@@ -191,25 +194,27 @@ def _orbit_series(
     sign = 1.0
     k = 0
     while idx.size and k < MAX_TERMS:
-        alpha_next, beta_next, ended = orbit_step(alpha, beta, x, idx)  # ended: dropped
-        g_next = np.where(ended, 0.0, beta_next * (-np.log(np.where(ended, 0.5, alpha_next))))
+        alpha_next, beta_next, ended = orbit_step(alpha, beta, x, idx)
+        g_next = beta_next * -np.log(np.where(ended, 0.5, alpha_next))  # ended rows stop
         w_done = (k >= 1) & (prev_g < tol) & (g_next <= tol) & (g_next <= prev_g)
-        stop = ~ended & w_done & (2.0 * beta * supf < h_tol)
+        stop = ended | (w_done & (2.0 * beta * supf < h_tol))
         s = np.flatnonzero(stop)
         if s.size:
-            done = idx.take(s)
-            value[done] = val.take(s)
-            err[done] = (
-                prev_g.take(s)
-                + g_next.take(s)
-                + 4.0 * beta.take(s) * supf
-                + 2.0 * f_err * beta_sum.take(s)
-            )
+            done, v, b, b_sum, e = (a.take(s) for a in (idx, val, beta, beta_sum, ended))
+            tail = prev_g.take(s) + g_next.take(s) + 4.0 * b * supf + 2.0 * f_err * b_sum
+            if e.any():  # the orbit ended after alpha_k: sum through term k, as scalar series do
+                i, b_end = s[e], beta_next.take(s[e])
+                v[e] += sign * (prev_g.take(i) - 2.0 * b[e] * f(alpha.take(i)))
+                tail[e] = (720.0 + 4.0 * supf) * b_end + 2.0 * f_err * (b_sum[e] + b[e])
+                tail[e] += np.spacing(np.abs(v[e]))
+                fin = ~e
+                fin[e] = [not float_end_error(float(x[j]), "a row", k + 1) for j in done[e]]
+                done, v, tail, e = done[fin], v[fin], tail[fin], e[fin]
+            value[done], err[done], ok[done] = v, tail, True
             if terms is not None:
-                terms[done] = k
-            ok[done] = True
+                terms[done] = k + e
 
-        keep = np.flatnonzero(~(ended | stop))
+        keep = np.flatnonzero(~stop)
         if keep.size < idx.size:
             idx, alpha, beta, val, beta_sum, alpha_next, beta_next, prev_g, g_next = (
                 a.take(keep)
@@ -229,10 +234,11 @@ def wilton_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized Wilton evaluation: _orbit_series with F = 0.
 
-    Returns (values, tail_bounds, terms_used, ok).  ok is False where x is
-    outside (RATIONAL_GUARD, 1), where the orbit ends first (orbit_step: an
-    iterate below RATIONAL_GUARD or an effectively rational x, where wilton
-    raises) or after MAX_TERMS steps; such entries hold 0.  Iterates are
+    Returns (values, tail_bounds, terms_used, ok).  An orbit that ends first
+    (orbit_step) ends the series as in wilton, with the tail 720 beta + ulp
+    but without wilton's rounding term.  ok is False where x is outside
+    (RATIONAL_GUARD, 1), effectively rational (where wilton raises) or still
+    running after MAX_TERMS steps; such entries hold 0.  Iterates are
     produced by the same float operations as gauss_map, so residuals of the
     functional equation cancel structurally down to the tail bounds.  Rows
     run in _BLOCK-row blocks on one thread per CPU, with unchanged bits.

@@ -244,7 +244,7 @@ class TestMomentCmd:
         )
         assert status == 0
         header = out.strip().split("\n")[0]
-        assert header == "K,value,std_error,gamma_ratio,target_ratio,rejections,repair_rounds"
+        assert header == "K,value,std_error,gamma_ratio,target_ratio,rejections"
 
     def test_sweep(self, capsys):
         status, out = run_capture(

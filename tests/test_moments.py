@@ -115,21 +115,37 @@ class TestMoment:
         assert 0.45 <= est.gamma_ratio <= 0.70
         assert est.rejections < 0.01 * est.samples
 
-    def test_point_failing_twice_counts_once(self, monkeypatch):
-        # point 3 fails on the first draw and on its first redraw
+    def test_k20_unbiased_over_seeds(self):
+        # the gap gamma_ratio(20) - e^gamma/pi is about +1.6e-7 (exponentially
+        # small); redrawing guard-ended points instead of finishing them put
+        # the mean near -1.1e-4
+        d = np.array([
+            mo.moment(20.0, seed=s, samples=600_000).gamma_ratio - mo.TARGET_RATIO
+            for s in range(8)
+        ])
+        sd = float(np.std(d, ddof=1))
+        assert -3.0 * sd <= float(np.mean(d)) <= 1e-6 + 3.0 * sd, d
+
+    def test_refused_point_weighs_zero_and_counts_once(self, monkeypatch):
+        # g = 1 except at point 500, which g_batch refuses; nothing is redrawn
         calls = []
 
         def stub(x):
             calls.append(x.size)
-            ok = np.ones(x.size, dtype=bool)
-            if len(calls) < 3:
-                ok[3 if len(calls) == 1 else 0] = False
+            ok = np.arange(x.size) != 500
             return np.where(ok, 1.0, 0.0), np.zeros(x.size), ok
 
         monkeypatch.setattr(mo, "g_batch", stub)
         est = mo.moment(2.0, seed=1, samples=1000)
-        assert calls == [1000, 1, 1]
-        assert (est.rejections, est.repair_rounds) == (1, 2)
+        assert calls == [1000]
+        assert est.rejections == 1
+        _, t, p, n1 = mo._mixture_samples(2.0, 1000, 1)
+        w1, w2 = n1 / 1000, (1000 - n1) / 1000
+        f_over_p = np.where(t > mo.LOG2, np.exp(-t) / (w1 * p + w2 * 2.0 * np.exp(-t)), 0.0)
+        assert f_over_p[500] > 0.0
+        f_over_p[500] = 0.0
+        want = 2.0 * (w1 * f_over_p[:n1].mean() + w2 * f_over_p[n1:].mean())
+        assert est.value == pytest.approx(want, rel=1e-13)
 
     def test_quad_route_close_to_mc(self):
         q = mo.moment(6.0, method="quad", panels=1 << 12)

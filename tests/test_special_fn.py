@@ -411,6 +411,27 @@ class TestGBatch:
             g = sf.g_func(x, "wilton_plus_H", CFG6)
             assert abs(v - g.value) <= e + g.est_error, x
 
+    def test_guard_ended_moment_draws_finish_as_g_func(self):
+        # among moment(20)'s draws, x in [SMALLX_CUT, 1.1e-9] can have a short
+        # dyadic float {1/x}, whose orbit ends on RATIONAL_GUARD within four
+        # iterates; g_batch sums W and H to the orbit's end, as g_func does
+        from wiltonmoments.moments import _mixture_samples
+
+        xs = _mixture_samples(20.0, 500_000, 12)[0]
+        xs = xs[xs >= cf_dynamics.SMALLX_CUT]
+        alpha, beta, live = xs, 1.0, np.ones(xs.size, dtype=bool)
+        for _ in range(4):
+            alpha, beta, ended = cf_dynamics.orbit_step(alpha, beta, xs)
+            live &= ~ended
+            alpha = np.where(live, alpha, 0.5)
+        xs = xs[~live][:300]
+        assert xs.size == 300
+        vals, errs, ok = sf.g_batch(xs)
+        assert ok.all(), xs[~ok][:5]
+        for x, v, e in zip(xs.tolist(), vals, errs):
+            g = sf.g_func(x, "wilton_plus_H", CFG6)
+            assert abs(v - g.value) <= e + g.est_error, x
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(xs=arrays(
         np.float64,

@@ -208,6 +208,19 @@ class TestWiltonBatch:
         resid = np.abs(wx[use] + np.log(xs[use]) + xs[use] * wax[use])
         assert resid.max() < 1e-9
 
+    # float orbits that end on RATIONAL_GUARD before wilton's rule holds: at
+    # 1e-12 {1/x} < 1e-15, and the float {1/x} of 1/(2^30 + 7/8) is exactly 7/8
+    @pytest.mark.parametrize("x", [1e-12, 1.029652039890502e-12, 1.0 / (2**30 + 0.875)])
+    def test_guard_ended_orbit_ends_as_in_wilton(self, x):
+        _, betas, _, truncated = orbit_arrays(x, 10)
+        assert truncated
+        vals, tails, terms, ok = wilton_batch(np.array([x]), CFG)
+        w = wilton(x, CFG)
+        assert ok[0] and terms[0] == w.terms_used
+        assert vals[0] == pytest.approx(w.value, abs=1e-13)
+        # wilton's truncation part, 720 beta_{j-1} + ulp, without its rounding part
+        assert tails[0] == pytest.approx(720.0 * betas[-1] + math.ulp(w.value), rel=1e-12)
+
     def test_not_ok_entries_hold_zero(self):
         xs = np.array([0.375, 0.5, 1e-16, 1.0, GOLDEN])
         vals, tails, terms, ok = wilton_batch(xs, CFG)
