@@ -9,7 +9,10 @@ doubles the half-interval estimate to (0, 1).  The quadrature route uses
 fixed Gauss-Legendre panels in t with a refinement-difference error.
 
 Sampling is stratified through inverse-CDF maps with seeded jitter, so a
-(seed, config) pair reproduces every estimate bit for bit.  The fit's map
+(seed, config) pair reproduces every estimate bit for bit.  The Monte Carlo
+route is one pass over _BLOCK-row blocks on pool_map: each block draws its
+rows, evaluates g and reduces them to a few numbers per component, so its
+memory is a few blocks' at any sample count.  The fit's map
 is piecewise linear in (logit u, log t) through 4096 exact gammaincinv
 nodes per K, and each draw carries its exact density, all that importance
 sampling needs of a proposal.  scipy.special is imported at the first
@@ -31,7 +34,7 @@ LOG2 = math.log(2.0)
 TARGET_RATIO = math.exp(np.euler_gamma) / math.pi
 
 _GAMMA_SHARE = 0.95  # mixture weight of the Gamma(K+1) component
-MAX_SAMPLES = 10**7  # the MC route holds 58-60 bytes per sample, 0.60 GB here
+MAX_SAMPLES = 10**7  # caps every point count (moment, eval --grid/--sample), not memory
 _U_EDGE = 1e-12  # the end nodes of the Gamma map sit at u = _U_EDGE and 1 - _U_EDGE
 _Z_EDGE = math.log((1.0 - _U_EDGE) / _U_EDGE)  # logit(1 - _U_EDGE)
 
@@ -94,9 +97,8 @@ def log_moment_calibration(
         )
     if method == "mc":
         from scipy.special import gammaln
-        rng = np.random.default_rng(seed)
-        u = (np.arange(samples) + rng.random(samples)) / samples
-        _, t, p = _component(K, u, True)
+        _, t, p, n1 = _mixture_samples(K, samples, seed)
+        t, p = t[:n1], p[:n1]
         ratio = np.exp(K * np.log(t) - t - gammaln(K + 1.0)) / p
         return float(np.exp(gammaln(K + 1.0)) * np.mean(ratio))
     raise ValueError(f"unknown calibration method {method!r}")
@@ -141,43 +143,67 @@ def _gamma_density(a: float, t: np.ndarray) -> np.ndarray:
     return e / (1.0 + e) ** 2 / (t * s[j])
 
 
-def _component(K: float, u: np.ndarray, gamma: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, t, p) by inverse CDF from uniforms u, p the Gamma component's
-    density at t: _gamma_draws(K + 1, u) if gamma, in _BLOCK-row blocks on
-    pool_map, each the same bits as one call; else x uniform on (0, 1/2)
-    and p by _gamma_density."""
-    a = K + 1.0
-    if gamma:
-        _gamma_nodes(a)  # imports scipy and builds the nodes in this thread
-        x, t, p = np.empty(u.size), np.empty(u.size), np.empty(u.size)
-
-        def block(i):
-            rows = slice(i, i + _BLOCK)
-            t[rows], p[rows] = _gamma_draws(a, u[rows])
-            np.exp(-t[rows], out=x[rows])
-
-        pool_map(block, range(0, u.size, _BLOCK))
-        return x, t, p
-    x = 0.5 * np.maximum(u, 1e-12)
-    t = -np.log(x)
-    return x, t, _gamma_density(a, t)
-
-
-def _mixture_samples(K: float, n: int, seed: int):
-    """Stratified draws from the defensive mixture over t > log 2.
-
-    The first n1 points come from the Gamma(K+1) component on (0, inf)
-    (values below log 2 get weight zero through the indicator), the rest
-    from x uniform on (0, 1/2).
-    """
-    kids = np.random.SeedSequence(seed).spawn(2)
+def _mixture_samples(K: float, n: int, seed: int, lo: int = 0, hi: int | None = None):
+    """Rows [lo, hi) (default [0, n)) of n stratified draws (x, t, p, n1)
+    from the defensive mixture over t > log 2, p the Gamma component's
+    density at t.  Rows below n1 = round(0.95 n) are the Gamma(K+1)
+    component's strata on (0, inf) (t below log 2 weighs zero through the
+    indicator), the rest x uniform on (0, 1/2).  Each component's jitter is
+    its own PCG64 stream advanced to the range's first stratum, so every
+    split of [0, n) into ranges gives the bits of one draw of [0, n)."""
+    hi = n if hi is None else hi
     n1 = int(round(_GAMMA_SHARE * n))
-    n2 = n - n1
-    u1 = (np.arange(n1) + np.random.default_rng(kids[0]).random(n1)) / n1
-    u2 = (np.arange(n2) + np.random.default_rng(kids[1]).random(n2)) / n2
-    first, second = _component(K, u1, True), _component(K, u2, False)
-    x, t, p = (np.concatenate(pair) for pair in zip(first, second))
-    return x, t, p, n1
+    a = K + 1.0
+
+    def strata(kid, first, stop, count):
+        jitter = np.random.Generator(np.random.PCG64(kid).advance(first))
+        return (np.arange(first, stop) + jitter.random(max(stop - first, 0))) / count
+
+    kids = np.random.SeedSequence(seed).spawn(2)
+    t1, p1 = _gamma_draws(a, strata(kids[0], lo, min(hi, n1), n1))
+    x2 = 0.5 * np.maximum(strata(kids[1], max(lo, n1) - n1, hi - n1, n - n1), 1e-12)
+    t2 = -np.log(x2)
+    x = np.concatenate((np.exp(-t1), x2))
+    return x, np.concatenate((t1, t2)), np.concatenate((p1, _gamma_density(a, t2))), n1
+
+
+def _block_sums(K: float, n: int, seed: int, lo: int):
+    """moment's pass over rows [lo, lo + _BLOCK) of n: draw, evaluate g and
+    weigh each row by f/p, f = |g|^K e^-t on t > log 2 and p the mixture's
+    density.  Returns (rejections, gamma part, uniform part); a part is
+    (count, mean, M2, e) of f/p / 2^e over the component's rows, 2^e the
+    power of two that puts their largest f/p in [1, 2)."""
+    x, t, p, n1 = _mixture_samples(K, n, seed, lo, min(lo + _BLOCK, n))
+    g, ok = g_batch(x)[::2]
+    # at large K the weights leave double range; the result is then rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = n1 / n * p + (n - n1) / n * np.where(t > LOG2, 2.0 * np.exp(-t), 0.0)
+        absg = np.abs(g)
+        logf = np.where(absg > 0.0, K * np.log(np.where(absg > 0, absg, 1.0)) - t, -np.inf)
+        f_over_p = np.where((t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / p, 0.0)
+        k = min(max(n1 - lo, 0), x.size)
+        parts = [_part(y) for y in (f_over_p[:k], f_over_p[k:])]
+    return int(np.count_nonzero(~ok)), *parts
+
+
+def _part(y: np.ndarray) -> tuple[int, float, float, int]:
+    if not y.size:
+        return 0, 0.0, 0.0, 0
+    e = math.frexp(float(y.max()))[1] - 1
+    y = y / math.ldexp(1.0, e)
+    return y.size, float(np.mean(y)), float(np.var(y)) * y.size, e
+
+
+def _merge(a, b):
+    """Two parts as one, by the pairwise update of Chan, Golub and LeVeque,
+    in the larger of their units."""
+    if not (a[0] and b[0]):
+        return a if a[0] else b
+    e = max(a[3], b[3])
+    na, ma, sa = a[0], math.ldexp(a[1], a[3] - e), math.ldexp(a[2], 2 * (a[3] - e))
+    nb, mb, sb = b[0], math.ldexp(b[1], b[3] - e), math.ldexp(b[2], 2 * (b[3] - e))
+    n, d = na + nb, mb - ma
+    return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n), e
 
 
 def _require_finite(K: float, value: float, std_error: float) -> None:
@@ -202,7 +228,10 @@ def moment(
     orbit that runs MAX_TERMS steps) weighs 0 and is counted in rejections;
     a rejection rate above 1% of the points raises NonConvergenceError, and
     so does an estimate that leaves double range (from about K = 170).
-    samples must be in [2, MAX_SAMPLES].
+    samples must be in [2, MAX_SAMPLES].  The rows run as _BLOCK-row
+    blocks (_block_sums) on pool_map, the first in this thread; each block's
+    (count, mean, M2) per component, in its own power-of-two units, is
+    added in block order, so the worker count never moves a bit.
 
     quad: deterministic panel quadrature on (log 2, inf)
     with the refinement difference as the error field.
@@ -234,35 +263,21 @@ def moment(
     if not 2 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
 
-    x, t, p, n1 = _mixture_samples(K, samples, seed)
-    n2 = samples - n1
-    g, ok = g_batch(x)[::2]
-    rejections = int(np.count_nonzero(~ok))
-    del x
+    block = functools.partial(_block_sums, K, samples, seed)
+    blocks = [block(0)]  # builds the F table in this thread, once
+    blocks += pool_map(block, range(_BLOCK, samples, _BLOCK))
+    rejections = sum(b[0] for b in blocks)
     if rejections > 0.01 * samples:
         raise NonConvergenceError(
             f"rejection rate {rejections / samples:.3%} exceeds 1% at K={K}"
         )
-
-    w1 = n1 / samples
-    w2 = n2 / samples
-    # at large K the weights leave double range; the result is then rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = w1 * p + w2 * np.where(t > LOG2, 2.0 * np.exp(-t), 0.0)  # the mixture's density
-        absg = np.abs(g)
-        logf = np.where(absg > 0.0, K * np.log(np.where(absg > 0, absg, 1.0)) - t, -np.inf)
-        f_over_p = np.where(
-            (t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / p, 0.0
-        )
-        # an exact power-of-two scale keeps the variance in range
-        scale = math.ldexp(1.0, math.frexp(float(f_over_p.max()))[1] - 1)
-        f_over_p /= scale
-        m1 = float(np.mean(f_over_p[:n1])) if n1 else 0.0
-        m2 = float(np.mean(f_over_p[n1:])) if n2 else 0.0
-        value = 2.0 * (w1 * m1 + w2 * m2) * scale
-        v1 = float(np.var(f_over_p[:n1])) if n1 > 1 else 0.0
-        v2 = float(np.var(f_over_p[n1:])) if n2 > 1 else 0.0
-    std = 2.0 * math.sqrt(w1 * w1 * v1 / max(n1, 1) + w2 * w2 * v2 / max(n2, 1)) * scale
+    (n1, m1, s1, e1), (n2, m2, s2, e2) = (
+        functools.reduce(_merge, col) for col in zip(*(b[1:] for b in blocks))
+    )
+    # each component leaves its units here; a float product overflows to inf, not an error
+    u1, u2 = math.ldexp(n1 / samples, e1), math.ldexp(n2 / samples, e2)
+    value = 2.0 * (u1 * m1 + u2 * m2)
+    std = 2.0 * math.hypot(u1 * math.sqrt(s1) / max(n1, 1), u2 * math.sqrt(s2) / max(n2, 1))
     _require_finite(K, value, std)
     log_ratio = math.log(value) - float(gammaln(K + 1.0)) if value > 0 else -math.inf
     return MomentEstimate(
@@ -282,7 +297,7 @@ def gamma_ratio_sweep(
     samples: int = 1_000_000,
     method: str = "mc",
 ) -> list[MomentEstimate]:
-    """One moment estimate per K, sharing the sampling budget and seed root."""
+    """One moment estimate per K, each from `samples` draws at seed + i."""
     if any(k <= 0 for k in Ks):
         raise ValueError("all K must be positive")
     if sorted(Ks) != list(Ks):

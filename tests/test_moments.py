@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -146,6 +148,64 @@ class TestMoment:
         f_over_p[500] = 0.0
         want = 2.0 * (w1 * f_over_p[:n1].mean() + w2 * f_over_p[n1:].mean())
         assert est.value == pytest.approx(want, rel=1e-13)
+
+    def test_row_range_draws_are_one_draw(self):
+        # blocks of any split, the n1 boundary inside one, give the whole
+        # range's bits, and the whole range keeps the one-stream definition
+        n, seed = 3 * mo._BLOCK + 123, 5
+        whole = mo._mixture_samples(2.0, n, seed)
+        n1 = whole[3]
+        for edges in (list(range(0, n, mo._BLOCK)) + [n], [0, 17, n1 - 5, n1 + 7, n]):
+            parts = [mo._mixture_samples(2.0, n, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
+            for i in range(3):
+                assert np.concatenate([q[i] for q in parts]).tobytes() == whole[i].tobytes()
+        kid = np.random.SeedSequence(seed).spawn(2)[0]
+        u1 = (np.arange(n1) + np.random.default_rng(kid).random(n1)) / n1
+        assert mo._gamma_draws(3.0, u1)[0].tobytes() == whole[1][:n1].tobytes()
+
+    def test_blocked_pass_is_the_same_at_any_worker_count(self, monkeypatch):
+        n = 3 * mo._BLOCK + 123  # the n1 boundary falls inside the third block
+        assert mo._BLOCK * 2 < round(0.95 * n) < mo._BLOCK * 3
+        ests = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            ests.append(mo.moment(2.0, seed=3, samples=n))
+        assert ests[0] == ests[1]
+
+    def test_refusal_in_a_later_block_weighs_zero(self, monkeypatch):
+        n = 3 * mo._BLOCK + 123
+        x, t, p, n1 = mo._mixture_samples(2.0, n, 1)
+        refused = x[mo._BLOCK + 7]
+        assert np.count_nonzero(x == refused) == 1
+
+        def stub(xs):
+            ok = xs != refused
+            return np.where(ok, 1.0, 0.0), np.zeros(xs.size), ok
+
+        monkeypatch.setattr(mo, "g_batch", stub)
+        est = mo.moment(2.0, seed=1, samples=n)
+        assert est.rejections == 1
+        w1, w2 = n1 / n, (n - n1) / n
+        f_over_p = np.where(t > mo.LOG2, np.exp(-t) / (w1 * p + w2 * 2.0 * np.exp(-t)), 0.0)
+        assert f_over_p[mo._BLOCK + 7] > 0.0
+        f_over_p[mo._BLOCK + 7] = 0.0
+        want = 2.0 * (w1 * f_over_p[:n1].mean() + w2 * f_over_p[n1:].mean())
+        assert est.value == pytest.approx(want, rel=1e-13)
+
+    def test_peak_memory_does_not_grow_with_samples(self, monkeypatch):
+        # the blocked pass holds a few blocks at a time, whatever the count
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        mo.moment(20.0, samples=1000)  # the F table and Gamma nodes outside the trace
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (200_000, 2_000_000):
+                tracemalloc.reset_peak()
+                mo.moment(20.0, seed=1, samples=n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     def test_quad_route_close_to_mc(self):
         q = mo.moment(6.0, method="quad", panels=1 << 12)
