@@ -15,7 +15,7 @@ orbit's end test, and float_end_error is the one rule, for scalar series
 and rows alike, that ends or refuses a series whose orbit ended first.
 pool_map is the one thread pool and the one reader of the CPU count: the
 row sweeps, the inverse-CDF draws and the direct sums run their
-independent work items on it.
+independent work items on it, and once builds their shared set-up once.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -24,8 +24,10 @@ seed, so parallel callers stay deterministic.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -220,6 +222,18 @@ def pool_map(fn: Callable, items: Iterable) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
         return [f.result() for f in futures]
+
+
+def once(fn: Callable) -> Callable:
+    """fn under lru_cache(maxsize=8) behind one lock: the first callers of a
+    key, in any threads, wait for one computation.  fn must not call itself."""
+    cached, lock = functools.lru_cache(maxsize=8)(fn), threading.Lock()
+
+    @functools.wraps(fn)
+    def locked(*args, **kwargs):
+        with lock:
+            return cached(*args, **kwargs)
+    return locked
 
 
 def float_end_error(x: float, series: str, steps: int) -> ArithmeticError | None:

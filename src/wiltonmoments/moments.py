@@ -12,9 +12,10 @@ Sampling is stratified through inverse-CDF maps with seeded jitter, so a
 (seed, config) pair reproduces every estimate bit for bit.  The Monte Carlo
 route is one pass over _BLOCK-row blocks on pool_map: each block draws its
 rows, evaluates g and reduces them to a few numbers per component, so its
-memory is a few blocks' at any sample count.  The fit's map
-is piecewise linear in (logit u, log t) through 4096 exact gammaincinv
-nodes per K, and each draw carries its exact density, all that importance
+memory is a few blocks' at any sample count, and the first block to need
+the F table or the Gamma nodes builds them once.  The fit's map is
+piecewise linear in (logit u, log t) through 4096 exact gammaincinv nodes
+per K, and each draw carries its exact density, all that importance
 sampling needs of a proposal.  scipy.special is imported at the first
 call that needs it, so importing this module (and the CLI) does not.
 """
@@ -22,15 +23,14 @@ call that needs it, so importing this module (and the CLI) does not.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+from functools import partial, reduce
 
 import numpy as np
 
-from .cf_dynamics import _BLOCK, NonConvergenceError, pool_map
+from .cf_dynamics import _BLOCK, LOG2, NonConvergenceError, once, pool_map
 from .special_fn import g_batch
 
-LOG2 = math.log(2.0)
 TARGET_RATIO = math.exp(np.euler_gamma) / math.pi
 
 _GAMMA_SHARE = 0.95  # mixture weight of the Gamma(K+1) component
@@ -80,20 +80,20 @@ def log_moment_calibration(
     method: str = "quad",
     samples: int = 200_000,
     seed: int = 0,
-    panels: int = 1 << 14,
 ) -> float:
     """Numerical estimate of int_0^1 log(1/x)^K dx, exactly Gamma(K+1).
 
     Runs the same machinery as the |g|^K estimators with g replaced by
     log(1/x), so a match against Gamma(K+1) validates the integrator
-    itself; mc weighs each Gamma draw t by its own density p,
-    Gamma(K+1) mean(t^K e^{-t} / (Gamma(K+1) p)), so it also tests p.
+    itself.  quad runs on 2^14 panels; mc weighs each Gamma draw t by its
+    own density p, Gamma(K+1) mean(t^K e^{-t} / (Gamma(K+1) p)), so it also
+    tests p.
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
     if method == "quad":
         return _quad_log_substitution(
-            lambda x: np.power(-np.log(x), K), K, 0.0, panels
+            lambda x: np.power(-np.log(x), K), K, 0.0, 1 << 14
         )
     if method == "mc":
         from scipy.special import gammaln
@@ -104,7 +104,7 @@ def log_moment_calibration(
     raise ValueError(f"unknown calibration method {method!r}")
 
 
-@functools.lru_cache(maxsize=8)  # a K sweep holds 96 KB per recent K, not per K seen
+@once  # a K sweep holds 96 KB per recent K, not per K seen
 def _gamma_nodes(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z, log t, s), read-only: 4096 nodes z evenly spaced in logit u on
     [_U_EDGE, 1 - _U_EDGE], t = gammaincinv(a, expit(z)) exact, and each
@@ -206,13 +206,6 @@ def _merge(a, b):
     return n, ma + d * (nb / n), sa + sb + d * d * (na * nb / n), e
 
 
-def _require_finite(K: float, value: float, std_error: float) -> None:
-    if not (math.isfinite(value) and math.isfinite(std_error)):
-        raise NonConvergenceError(
-            f"M({K:g}) is out of double range (value {value}, std_error {std_error})"
-        )
-
-
 def moment(
     K: float,
     seed: int = 0,
@@ -229,7 +222,8 @@ def moment(
     a rejection rate above 1% of the points raises NonConvergenceError, and
     so does an estimate that leaves double range (from about K = 170).
     samples must be in [2, MAX_SAMPLES].  The rows run as _BLOCK-row
-    blocks (_block_sums) on pool_map, the first in this thread; each block's
+    blocks (_block_sums), all on one pool_map; whichever block first needs
+    the F table or the Gamma nodes builds them, once.  Each block's
     (count, mean, M2) per component, in its own power-of-two units, is
     added in block order, so the worker count never moves a bit.
 
@@ -238,56 +232,40 @@ def moment(
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
-    from scipy.special import gamma as gamma_fn, gammaln
+    from scipy.special import gammaln
     if method == "quad":
         def f(x):
             g, _, ok = g_batch(x)
             return np.where(ok, np.abs(g), 0.0) ** K
 
         with np.errstate(over="ignore", invalid="ignore"):
-            full = 2.0 * _quad_log_substitution(f, K, LOG2, panels)
+            value = 2.0 * _quad_log_substitution(f, K, LOG2, panels)
             halfres = 2.0 * _quad_log_substitution(f, K, LOG2, panels // 2)
-        value = full
-        _require_finite(K, value, abs(full - halfres))
-        return MomentEstimate(
-            K=K,
-            value=value,
-            std_error=abs(full - halfres),
-            samples=panels * 16,
-            method="quad",
-            gamma_ratio=value / float(gamma_fn(K + 1.0)),
-            rejections=0,
-        )
-    if method != "mc":
+        std, samples, rejections = abs(value - halfres), panels * 16, 0
+    elif method == "mc":
+        if not 2 <= samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
+        blocks = pool_map(partial(_block_sums, K, samples, seed), range(0, samples, _BLOCK))
+        rejections = sum(b[0] for b in blocks)
+        if rejections > 0.01 * samples:
+            raise NonConvergenceError(
+                f"rejection rate {rejections / samples:.3%} exceeds 1% at K={K}"
+            )
+        (n1, m1, s1, e1), (n2, m2, s2, e2) = (reduce(_merge, c) for c in list(zip(*blocks))[1:])
+        # each component leaves its units here; a float product overflows to inf, not an error
+        u1, u2 = math.ldexp(n1 / samples, e1), math.ldexp(n2 / samples, e2)
+        value = 2.0 * (u1 * m1 + u2 * m2)
+        std = 2.0 * math.hypot(u1 * math.sqrt(s1) / max(n1, 1), u2 * math.sqrt(s2) / max(n2, 1))
+    else:
         raise ValueError(f"unknown moment method {method!r}")
-    if not 2 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
-
-    block = functools.partial(_block_sums, K, samples, seed)
-    blocks = [block(0)]  # builds the F table in this thread, once
-    blocks += pool_map(block, range(_BLOCK, samples, _BLOCK))
-    rejections = sum(b[0] for b in blocks)
-    if rejections > 0.01 * samples:
+    if not (math.isfinite(value) and math.isfinite(std)):
         raise NonConvergenceError(
-            f"rejection rate {rejections / samples:.3%} exceeds 1% at K={K}"
+            f"M({K:g}) is out of double range (value {value}, std_error {std})"
         )
-    (n1, m1, s1, e1), (n2, m2, s2, e2) = (
-        functools.reduce(_merge, col) for col in zip(*(b[1:] for b in blocks))
-    )
-    # each component leaves its units here; a float product overflows to inf, not an error
-    u1, u2 = math.ldexp(n1 / samples, e1), math.ldexp(n2 / samples, e2)
-    value = 2.0 * (u1 * m1 + u2 * m2)
-    std = 2.0 * math.hypot(u1 * math.sqrt(s1) / max(n1, 1), u2 * math.sqrt(s2) / max(n2, 1))
-    _require_finite(K, value, std)
     log_ratio = math.log(value) - float(gammaln(K + 1.0)) if value > 0 else -math.inf
     return MomentEstimate(
-        K=K,
-        value=value,
-        std_error=std,
-        samples=samples,
-        method="mc",
-        gamma_ratio=math.exp(log_ratio),
-        rejections=rejections,
+        K=K, value=value, std_error=std, samples=samples, method=method,
+        gamma_ratio=math.exp(log_ratio), rejections=rejections,
     )
 
 

@@ -45,7 +45,6 @@ direct sum of ceil(1/(6 tol)) terms (`_phi2_sums`).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from itertools import chain, islice, takewhile
 
@@ -61,6 +60,7 @@ from .cf_dynamics import (
     exact_cf,
     float_end_error,
     nearby_fraction,
+    once,
     orbit,
     orbit_arrays,
     pool_map,
@@ -143,7 +143,7 @@ def _g_asym(y):
     return out
 
 
-@functools.cache
+@once
 def _g_cum() -> np.ndarray:
     # cum[k] = G(k) for k = 1.._G_CUT; cum[0] is never dereferenced because
     # the partial-segment formula carries any y in (0, 1) up to u = 1.
@@ -448,7 +448,7 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     return val, err
 
 
-@functools.cache
+@once
 def a1_constant() -> tuple[float, float]:
     """Self-consistent A(1) = 1 + pi^2/36 - 2 J(1), with error bound.
 
@@ -544,7 +544,7 @@ def _f_with_err(x: float, tol: float) -> tuple[float, float]:
     return 0.5 * a1 - 0.5 * x - float(psi[0]), 0.5 * a1e + float(psie[0])
 
 
-@functools.cache
+@once
 def sup_f_bound() -> float:
     """Upper bound for sup |F| on (0, 1]: 1.1 (A(1)/2 + 1e-4).
 
@@ -798,7 +798,7 @@ class _FTable:
         return out
 
 
-@functools.cache
+@once
 def _ftable() -> _FTable:
     return _FTable()
 
@@ -825,8 +825,9 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     0) lie outside (0, 1), nan included, are effectively rational (g_func
     raises) or run MAX_TERMS steps; a caller weighs them 0.  Every other
     value and error is bit for bit that of the float orbit at any CPU count:
-    the sweep runs in _BLOCK-row blocks on pool_map, after the F table,
-    sup|F| and A(1) are built here.  Input that is not 1-D raises ValueError.
+    the sweep runs in _BLOCK-row blocks on pool_map, and the F table, sup|F|
+    and A(1) are built once, by whichever thread asks first.  Input that is
+    not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -19,6 +21,7 @@ from wiltonmoments.cf_dynamics import (
     gauss_measure,
     gauss_measure_cdf,
     nearby_fraction,
+    once,
     orbit,
     orbit_arrays,
     orbit_step,
@@ -445,6 +448,33 @@ def _at_each_worker_count(monkeypatch, run):
     finally:
         sys.setswitchinterval(interval)
     return results
+
+
+class TestOnce:
+    def test_concurrent_first_callers_share_one_call_per_key(self):
+        calls = []
+
+        @once
+        def build(key):
+            calls.append(key)
+            time.sleep(0.05)  # the other first callers arrive meanwhile
+            return object()
+
+        start = threading.Barrier(4)
+        results = {}
+
+        def first_call(i):
+            start.wait()
+            results[i] = build(i % 2)
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(calls) == [0, 1]
+        assert results[0] is results[2] is build(0) and results[1] is results[3] is build(1)
+        assert results[0] is not results[1] and len(calls) == 2
 
 
 class TestPoolMap:

@@ -1,7 +1,10 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +174,36 @@ class TestMoment:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             ests.append(mo.moment(2.0, seed=3, samples=n))
         assert ests[0] == ests[1]
+
+    def test_cold_pass_is_the_warm_pass(self):
+        # in a fresh process the first block to need the F table builds it,
+        # on a pool thread at 2 workers (its own pool_map nested in the pool),
+        # while the other blocks wait; the estimate keeps every bit
+        code = """if True:
+            import dataclasses, os, sys, threading
+            os.cpu_count = lambda: int(sys.argv[1])
+            from wiltonmoments import moments, special_fn
+            builders = []
+            init = special_fn._FTable.__init__
+            def recording_init(self):
+                builders.append(threading.current_thread() is threading.main_thread())
+                init(self)
+            special_fn._FTable.__init__ = recording_init
+            n = 3 * moments._BLOCK + 123
+            cold, warm = (moments.moment(2.0, seed=3, samples=n) for _ in range(2))
+            assert cold == warm, (cold, warm)
+            print(builders, dataclasses.astuple(cold))
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        outs = []
+        for cpus in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(cpus)], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.split(" ", 1))
+        assert [builders for builders, _ in outs] == ["[True]", "[False]"]
+        assert outs[0][1] == outs[1][1]
 
     def test_refusal_in_a_later_block_weighs_zero(self, monkeypatch):
         n = 3 * mo._BLOCK + 123

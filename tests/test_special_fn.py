@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,6 +483,39 @@ def _phi2_sums_outer(fr, nn):
 
 
 class TestFTable:
+    def test_concurrent_first_calls_build_once(self):
+        # two threads make a fresh process's first g_batch calls at once: the
+        # F table and A(1)'s J sum are each computed by one of them
+        code = """if True:
+            import threading
+            import numpy as np
+            from wiltonmoments import special_fn as sf
+            builds, a1_sums = [], []
+            init, j_sums = sf._FTable.__init__, sf._j_sums
+            def counting_init(self):
+                builds.append(1)
+                init(self)
+            def counting_j(T, nj):
+                if T.size == 1 and T[0] == 1.0:
+                    a1_sums.append(1)
+                return j_sums(T, nj)
+            sf._FTable.__init__, sf._j_sums = counting_init, counting_j
+            start = threading.Barrier(2)
+            def first_call():
+                start.wait()
+                sf.g_batch(np.array([0.5 ** 0.5]))
+            threads = [threading.Thread(target=first_call) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            print(len(builds), len(a1_sums))
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+
     def test_lookup_is_interp_bit_for_bit(self):
         tab = sf._ftable()
         xs = tab.xs
