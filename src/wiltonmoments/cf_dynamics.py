@@ -5,7 +5,8 @@ attached to a point x: partial quotients a_k, iterates alpha_k, convergents
 p_k/q_k, the products beta_k = alpha_0 * ... * alpha_k, and the terms
 gamma_k = beta_{k-1} * log(1/alpha_k).  The invariant measure has density
 1/((1+x) log 2).  A double is exactly a rational m/2^e, and exact_cf is its
-continued fraction by Euclid's algorithm; nearby_fraction, the one search
+continued fraction by Euclid's algorithm (exact_cf_step, the same step on
+int64 rows, walks many doubles at once); nearby_fraction, the one search
 for a fraction near a double, decides which doubles are effectively rational
 (effective_denominator) and where Phi2 snaps to one.  orbit steps the float
 orbit lazily, each scalar series stopping it by its own rule, and
@@ -139,6 +140,22 @@ def exact_cf(x: float) -> Iterator[tuple[int, int, int, int]]:
         if not r:
             return
         num, den = den, r
+
+
+def exact_cf_step(
+    num: np.ndarray, den: np.ndarray, q_prev: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of exact_cf on int64 rows, all at once: from the remainders
+    num = r_{k-1}, den = r_k > 0 and the denominators q_{k-1}, q_k, returns
+    (a_{k+1}, r_{k+1}, q_{k+1}) = (num // den, num % den, a_{k+1} q_k + q_{k-1}).
+
+    Row i starts from the double x_i = m_i/n_i as num = n_i, den = m_i, q_prev
+    = 0, q = 1 (exact_cf's k = 0 for x_i in (0, 1)).  For n_i <= 2^62 every
+    value stays exact in int64: remainders stay below n_i, every q_k is at
+    most n_i, and r_k q_{k+1} <= n_i, so (q_k + 1) r_k < 2 n_i as well.
+    """
+    a, r = np.divmod(num, den)
+    return a, r, a * q + q_prev
 
 
 def nearby_fraction(x: float, qmax: int, eps: float) -> tuple[int, int] | None:

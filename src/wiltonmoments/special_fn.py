@@ -38,8 +38,10 @@ and H alike, on one Phi2 route (`_phi2_vec`, also under scalar Phi2) and
 one J sum (`_j_sums`).  A Phi2 sum of 2048 terms or more walks exact_cf
 once: it stops where a proven continued-fraction tail bound allows, and
 takes nearby_fraction's p/q, where close and cheaper, in closed form, a
-csc^2(pi r/q) sum over r <= q/2 (`_phi2_rational`).  Otherwise it is one
-direct sum of ceil(1/(6 tol)) terms (`_phi2_sums`).
+csc^2(pi r/q) sum over r <= q/2 (`_phi2_rational`).  In a call of 512
+rows or more (the F table), a sum of 256 to 2047 terms stops at the same
+bound, found by one int64 Euclid over all those rows (`_phi2_tail`).
+Otherwise it is one direct sum of ceil(1/(6 tol)) terms (`_phi2_sums`).
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .cf_dynamics import (
     ToleranceConfig,
     effective_denominator,
     exact_cf,
+    exact_cf_step,
     float_end_error,
     nearby_fraction,
     once,
@@ -75,6 +78,18 @@ _SNAP_QMAX = 1_000_000
 _SNAP_EPS = 1e-12
 # Below about 2k terms the direct Phi2 sum costs less than the route search.
 _SNAP_MIN_TERMS = 2048
+# A call of this many rows or more stops each row of _TAIL_MIN_TERMS terms or
+# more at _phi2_tail's count.  Break-even 250-450 rows of F-table-like rows
+# (2 vCPU, timing _phi2_vec): below, numpy's per-step overhead on the walk
+# costs more than the terms it saves.  H's calls (at most MAX_TERMS + 1 rows)
+# stay below it.
+_TAIL_VEC_ROWS = 512
+_TAIL_MIN_TERMS = 256  # the F table: 39% of its rows below it, 6% of its terms
+_C_MARGIN = 2.0**-50  # _phi2_tail's relative inflation of c_k
+# rows per _phi2_tail block on the pool, about 2 MB of temporaries each: at 2
+# workers the F table's peak RSS was 4 MB higher at 2^14 rows and 1-13 MB at
+# _BLOCK = 2^15, where the walk also set its tracemalloc peak; 2^12 ran slower
+_TAIL_BLOCK = 1 << 13
 _J_MAX_TERMS = 3_000_000
 _J_BLOCK = 1 << 16  # G evaluations per _j_sums block; 2^20 runs 2.7x slower (cache)
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
@@ -382,15 +397,93 @@ def _phi2_route(frac: float, tol: float) -> tuple[tuple[int, int] | None, int, f
     return None, n_terms, err
 
 
+def _phi2_tail(fr: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_phi2_route`'s tail-bound (n_terms, err), as it takes them from
+    _SNAP_MIN_TERMS terms on, without its snap search, on many rows at once,
+    with n_terms at least 1: fr in (0, 1) on the 2^-52 grid, as every
+    `_psi_vec` row is (T = 1/x >= 1), and tol >= 1e-8.
+
+    Euclid runs on m/2^52 in int64 (exact_cf_step), and the level and Abel
+    arithmetic is `_phi2_route`'s.  In c_k = min(1/3, 1/(3 q^2) + d_k (q+1)),
+    d_k = r/(2^52 q), the numerator (q+1) r < 2^53, 3 q^2 (q <= 1/(6 tol))
+    and q 2^52 are exact doubles, so c_k is off by at most three roundings,
+    under 2^-51 relative.  It is inflated by _C_MARGIN = 2^-50, which also
+    covers that product's own rounding, so it never falls below its exact
+    value.
+    """
+    m = np.ldexp(fr, 52)
+    if not ((m == np.floor(m)) & (m > 0.0)).all():
+        raise ValueError("_phi2_tail needs fractions on the 2^-52 grid in (0, 1)")
+    n_max = np.maximum(1.0, np.ceil(np.minimum(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))
+    t = tol - 1e-14 - 1e-20 * n_max
+    n_terms, err = n_max.copy(), 1.0 / (6.0 * n_max)
+    # after exact_cf's item k = 0, (0, m, 0, 1): level k = 0 waits for q_1
+    num, den = np.full(fr.size, 1 << 52, dtype=np.int64), m.astype(np.int64)
+    q_prev, q = np.zeros_like(num), np.ones_like(num)
+    lc, P = _phi2_weights(q, den), np.zeros(fr.size)
+    rows = np.arange(fr.size)
+    while rows.size:
+        # a row whose remainder reached 0 meets exact_cf's end: a = q = inf
+        last = den == 0
+        a, r, q_next = exact_cf_step(np.where(last, 0, num), np.where(last, 1, den), q_prev, q)
+        a, qn = np.where(last, np.inf, a), np.where(last, np.inf, q_next)
+        nmax, tt = n_max[rows], t[rows]
+        U = a * q
+        U[U > nmax] = np.inf
+        # the two pieces (R, A, B, C) of `_phi2_route`'s level k
+        A2 = 7.0 / (qn * qn)
+        A1 = -lc / U + A2
+        R1, R2 = np.minimum(U, nmax + 1.0), np.minimum(qn, nmax + 1.0)
+        C2 = P + lc * U
+        ok1 = A1 + (2.0 * lc + P / R1) / R1 <= tt
+        ok2 = ~ok1 & (A2 + C2 / R2 / R2 <= tt)
+        done = np.flatnonzero(ok1 | ok2)
+        if done.size:
+            o = ok1[done]
+            A = np.where(o, A1[done], A2[done])
+            B = np.where(o, 2.0 * lc[done], 0.0)
+            C = np.where(o, P[done], C2[done])
+            ta = tt[done] - A
+            L = np.ceil((B + np.sqrt(B * B + 4.0 * C * ta)) / (2.0 * ta))
+            n_terms[rows[done]] = np.maximum(L - 1.0, 1.0)  # the bound holds past N too
+            err[rows[done]] = A + (B + C / L) / L + 1e-14 + 1e-20 * (L - 1.0)
+        go = np.flatnonzero(~(ok1 | ok2) & (qn <= nmax))
+        rows, P = rows[go], C2[go]
+        num, den, q_prev, q = den[go], r[go], q[go], q_next[go]
+        lc = _phi2_weights(q, den)
+    return n_terms, err
+
+
+def _phi2_weights(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """`_phi2_weight` on int64 rows of a fraction m/2^52, inflated by _C_MARGIN."""
+    d = ((q + 1) * r).astype(np.float64) / np.ldexp(q.astype(np.float64), 52)
+    return np.minimum(1.0 / 3.0, 1.0 / (3 * q * q) + d) * (1.0 + _C_MARGIN)
+
+
+def _phi2_tail_rows(fr, nn, tol, err, walk) -> None:
+    # nn[walk], err[walk] = `_phi2_tail` on those rows, in _TAIL_BLOCK-row blocks on
+    # the pool; a function of its own, so walk is freed before the sums
+    def block(rows):
+        nn[rows], err[rows] = _phi2_tail(fr[rows], tol[rows])
+
+    pool_map(block, (walk[i : i + _TAIL_BLOCK] for i in range(0, walk.size, _TAIL_BLOCK)))
+
+
 def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, ...]:
     """(Phi2(fr), error bound, whether a closed form gave it) for fr in [0, 1):
     pi^2/36 with error 0 at fr = 0, else the sum of nn terms (`_phi2_sums`),
     error 1/(6 nn), or from _SNAP_MIN_TERMS terms on `_phi2_route`'s path at
-    tolerance tol: its shorter sum (nn is updated in place) or its snap."""
+    tolerance tol: its shorter sum (nn is updated in place) or its snap.  A
+    call of _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid) also
+    stops each sum of _TAIL_MIN_TERMS terms up to _SNAP_MIN_TERMS at
+    `_phi2_tail`'s count, in _TAIL_BLOCK-row blocks on pool_map."""
     direct = fr > 0.0
     phi = np.full(fr.shape, PI2_OVER_36)
     err = np.where(direct, 1.0 / (6.0 * nn), 0.0)
-    for i in np.flatnonzero(direct & (nn >= _SNAP_MIN_TERMS)):
+    long = direct & (nn >= _SNAP_MIN_TERMS)
+    if fr.size >= _TAIL_VEC_ROWS:
+        _phi2_tail_rows(fr, nn, tol, err, np.flatnonzero(direct & ~long & (nn >= _TAIL_MIN_TERMS)))
+    for i in np.flatnonzero(long):
         snap, nn[i], err[i] = _phi2_route(float(fr[i]), float(tol[i]))
         if snap is not None:
             phi[i] = _phi2_rational(*snap)
@@ -425,10 +518,11 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     error bounds; tol is one tolerance or one per point.
 
     Phi2 comes from `_phi2_vec` at tolerance tol/x^2: N = ceil(x^2/(6 tol))
-    terms (at most 2^26), or from 2048 on as few as its tail bound allows;
-    J takes the `_j_terms` count at tol.  Below x = 1e-9, |psi| <= (pi^2/72)
-    x^2 + 0.072 x^3 is far below any working tolerance (and x^2 may
-    underflow), so psi is 0 with bound 0.14 x^2.
+    terms (at most 2^26), or from 2048 on (from 256 on in a call of 512
+    rows or more) as few as its tail bound allows; J takes the `_j_terms`
+    count at tol.  Below x = 1e-9, |psi| <= (pi^2/72) x^2 + 0.072 x^3 is far
+    below any working tolerance (and x^2 may underflow), so psi is 0 with
+    bound 0.14 x^2.
     """
     x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     tol = np.broadcast_to(tol, x.shape)
@@ -437,15 +531,22 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     big = x >= 1e-9
     x, tol = x[big], tol[big]
     T = 1.0 / x
-    fr = T - np.floor(T)
-    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the caps
-        nn = np.clip(np.ceil(x * x / (6.0 * tol)), 1.0, _PHI2_MAX_TERMS)
+    val[big], err[big] = _half_x2_phi2(x, T, tol)
+    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the cap
         nj, jerr = _j_terms(x, tol)
-    phi, phierr, _ = _phi2_vec(fr, nn, tol / (x * x))
-    half = 0.5 * x * x
-    val[big] = half * phi - _j_sums(T, nj)
-    err[big] = half * phierr + jerr
+    val[big] -= _j_sums(T, nj)
+    err[big] += jerr
     return val, err
+
+
+def _half_x2_phi2(x, T, tol):
+    # (x^2/2) Phi2(T), T = 1/x, with its bound at tolerance tol/x^2; a function
+    # of its own, so that its arrays are freed before the J sums
+    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the cap
+        nn = np.clip(np.ceil(x * x / (6.0 * tol)), 1.0, _PHI2_MAX_TERMS)
+    phi, phierr, _ = _phi2_vec(T - np.floor(T), nn, tol / (x * x))
+    half = 0.5 * x * x
+    return half * phi, half * phierr
 
 
 @once
@@ -727,7 +828,9 @@ def g_func(
 class _FTable:
     """Uniform table of F on [xmin, 1] = [1e-5, 1]: 2^18 segments of width
     h = (1 - xmin)/2^18, nodes built at psi tolerance 1e-4, and linear
-    interpolation between them.
+    interpolation between them.  Each node with 256 Phi2 terms or more (61%
+    of them) stops its sum at `_phi2_tail`'s proven count: 4.23e7 terms in
+    all, 29% of the full counts; the largest node error is 9.99968e-5.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
@@ -764,9 +867,10 @@ class _FTable:
         self.xmin = xmin = 1e-5
         # the fewest power-of-two segments whose interpolation term stays
         # within 3e-5, so err_bound stays below 1.3e-4: 2.76e-5 here,
-        # 5.26e-5 at 2^17.  More would not help: next to the kinks q/p,
-        # p < 60, this table misses F by at most 4.5e-5 and a 2^20 one by
-        # 4.7e-5, an error the 1e-4 nodes make.
+        # 5.26e-5 at 2^17.  More would not help: 0.3 and 0.5 of a segment
+        # from the kinks q/p, p < 60, this table misses F by at most 4.52e-5
+        # and a 2^20 one by 4.68e-5 (largest near 1/11, where the nodes sum
+        # fewer than 256 terms), an error the 1e-4 nodes make.
         size = 1 << 18
         self._h = h = (1.0 - xmin) / size
         a1, a1e = a1_constant()

@@ -17,6 +17,7 @@ from wiltonmoments.cf_dynamics import (
     cf_expand,
     effective_denominator,
     exact_cf,
+    exact_cf_step,
     gauss_map,
     gauss_measure,
     gauss_measure_cdf,
@@ -215,6 +216,25 @@ class TestExactCF:
         terms = list(exact_cf(x))
         assert terms == _fraction_cf(x)
         assert terms[-1][1] == 0 and Fraction(terms[-1][2], terms[-1][3]) == Fraction(x)
+
+    def test_array_step_matches_exact_cf(self):
+        # rows m/2^52, started as exact_cf_step's docstring says, give exact_cf's
+        # quotients and denominators, and its remainders scaled to the common
+        # denominator 2^52; the extremes 2^-52 and 1 - 2^-52 reach a = q = 2^52
+        rng = np.random.default_rng(28)
+        m = np.concatenate([rng.integers(1, 1 << 52, 300), [1, (1 << 52) - 1, 1 << 51, 3 << 40]])
+        xs = [int(v) / 2.0**52 for v in m]
+        num, den = np.full(m.size, 1 << 52, dtype=np.int64), m.astype(np.int64)
+        q_prev, q = np.zeros_like(num), np.ones_like(num)
+        steps = [list(exact_cf(x))[1:] for x in xs]
+        scale = [(1 << 52) // x.as_integer_ratio()[1] for x in xs]
+        for k in range(max(map(len, steps))):
+            live = [i for i, s in enumerate(steps) if k < len(s)]
+            a, r, q_next = exact_cf_step(num[live], den[live], q_prev[live], q[live])
+            for j, i in enumerate(live):
+                ak, rk, _, qk = steps[i][k]
+                assert (a[j], r[j], q_next[j]) == (ak, rk * scale[i], qk)
+            num[live], den[live], q_prev[live], q[live] = den[live], r, q[live], q_next
 
 
 class TestNearbyFraction:

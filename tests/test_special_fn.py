@@ -516,6 +516,24 @@ class TestFTable:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "1"]
 
+    def test_build_memory_peak(self):
+        # the build sets moment's peak memory; at 2 workers its tracemalloc
+        # peak was 46.3-46.9 MB while J's sums ran beside Phi2's arrays, and is
+        # 36.8 MB, in the Phi2 sums and in the J sums alike
+        code = """if True:
+            import os, tracemalloc
+            os.cpu_count = lambda: 2
+            from wiltonmoments import special_fn as sf
+            sf.a1_constant()
+            tracemalloc.start()
+            sf._FTable()
+            print(tracemalloc.get_traced_memory()[1])
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 38 * 2**20
+
     def test_lookup_is_interp_bit_for_bit(self):
         tab = sf._ftable()
         xs = tab.xs
@@ -701,6 +719,13 @@ def _phi2_stress_set() -> list[float]:
     return [float(x) for x in np.concatenate([rng.uniform(0.0, 1.0, 40), near, dyadic])]
 
 
+def _on_tail_grid(fs) -> np.ndarray:
+    """The fractions of the 2^-52 grid nearest to fs, as `_psi_vec`'s rows
+    have them, leaving out 0 and 1."""
+    m = np.round(np.ldexp(np.asarray(fs), 52))
+    return np.ldexp(m[(m > 0.0) & (m < 2.0**52)], -52)
+
+
 class TestPhi2TailBound:
     def test_route_error_is_honest(self):
         # the route's value (its N-term sum, or the closed form where it snaps)
@@ -750,6 +775,45 @@ class TestPhi2TailBound:
                 assert 1 <= n <= n_max
                 assert snap is None or snap[1] // 2 <= n
                 assert err <= max(tol, 1.0 / (6.0 * n_max))
+
+    def test_array_form_error_is_honest(self):
+        # `_phi2_tail` on the stress set moved to the 2^-52 grid, its N-term sums
+        # against 2^22-term sums, whose own tail is at most 1/(6 2^22)
+        fr = _on_tail_grid(_phi2_stress_set())
+        ref = sf._phi2_sums(fr, np.full(fr.size, float(1 << 22)))
+        for tol in (1e-4, 1e-5, 1e-6):
+            n, err = sf._phi2_tail(fr, np.full(fr.size, tol))
+            assert (np.abs(sf._phi2_sums(fr, n) - ref) <= err + 1.0 / (6 << 22)).all(), tol
+
+    def test_array_form_contract(self):
+        # `test_route_contract` on `_phi2_tail`, which refuses fractions off the grid
+        fr = _on_tail_grid(_phi2_stress_set() + [GOLDEN, 1.0 / 3.0, 1.0 / math.pi, 2**-52, 1 - 2**-52])
+        for tol in (1e-4, 1e-5, 1e-6, 1e-8):
+            n_max = max(1, math.ceil(1.0 / (6.0 * tol)))
+            n, err = sf._phi2_tail(fr, np.full(fr.size, tol))
+            assert (n >= 1).all() and (n <= n_max).all()
+            assert (err <= max(tol, 1.0 / (6.0 * n_max))).all()
+        for off in (0.1, 2**-53, 0.0):
+            with pytest.raises(ValueError, match="grid"):
+                sf._phi2_tail(np.array([0.5, off]), np.full(2, 1e-4))
+
+    def test_array_form_matches_scalar_route_on_table_nodes(self, monkeypatch):
+        # on 2000 seeded F-table nodes that walk (256 to 2047 terms at psi
+        # tolerance 1e-4), against the scalar route with its 2048-term floor
+        # removed: never fewer terms, the same count almost everywhere (the
+        # array form inflates c_k), and an error within the tolerance
+        size = 1 << 18
+        xs = np.arange(size + 1) * ((1.0 - 1e-5) / size) + 1e-5
+        T = 1.0 / xs
+        fr, tol, nn = T - np.floor(T), 1e-4 / (xs * xs), np.ceil(xs * xs / 6e-4)
+        walks = np.flatnonzero((fr > 0.0) & (nn >= sf._TAIL_MIN_TERMS) & (nn < sf._SNAP_MIN_TERMS))
+        rows = np.random.default_rng(28).choice(walks, 2000, replace=False)
+        n, err = sf._phi2_tail(fr[rows], tol[rows])
+        monkeypatch.setattr(sf, "_SNAP_MIN_TERMS", 0)
+        scalar = np.array([sf._phi2_route(float(fr[i]), float(tol[i]))[1] for i in rows])
+        assert (n >= scalar).all()
+        assert np.mean(n == scalar) >= 0.99
+        assert (err <= tol[rows]).all()
 
     def test_route_edges(self):
         # tol >= 1/6 takes one term, frac = 0 is pi^2/36 exactly
