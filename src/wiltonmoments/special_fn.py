@@ -41,7 +41,9 @@ takes nearby_fraction's p/q, where close and cheaper, in closed form, a
 csc^2(pi r/q) sum over r <= q/2 (`_phi2_rational`).  In a call of 512
 rows or more (the F table), a sum of 256 to 2047 terms stops at the same
 bound, found by one int64 Euclid over all those rows (`_phi2_tail`).
-Otherwise it is one direct sum of ceil(1/(6 tol)) terms (`_phi2_sums`).
+Otherwise it is one direct sum of ceil(1/(6 tol)) terms.  `_phi2_sums`
+rounds each count up on a fixed 1.25 grid, so a row's bits depend on the
+row alone.
 """
 
 from __future__ import annotations
@@ -91,11 +93,25 @@ _C_MARGIN = 2.0**-50  # _phi2_tail's relative inflation of c_k
 # _BLOCK = 2^15, where the walk also set its tracemalloc peak; 2^12 ran slower
 _TAIL_BLOCK = 1 << 13
 _J_MAX_TERMS = 3_000_000
-_J_BLOCK = 1 << 16  # G evaluations per _j_sums block; 2^20 runs 2.7x slower (cache)
+# G evaluations per _j_sums piece and block, about 1.3 MB of temporaries on
+# the F table's terms: 2^16 put 5 MB on each worker, 2^13 made the build 13%
+# slower (2 vCPU), and 2^20 ran 2.7x slower (cache)
+_J_BLOCK = 1 << 14
+# F-table nodes per _psi_vec call, built in sequence; at 2^14, with 2^13-term
+# J blocks, the build's peak grew less with the worker count but ran 18% slower
+_NODE_BLOCK = 1 << 15
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
 _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in L2
-_POOL_MIN = 1 << 22  # elements (rows x terms) per _phi2_sums part on the pool
+# terms per row group of _phi2_sums' end-to-end form, 64 KB per array: at 2^15
+# (one group per call) pointwise-g's p99 latency rose 12%, the heap regrowing
+# under its largest calls
+_RAGGED_GROUP = 1 << 13
+_POOL_MIN = 1 << 22  # elements (rows x terms) per _phi2_sums part, and per call on the pool
+# the term counts _phi2_sums sums: ceil(1.25^k) below the cap, and the cap
+_PHI2_COUNTS = np.array(
+    sorted({-(-(5**k) // 4**k) for k in range(81)} | {_PHI2_MAX_TERMS}), dtype=np.float64
+)
 
 # Bernoulli polynomials B3..B8, descending powers, for the G asymptotics.
 _BPOLY = {
@@ -204,30 +220,36 @@ def _j_terms(x, tol):
 
 
 def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
-    """sum_{n <= nj_i} G(n T_i) for each i.
+    """sum_{n <= nj_i} G(n T_i) for each i, nj_i >= 1.
 
-    The n-grids of all points are laid end to end and evaluated _J_BLOCK
-    terms at a time, one pool_map item per block; np.add.reduceat sums each
-    point's run in a block.  The block sums are added here in block order,
-    so a grid that spans blocks has the same bits at any worker count.
+    Each point's n-grid is cut from its own start into pieces of _J_BLOCK
+    terms (the last one shorter), and the pieces, laid end to end, are
+    evaluated in blocks of whole pieces, those that start in one run of
+    _J_BLOCK terms, one pool_map item per block.  np.add.reduceat sums each
+    piece, and a point's pieces are added in order, so a sum's bits depend
+    on its own T_i and nj_i alone: not on the worker count, nor on the
+    other points of the call.
     """
-    ends = np.cumsum(nj)
-    starts = ends - nj
-    total = int(ends[-1]) if len(ends) else 0
+    if not len(T):
+        return np.zeros(0)
+    pieces = (nj + _J_BLOCK - 1) // _J_BLOCK
+    first = np.cumsum(pieces) - pieces  # each point's first piece
+    row = np.repeat(np.arange(len(T)), pieces)
+    k0 = (np.arange(row.size) - first[row]) * _J_BLOCK  # terms before the piece in its grid
+    size = np.minimum(nj[row] - k0, _J_BLOCK)
+    start = np.cumsum(size) - size
+    cuts = [*np.searchsorted(start, np.arange(0, start[-1] + 1, _J_BLOCK)), row.size]
 
-    def block(b0):
-        b1 = min(b0 + _J_BLOCK, total)
-        i0 = int(np.searchsorted(ends, b0, side="right"))
-        i1 = int(np.searchsorted(starts, b1))
-        lo = np.maximum(starts[i0:i1], b0)
-        cnt = np.minimum(ends[i0:i1], b1) - lo
-        k = np.arange(b0 + 1, b1 + 1) - np.repeat(starts[i0:i1], cnt)
-        y = k * np.repeat(T[i0:i1], cnt)
-        return i0, i1, np.add.reduceat(g_tail_integral(y), lo - b0)
+    def block(p0, p1):
+        at, n = start[p0:p1] - start[p0], size[p0:p1]
+        k = np.arange(1, at[-1] + n[-1] + 1) + np.repeat(k0[p0:p1] - at, n)
+        return np.add.reduceat(g_tail_integral(k * np.repeat(T[row[p0:p1]], n)), at)
 
-    out = np.zeros(len(T))
-    for i0, i1, sums in pool_map(block, range(0, total, _J_BLOCK)):
-        out[i0:i1] += sums
+    sums = np.concatenate(pool_map(lambda c: block(*c), zip(cuts[:-1], cuts[1:])))
+    out = sums[first]
+    for j in range(1, int(pieces.max())):
+        more = np.flatnonzero(pieces > j)
+        out[more] += sums[first[more] + j]
     return out
 
 
@@ -256,8 +278,21 @@ def _phi2_rational(p: int, q: int) -> float:
     return float(math.pi * math.pi * (b2 @ w + 1.0 / 36.0) / (q * q))
 
 
+def _b2_terms(t: np.ndarray, n2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out = B2(t) / n2, t left as its fractional part: the one elementwise
+    # kernel of both _phi2_sums paths, so that they agree bit for bit
+    np.floor(t, out=out)
+    t -= out
+    np.multiply(t, t, out=out)
+    out -= t
+    out += 1.0 / 6.0
+    out /= n2
+    return out
+
+
 def _phi2_rows(pts: np.ndarray, acc: np.ndarray, n_use: int, width: int) -> None:
-    # acc += sum_{n <= n_use} B2(n pts) / n^2, width columns per chunk
+    # acc += sum_{n <= n_use} B2(n pts) / n^2, width columns per chunk, each
+    # chunk of a row summed by np.add.reduceat
     rows = min(len(pts), _ROW_BLOCK // width)
     tbuf = np.empty(rows * width)
     fbuf = np.empty_like(tbuf)
@@ -269,45 +304,69 @@ def _phi2_rows(pts: np.ndarray, acc: np.ndarray, n_use: int, width: int) -> None
             t = tbuf[: p.size * nb.size].reshape(p.size, nb.size)
             f = fbuf[: t.size].reshape(t.shape)
             np.multiply.outer(p, nb, out=t)
-            np.floor(t, out=f)
-            t -= f
-            np.multiply(t, t, out=f)
-            f -= t
-            f += 1.0 / 6.0
-            f /= nb2
-            acc[r0 : r0 + rows] += f.sum(axis=1)
+            terms = _b2_terms(t, nb2, f).reshape(-1)
+            acc[r0 : r0 + rows] += np.add.reduceat(terms, np.arange(0, terms.size, nb.size))
+
+
+def _phi2_count(nn: np.ndarray) -> np.ndarray:
+    """The term counts `_phi2_sums` sums for counts nn <= _PHI2_MAX_TERMS:
+    the least of _PHI2_COUNTS at or above each, at most 1.25 nn + 1."""
+    return _PHI2_COUNTS[np.searchsorted(_PHI2_COUNTS, nn)]
 
 
 def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
-    """sum_{n <= nn_i} B2(n fr_i) / n^2 for each i.
+    """sum_{n <= N_i} B2(n fr_i) / n^2 for each i, N_i = _phi2_count(nn_i).
 
-    Points are bucketed by term count, each bucket spanning at most a
-    factor 2 and summing its largest count n_use for all its rows, in
-    column chunks of min(n_use, _ROW_BLOCK) terms that fix each row's
-    summation order.  Each bucket is cut into parts of whole row blocks,
-    about _POOL_MIN elements (rows x n_use) each; a one-part bucket runs
-    here, and all other parts go to one pool_map call, with the same bits
-    for any worker count.
+    The rows of one count N form a bucket, summed in column chunks of
+    min(N, _ROW_BLOCK) terms that fix each row's summation order, so a
+    row's bits depend on fr_i and N_i alone, not on the other rows.  Each
+    bucket is cut into parts of whole row blocks, about _POOL_MIN elements
+    (rows x N) each; a call of _POOL_MIN elements or more runs all its
+    parts on one pool_map call, a smaller one runs them here.  N >= nn_i
+    keeps a caller's truncation bound for nn_i, and the rounding allowance
+    of `_phi2_route`, 1e-20 per term, covers the extra terms: adding a
+    chunk's sum loses at most 3e-17, 1e-21 per term.  A call of at most
+    _ROW_BLOCK terms in all (scalar H's) lays its rows end to end instead,
+    in groups of the rows that start in one run of _RAGGED_GROUP terms,
+    with the same bits.
     """
-    order = np.argsort(nn, kind="stable")
-    fr_s, nn_s = fr[order], nn[order]
+    if not fr.size:
+        return np.zeros(0)
+    count = _phi2_count(nn)
+    if count.sum() <= _ROW_BLOCK:
+        each = count.astype(np.intp)
+        start = np.cumsum(each) - each
+        out = np.empty(fr.size)
+        runs = np.arange(0, start[-1] + 1, _RAGGED_GROUP)
+        cuts = [*np.unique(np.searchsorted(start, runs)), fr.size]
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            c, at = each[r0:r1], start[r0:r1] - start[r0]
+            n = np.arange(1.0, at[-1] + c[-1] + 1.0)
+            n -= np.repeat(at, c)
+            t = np.repeat(fr[r0:r1], c)
+            t *= n
+            n *= n
+            out[r0:r1] = np.add.reduceat(_b2_terms(t, n, np.empty_like(t)), at)
+        return out
+    order = np.argsort(count, kind="stable")
+    fr_s, n_s = fr[order], count[order]
     res = np.zeros(len(fr_s))
-    pooled = []
-    start = 0
-    while start < len(fr_s):
-        # grow bucket to points needing at most 2x the terms
-        stop = max(int(np.searchsorted(nn_s, 2 * nn_s[start], side="right")), start + 1)
-        n_use = int(nn_s[stop - 1])
+    starts = np.flatnonzero(np.diff(n_s, prepend=0.0))
+    parts = []
+    for start, stop in zip(starts, [*starts[1:], len(n_s)]):
+        n_use = int(n_s[start])
         width = min(n_use, _ROW_BLOCK)
         rows = _ROW_BLOCK // width
         part = rows * max(1, _POOL_MIN // (rows * n_use))
-        for lo in range(start, stop, part):
-            hi = min(lo + part, stop)  # the next bucket sums another n_use
-            pooled.append((fr_s[lo:hi], res[lo:hi], n_use, width))
-        if stop - start <= part:  # a one-part bucket runs here and now
-            _phi2_rows(*pooled.pop())
-        start = stop
-    pool_map(lambda job: _phi2_rows(*job), pooled)
+        parts += [
+            (fr_s[lo : min(lo + part, stop)], res[lo : min(lo + part, stop)], n_use, width)
+            for lo in range(start, stop, part)
+        ]
+    if n_s.sum() >= _POOL_MIN:
+        pool_map(lambda job: _phi2_rows(*job), parts)
+    else:
+        for job in parts:
+            _phi2_rows(*job)
     out = np.empty_like(res)
     out[order] = res
     return out
@@ -471,8 +530,8 @@ def _phi2_tail_rows(fr, nn, tol, err, walk) -> None:
 
 def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, ...]:
     """(Phi2(fr), error bound, whether a closed form gave it) for fr in [0, 1):
-    pi^2/36 with error 0 at fr = 0, else the sum of nn terms (`_phi2_sums`),
-    error 1/(6 nn), or from _SNAP_MIN_TERMS terms on `_phi2_route`'s path at
+    pi^2/36 with error 0 at fr = 0, else the sum of nn terms, or of nn
+    rounded up on the count grid (`_phi2_sums`), error 1/(6 nn), or from _SNAP_MIN_TERMS terms on `_phi2_route`'s path at
     tolerance tol: its shorter sum (nn is updated in place) or its snap.  A
     call of _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid) also
     stops each sum of _TAIL_MIN_TERMS terms up to _SNAP_MIN_TERMS at
@@ -494,8 +553,9 @@ def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarr
 
 def _phi2_core(lam: float, tol: float) -> tuple[float, float, bool]:
     """(Phi2(lam), error bound, whether a closed form gave it): `_phi2_vec`
-    at the periodic reduction of lam, with at most N = ceil(1/(6 tol)) direct
-    terms (at least 1, at most 2^26; the bound reflects the cap)."""
+    at the periodic reduction of lam, with a direct count of at most N =
+    ceil(1/(6 tol)) (at least 1, at most 2^26; the bound reflects the cap)
+    before `_phi2_sums` rounds it up on its grid."""
     if not math.isfinite(lam):
         raise ValueError("phi2 needs a finite argument")
     nn = np.array([max(1, math.ceil(min(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))], dtype=float)
@@ -830,7 +890,13 @@ class _FTable:
     h = (1 - xmin)/2^18, nodes built at psi tolerance 1e-4, and linear
     interpolation between them.  Each node with 256 Phi2 terms or more (61%
     of them) stops its sum at `_phi2_tail`'s proven count: 4.23e7 terms in
-    all, 29% of the full counts; the largest node error is 9.99968e-5.
+    all, 29% of the full counts, of which `_phi2_sums` sums 4.73e7, each
+    row's count rounded up on _PHI2_COUNTS; the largest node error is
+    9.99968e-5.  The nodes are built _NODE_BLOCK at a time, in sequence,
+    each block's Phi2 and J sums on the pool, so the build's transient
+    memory is one block's.  Every Phi2 and J sum depends on its own row
+    alone, so the table has the same bits at any block size and worker
+    count.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
@@ -877,14 +943,18 @@ class _FTable:
         self.a1 = a1
         # node i is i h + xmin, as lookup computes it: np.linspace(xmin, 1, size + 1)'s bits
         self.xs = xs = np.arange(size + 1) * h + xmin
-        psi, psie = _psi_vec(xs, 1e-4)
         # (slope, F) per node, interleaved so lookup gathers both at once; f is a
         # view, and slope[size] = 0 makes x >= 1 return f[size], as np.interp does
         self._sf = np.zeros(size + 1, dtype=np.complex128)
         self.f = self._sf.imag
-        self.f[:] = 0.5 * a1 - 0.5 * xs - psi
+        node_err = 0.0
+        edges = [*range(0, size, _NODE_BLOCK), size + 1]  # the last block takes x = 1 too
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            psi, psie = _psi_vec(xs[lo:hi], 1e-4)
+            self.f[lo:hi] = 0.5 * a1 - 0.5 * xs[lo:hi] - psi
+            node_err = max(node_err, float(psie.max()))
         self._sf.real[:-1] = np.diff(self.f) / np.diff(xs)
-        self.err_bound = float(np.max(psie)) + a1e + _interp_error(h)
+        self.err_bound = node_err + a1e + _interp_error(h)
         self._inv_h = size / (1.0 - xmin)
         self._last = size - 1
 

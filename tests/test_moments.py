@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -85,6 +86,21 @@ class TestGammaQuantiles:
             t, p = mo._gamma_draws(K + 1.0, u)
         assert np.isfinite(t).all() and (p[1:] > 0.0).all()
         assert (t[0], p[0]) == (0.0, 0.0)  # x = 1 is refused, and t < log 2 weighs 0
+
+    @pytest.mark.parametrize("K", QUANTILE_KS)
+    def test_nodes_match_gammaincinv(self, K):
+        # the in-house quantiles against scipy's, best of three uncached runs
+        from scipy.special import expit, gammaincinv
+
+        z, log_t, _ = mo._gamma_nodes(K + 1.0)
+        ref = gammaincinv(K + 1.0, expit(z))
+        assert np.abs(np.exp(log_t) / ref - 1.0).max() <= 1e-12
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            mo._gamma_nodes.__wrapped__(K + 1.0)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) <= 0.020
 
     def test_nodes_are_cached_per_k(self):
         assert mo._gamma_nodes(21.0) is mo._gamma_nodes(21.0)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -460,25 +461,22 @@ class TestGBatch:
 
 
 def _phi2_sums_outer(fr, nn):
-    """sf._phi2_sums with each column chunk as one plain np.outer product."""
-    order = np.argsort(nn, kind="stable")
-    fr_s, nn_s = fr[order], nn[order]
-    res = np.zeros_like(fr_s)
-    start = 0
-    while start < len(fr_s):
-        stop = max(int(np.searchsorted(nn_s, 2 * int(nn_s[start]), side="right")), start + 1)
-        pts = fr_s[start:stop]
-        n_use = int(nn_s[stop - 1])
+    """sf._phi2_sums with each column chunk as one plain np.outer product:
+    each row sums the least count ceil(1.25^k) (or the cap 2^26) at or
+    above its nn."""
+    grid = sorted({math.ceil(Fraction(5, 4) ** k) for k in range(81)} | {1 << 26})
+    counts = np.array([grid[np.searchsorted(grid, n)] for n in nn])
+    out = np.zeros_like(fr)
+    for n_use in np.unique(counts):
+        rows = counts == n_use
         n_arr = np.arange(1, n_use + 1, dtype=np.float64)
         step = min(n_use, sf._ROW_BLOCK)
         for c0 in range(0, n_use, step):
             nb = n_arr[c0 : c0 + step]
-            t = np.outer(pts, nb)
+            t = np.outer(fr[rows], nb)
             f = t - np.floor(t)
-            res[start:stop] += ((f * f - f + 1.0 / 6.0) / (nb * nb)).sum(axis=1)
-        start = stop
-    out = np.zeros_like(fr_s)
-    out[order] = res
+            b = ((f * f - f + 1.0 / 6.0) / (nb * nb)).ravel()
+            out[rows] += np.add.reduceat(b, np.arange(0, b.size, nb.size))
     return out
 
 
@@ -517,22 +515,23 @@ class TestFTable:
         assert proc.stdout.split() == ["1", "1"]
 
     def test_build_memory_peak(self):
-        # the build sets moment's peak memory; at 2 workers its tracemalloc
-        # peak was 46.3-46.9 MB while J's sums ran beside Phi2's arrays, and is
-        # 36.8 MB, in the Phi2 sums and in the J sums alike
-        code = """if True:
-            import os, tracemalloc
-            os.cpu_count = lambda: 2
-            from wiltonmoments import special_fn as sf
-            sf.a1_constant()
-            tracemalloc.start()
-            sf._FTable()
-            print(tracemalloc.get_traced_memory()[1])
-        """
+        # in node blocks the build's tracemalloc peak was 13.3-13.6 MB at 2
+        # workers and 20.2-20.4 MB at 8; over all nodes at once it was 36.8
+        # and 60.2 MB, growing 4 MB per worker with the J blocks
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) <= 38 * 2**20
+        for cpus, bound in ((2, 16), (8, 24)):
+            code = f"""if True:
+                import os, tracemalloc
+                os.cpu_count = lambda: {cpus}
+                from wiltonmoments import special_fn as sf
+                sf.a1_constant()
+                tracemalloc.start()
+                sf._FTable()
+                print(tracemalloc.get_traced_memory()[1])
+            """
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert int(proc.stdout) <= bound * 2**20, cpus
 
     def test_lookup_is_interp_bit_for_bit(self):
         tab = sf._ftable()
@@ -578,6 +577,30 @@ class TestFTable:
         fr, nn = _psi_phi2_inputs(tol)
         assert np.array_equal(sf._phi2_sums(fr, nn), _phi2_sums_outer(fr, nn))
 
+    def test_row_sums_do_not_depend_on_other_rows(self):
+        # a row sums its own count off the grid, so it keeps its bits in any
+        # call: alone, in a slice, beside other rows, or in reverse order
+        fr, nn = _psi_phi2_inputs(1e-6)
+        full = sf._phi2_sums(fr, nn)
+        assert sf._phi2_count(nn).sum() < 1.02 * 1.25 * nn.sum()
+        assert np.array_equal(sf._phi2_sums(fr[::-1], nn[::-1]), full[::-1])
+        assert np.array_equal(sf._phi2_sums(fr[1000:1300], nn[1000:1300]), full[1000:1300])
+        for i in (0, 2000, fr.size - 1):
+            assert sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == full[i]
+        # a call as small as scalar H's runs end to end in row groups; a row
+        # more than two groups long spans several runs
+        nn = np.array([50.0, 20_000, 3000, 9, 700, 100])
+        assert sf._phi2_count(nn).sum() <= sf._ROW_BLOCK and nn[1] > 2 * sf._RAGGED_GROUP
+        grouped = sf._phi2_sums(fr[:6], nn)
+        assert np.array_equal(grouped, _phi2_sums_outer(fr[:6], nn))
+        assert all(sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == grouped[i] for i in range(6))
+
+    def test_table_bits_do_not_depend_on_node_blocks(self, monkeypatch):
+        # Phi2 and J sums by rows alone: the same table from blocks half as long
+        tab = sf._ftable()
+        monkeypatch.setattr(sf, "_NODE_BLOCK", sf._NODE_BLOCK // 2)
+        assert sf._FTable().f.tobytes() == tab.f.tobytes()
+
     def test_pooled_sums_do_not_depend_on_worker_count(self, monkeypatch):
         # at 1e-6 the top buckets are above _POOL_MIN, so they run on the
         # pool; frequent thread switches would expose a lost or shared write
@@ -597,9 +620,9 @@ class TestFTable:
         assert all(np.array_equal(sums[0], s) for s in sums[1:])
 
     def test_j_sums_do_not_depend_on_worker_count(self, monkeypatch):
-        # a quarter of the F table's nodes at its tolerance (about 10 blocks,
-        # many points straddling a boundary) and four grids over three blocks
-        # long; frequent thread switches would expose a lost or shared write
+        # a quarter of the F table's nodes at its tolerance (about 53 blocks of
+        # whole pieces) and four grids over three pieces long; frequent thread
+        # switches would expose a lost or shared write
         xs = np.linspace(1e-3, 1.0, 1 << 16)
         nj, _ = sf._j_terms(xs, 1e-4)
         at = [100, 20_000, 40_000, 60_000]
@@ -619,7 +642,7 @@ class TestFTable:
         assert all(np.array_equal(s, ref) for s in sums)
 
     def test_j_sums_add_blocks_in_block_order(self, monkeypatch):
-        # at 64 terms per block, grids 40 blocks long have block sums of
+        # at 64 terms per piece, grids 40 pieces long have piece sums of
         # comparable size, so the order they are added in shows in the bits;
         # a pool that finishes its items last-first must change nothing
         monkeypatch.setattr(sf, "_J_BLOCK", 64)
@@ -640,21 +663,15 @@ class TestFTable:
 
 
 def _j_sums_serial(T, nj, last_first=False):
-    """sf._j_sums as one serial loop that adds each block into out in place,
-    in block order or last block first."""
-    ends = np.cumsum(nj)
-    starts = ends - nj
+    """sf._j_sums as one serial loop per point: its grid cut from its own
+    start into pieces of _J_BLOCK terms, each summed by np.add.reduceat, and
+    the piece sums added into out in place, in order or last piece first."""
     out = np.zeros(len(T))
-    blocks = range(0, int(ends[-1]), sf._J_BLOCK)
-    for b0 in reversed(blocks) if last_first else blocks:
-        b1 = min(b0 + sf._J_BLOCK, int(ends[-1]))
-        i0 = int(np.searchsorted(ends, b0, side="right"))
-        i1 = int(np.searchsorted(starts, b1))
-        lo = np.maximum(starts[i0:i1], b0)
-        cnt = np.minimum(ends[i0:i1], b1) - lo
-        k = np.arange(b0 + 1, b1 + 1) - np.repeat(starts[i0:i1], cnt)
-        y = k * np.repeat(T[i0:i1], cnt)
-        out[i0:i1] += np.add.reduceat(sf.g_tail_integral(y), lo - b0)
+    for i, (t, n) in enumerate(zip(T, nj)):
+        pieces = range(0, int(n), sf._J_BLOCK)
+        for k0 in reversed(pieces) if last_first else pieces:
+            k = np.arange(k0 + 1, min(k0 + sf._J_BLOCK, int(n)) + 1)
+            out[i] += np.add.reduceat(sf.g_tail_integral(k * t), [0])[0]
     return out
 
 
@@ -825,8 +842,32 @@ class TestPhi2TailBound:
 # g_func (abs_tol 1e-5) on pairs (x, 1 - x), x = 2^U - 1 with U stratified
 # over ten strata (jitter seed 11), and its (value, est_error) pinned from
 # the Phi2 route that stops each direct sum at its continued-fraction tail
-# bound
+# bound and sums each row to its own count on the 1.25 grid
 _PINNED_G = [
+    (3.467650109461142, 4.901805493876275e-06),
+    (-3.4676501253058323, 5.510806640249177e-06),
+    (0.9602853663023374, 7.275263937769392e-06),
+    (-0.9602853496082938, 7.851425200855965e-06),
+    (0.23561893673479228, 1.1851926569965868e-05),
+    (-0.23561891412890507, 1.2011731127490712e-05),
+    (0.36724834192466993, 1.6195864639420015e-05),
+    (-0.36724834845337745, 1.6253440203664676e-05),
+    (-1.444157678970496, 1.6204638332019807e-05),
+    (1.4441575757207257, 1.637057924030533e-05),
+    (1.0374574664823235, 4.355164933884448e-06),
+    (-1.0374574237070462, 4.1483073532761756e-06),
+    (0.5814240731959448, 2.313187076001362e-06),
+    (-0.5814240839878699, 2.169316300161477e-06),
+    (-0.24664206680501233, 2.4333373812324348e-06),
+    (0.24664205963138253, 2.4190603632207933e-06),
+    (-0.6758656344731149, 1.533700329733313e-05),
+    (0.6758656292164712, 1.4711589549596633e-05),
+    (-1.7747058147088532, 1.9556106690525034e-05),
+    (1.7747058381189524, 1.9451378199589685e-05),
+]
+# the same, pinned from the code that summed each bucket of term counts
+# within a factor 2 to its largest count
+_PINNED_G_BUCKET_SUMS = [
     (3.4676501229418992, 4.901805493876275e-06),
     (-3.4676501396234665, 5.510806640249177e-06),
     (0.9602853654950829, 7.275263937769392e-06),
@@ -885,14 +926,16 @@ def test_g_func_matches_pinned_values():
     gs = [sf.g_func(x, cfg=cfg) for x in _pinned_points()]
     got = [(g.value, float(g.est_error)) for g in gs]
     assert got == _PINNED_G
-    # the shorter sums move g by less than the two error bounds together
-    for (v, e), (v0, e0) in zip(got, _PINNED_G_FULL_SUMS):
-        assert abs(v - v0) <= e + e0
+    # the shorter sums, and the rows' own counts, move g by less than the
+    # two error bounds together
+    for old in (_PINNED_G_BUCKET_SUMS, _PINNED_G_FULL_SUMS):
+        for (v, e), (v0, e0) in zip(got, old):
+            assert abs(v - v0) <= e + e0
 
 
 # W (value, terms_used, tail_bound) at abs_tol 1e-5 on the points above,
 # pinned from the code that walked 200-step orbit arrays; H (value, err)
-# pinned with _PINNED_G, and from that code (_PINNED_H_FULL_SUMS)
+# pinned with _PINNED_G, and from the code of each of its two older lists
 _PINNED_W = [
     (4.718972437420512, 11, 1.2690388640886257e-06),
     (-4.658853855781007, 12, 1.2682571676462962e-06),
@@ -916,6 +959,28 @@ _PINNED_W = [
     (2.9566621887353297, 9, 7.583544502029488e-06),
 ]
 _PINNED_H = [
+    (-1.2513223279593704, 3.6327666297876493e-06),
+    (1.1912037304751741, 4.242549472602881e-06),
+    (-1.0321279446527056, 5.569963182435188e-06),
+    (0.5706422463104056, 6.145961978595858e-06),
+    (-0.8229933700401839, 9.134849285044181e-06),
+    (0.10577993528519654, 9.294333174826762e-06),
+    (-0.8535463612178662, 9.528222250605893e-06),
+    (0.04391779541799613, 9.585776694935417e-06),
+    (-0.47947367923725703, 8.254498226383572e-06),
+    (-0.5620093162569362, 8.419456987997547e-06),
+    (-1.2259385929630777, 3.4992257700924867e-06),
+    (-0.14396817974345927, 3.292480874638071e-06),
+    (-1.1018840904774658, 2.251582038409843e-06),
+    (-0.2381117074348878, 2.112246926254481e-06),
+    (-0.1872123517603851, 2.386933344007956e-06),
+    (-0.9142378197499097, 2.3733259538641072e-06),
+    (0.3876963540189675, 9.295263568366114e-06),
+    (-0.9452848736225768, 8.63880983985951e-06),
+    (0.925234220564981, 1.1972950538341615e-05),
+    (-1.1819563506163773, 1.1867833697560196e-05),
+]
+_PINNED_H_BUCKET_SUMS = [
     (-1.2513223144786128, 3.6327666297876493e-06),
     (1.1912037161575402, 4.242549472602881e-06),
     (-1.0321279454599601, 5.569963182435188e-06),
@@ -968,8 +1033,9 @@ def test_w_and_h_match_pinned_values():
     assert [(w.value, w.terms_used, w.tail_bound) for w in ws] == _PINNED_W
     hs = [tuple(map(float, sf._h_with_err(x, 1e-5))) for x in pts]
     assert hs == _PINNED_H
-    for (v, e), (v0, e0) in zip(hs, _PINNED_H_FULL_SUMS):
-        assert abs(v - v0) <= e + e0
+    for old in (_PINNED_H_BUCKET_SUMS, _PINNED_H_FULL_SUMS):
+        for (v, e), (v0, e0) in zip(hs, old):
+            assert abs(v - v0) <= e + e0
 
 
 def _counting_orbit(pulled: list[int]):
