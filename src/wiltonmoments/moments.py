@@ -111,14 +111,6 @@ def _gamma_log_density(a: float, w: np.ndarray) -> np.ndarray:
     return a * (w - np.expm1(w))
 
 
-def _gamma_panels(a: float, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    # the integral of exp(_gamma_log_density) over each [w0, w1], Gauss-Legendre 8
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    half = 0.5 * (w1 - w0)
-    v = (0.5 * (w0 + w1))[:, None] + half[:, None] * nodes
-    return half * (np.exp(_gamma_log_density(a, v)) @ weights)
-
-
 def _gamma_quantiles(a: float, u: np.ndarray) -> np.ndarray:
     """t with P(a, t) = u for each u in (0, 1), P the regularised lower
     incomplete gamma function and a >= 1; for a in (1, 170] within 1e-14
@@ -138,6 +130,13 @@ def _gamma_quantiles(a: float, u: np.ndarray) -> np.ndarray:
     one partial panel.  The starts lie within 2e-4 of the root in w, each
     step about squares that, so two reach rounding and the third is margin.
     """
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+
+    def panels(w0, w1):  # the integral of exp(_gamma_log_density) over each [w0, w1]
+        half = 0.5 * (w1 - w0)
+        v = (0.5 * (w0 + w1))[:, None] + half[:, None] * nodes
+        return half * (np.exp(_gamma_log_density(a, v)) @ weights)
+
     u = np.asarray(u, dtype=np.float64)
     q = 1.0 - u
     Y = math.sqrt(75.0 - math.log(min(u.min(), q.min(), 0.5)))
@@ -147,9 +146,9 @@ def _gamma_quantiles(a: float, u: np.ndarray) -> np.ndarray:
     for _ in range(8):
         d = np.expm1(edges)
         edges -= (d - edges - c) / np.where(d == 0.0, 1.0, d)
-    panels = _gamma_panels(a, edges[:-1], edges[1:])
-    below = np.concatenate(([0.0], np.cumsum(panels)))
-    above = np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
+    mass = panels(edges[:-1], edges[1:])
+    below = np.concatenate(([0.0], np.cumsum(mass)))
+    above = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
     with np.errstate(divide="ignore"):  # the ends' P = 0 and Q = 0
         logit_edges = np.log(below) - np.log(above)
     lower = u <= 0.5
@@ -159,8 +158,8 @@ def _gamma_quantiles(a: float, u: np.ndarray) -> np.ndarray:
         k = np.clip(np.searchsorted(edges, w, side="right") - 1, 0, _GAMMA_GRID - 1)
         tail = np.where(
             lower,
-            below[k] + _gamma_panels(a, edges[k], w),
-            above[k + 1] + _gamma_panels(a, w, edges[k + 1]),
+            below[k] + panels(edges[k], w),
+            above[k + 1] + panels(w, edges[k + 1]),
         )
         slope = np.exp(_gamma_log_density(a, w)) / np.where(lower, tail, -tail)
         w -= (np.log(tail / below[-1]) - target) / slope
@@ -171,7 +170,7 @@ def _gamma_quantiles(a: float, u: np.ndarray) -> np.ndarray:
 def _gamma_nodes(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z, log t, s), read-only: 4096 nodes z evenly spaced in logit u on
     [_U_EDGE, 1 - _U_EDGE], t = _gamma_quantiles(a, expit(z)), and each
-    segment's slope s_j of log t against z; about 3 ms per a."""
+    segment's slope s_j of log t against z; about 2 ms per a."""
     z = np.linspace(-_Z_EDGE, _Z_EDGE, 4096)
     log_t = np.log(_gamma_quantiles(a, 1.0 / (1.0 + np.exp(-z))))
     nodes = z, log_t, np.diff(log_t) / np.diff(z)
