@@ -43,7 +43,8 @@ rows or more (the F table), a sum of 256 to 2047 terms stops at the same
 bound, found by one int64 Euclid over all those rows (`_phi2_tail`).
 Otherwise it is one direct sum of ceil(1/(6 tol)) terms.  `_phi2_sums`
 rounds each count up on a fixed 1.25 grid, so a row's bits depend on the
-row alone.
+row alone.  The module's one pool_map call runs the F table's node blocks,
+and every sum inside a block runs serially.
 """
 
 from __future__ import annotations
@@ -88,18 +89,15 @@ _SNAP_MIN_TERMS = 2048
 _TAIL_VEC_ROWS = 512
 _TAIL_MIN_TERMS = 256  # the F table: 39% of its rows below it, 6% of its terms
 _C_MARGIN = 2.0**-50  # _phi2_tail's relative inflation of c_k
-# rows per _phi2_tail block on the pool, about 2 MB of temporaries each: at 2
-# workers the F table's peak RSS was 4 MB higher at 2^14 rows and 1-13 MB at
-# _BLOCK = 2^15, where the walk also set its tracemalloc peak; 2^12 ran slower
-_TAIL_BLOCK = 1 << 13
 _J_MAX_TERMS = 3_000_000
 # G evaluations per _j_sums piece and block, about 1.3 MB of temporaries on
 # the F table's terms: 2^16 put 5 MB on each worker, 2^13 made the build 13%
 # slower (2 vCPU), and 2^20 ran 2.7x slower (cache)
 _J_BLOCK = 1 << 14
-# F-table nodes per _psi_vec call, built in sequence; at 2^14, with 2^13-term
-# J blocks, the build's peak grew less with the worker count but ran 18% slower
-_NODE_BLOCK = 1 << 15
+# F-table nodes per pool_map item, about 1.2 MB of temporaries each: 2^13
+# built about 8% faster (2 vCPU), but its 2.4 MB per worker put the build's
+# tracemalloc peak at 25 MB with 8 workers
+_NODE_BLOCK = 1 << 12
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
 _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in L2
@@ -107,7 +105,6 @@ _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in 
 # (one group per call) pointwise-g's p99 latency rose 12%, the heap regrowing
 # under its largest calls
 _RAGGED_GROUP = 1 << 13
-_POOL_MIN = 1 << 22  # elements (rows x terms) per _phi2_sums part, and per call on the pool
 # the term counts _phi2_sums sums: ceil(1.25^k) below the cap, and the cap
 _PHI2_COUNTS = np.array(
     sorted({-(-(5**k) // 4**k) for k in range(81)} | {_PHI2_MAX_TERMS}), dtype=np.float64
@@ -225,10 +222,9 @@ def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
     Each point's n-grid is cut from its own start into pieces of _J_BLOCK
     terms (the last one shorter), and the pieces, laid end to end, are
     evaluated in blocks of whole pieces, those that start in one run of
-    _J_BLOCK terms, one pool_map item per block.  np.add.reduceat sums each
-    piece, and a point's pieces are added in order, so a sum's bits depend
-    on its own T_i and nj_i alone: not on the worker count, nor on the
-    other points of the call.
+    _J_BLOCK terms.  np.add.reduceat sums each piece, and a point's pieces
+    are added in order, so a sum's bits depend on its own T_i and nj_i
+    alone, not on the other points of the call.
     """
     if not len(T):
         return np.zeros(0)
@@ -245,7 +241,7 @@ def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
         k = np.arange(1, at[-1] + n[-1] + 1) + np.repeat(k0[p0:p1] - at, n)
         return np.add.reduceat(g_tail_integral(k * np.repeat(T[row[p0:p1]], n)), at)
 
-    sums = np.concatenate(pool_map(lambda c: block(*c), zip(cuts[:-1], cuts[1:])))
+    sums = np.concatenate([block(p0, p1) for p0, p1 in zip(cuts[:-1], cuts[1:])])
     out = sums[first]
     for j in range(1, int(pieces.max())):
         more = np.flatnonzero(pieces > j)
@@ -319,16 +315,13 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
 
     The rows of one count N form a bucket, summed in column chunks of
     min(N, _ROW_BLOCK) terms that fix each row's summation order, so a
-    row's bits depend on fr_i and N_i alone, not on the other rows.  Each
-    bucket is cut into parts of whole row blocks, about _POOL_MIN elements
-    (rows x N) each; a call of _POOL_MIN elements or more runs all its
-    parts on one pool_map call, a smaller one runs them here.  N >= nn_i
-    keeps a caller's truncation bound for nn_i, and the rounding allowance
-    of `_phi2_route`, 1e-20 per term, covers the extra terms: adding a
-    chunk's sum loses at most 3e-17, 1e-21 per term.  A call of at most
-    _ROW_BLOCK terms in all (scalar H's) lays its rows end to end instead,
-    in groups of the rows that start in one run of _RAGGED_GROUP terms,
-    with the same bits.
+    row's bits depend on fr_i and N_i alone, not on the other rows.  N >=
+    nn_i keeps a caller's truncation bound for nn_i, and the rounding
+    allowance of `_phi2_route`, 1e-20 per term, covers the extra terms:
+    adding a chunk's sum loses at most 3e-17, 1e-21 per term.  A call of
+    at most _ROW_BLOCK terms in all (scalar H's) lays its rows end to end
+    instead, in groups of the rows that start in one run of _RAGGED_GROUP
+    terms, with the same bits.
     """
     if not fr.size:
         return np.zeros(0)
@@ -352,21 +345,9 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     fr_s, n_s = fr[order], count[order]
     res = np.zeros(len(fr_s))
     starts = np.flatnonzero(np.diff(n_s, prepend=0.0))
-    parts = []
     for start, stop in zip(starts, [*starts[1:], len(n_s)]):
         n_use = int(n_s[start])
-        width = min(n_use, _ROW_BLOCK)
-        rows = _ROW_BLOCK // width
-        part = rows * max(1, _POOL_MIN // (rows * n_use))
-        parts += [
-            (fr_s[lo : min(lo + part, stop)], res[lo : min(lo + part, stop)], n_use, width)
-            for lo in range(start, stop, part)
-        ]
-    if n_s.sum() >= _POOL_MIN:
-        pool_map(lambda job: _phi2_rows(*job), parts)
-    else:
-        for job in parts:
-            _phi2_rows(*job)
+        _phi2_rows(fr_s[start:stop], res[start:stop], n_use, min(n_use, _ROW_BLOCK))
     out = np.empty_like(res)
     out[order] = res
     return out
@@ -519,29 +500,22 @@ def _phi2_weights(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.minimum(1.0 / 3.0, 1.0 / (3 * q * q) + d) * (1.0 + _C_MARGIN)
 
 
-def _phi2_tail_rows(fr, nn, tol, err, walk) -> None:
-    # nn[walk], err[walk] = `_phi2_tail` on those rows, in _TAIL_BLOCK-row blocks on
-    # the pool; a function of its own, so walk is freed before the sums
-    def block(rows):
-        nn[rows], err[rows] = _phi2_tail(fr[rows], tol[rows])
-
-    pool_map(block, (walk[i : i + _TAIL_BLOCK] for i in range(0, walk.size, _TAIL_BLOCK)))
-
-
 def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, ...]:
     """(Phi2(fr), error bound, whether a closed form gave it) for fr in [0, 1):
     pi^2/36 with error 0 at fr = 0, else the sum of nn terms, or of nn
-    rounded up on the count grid (`_phi2_sums`), error 1/(6 nn), or from _SNAP_MIN_TERMS terms on `_phi2_route`'s path at
-    tolerance tol: its shorter sum (nn is updated in place) or its snap.  A
-    call of _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid) also
-    stops each sum of _TAIL_MIN_TERMS terms up to _SNAP_MIN_TERMS at
-    `_phi2_tail`'s count, in _TAIL_BLOCK-row blocks on pool_map."""
+    rounded up on the count grid (`_phi2_sums`), error 1/(6 nn), or from
+    _SNAP_MIN_TERMS terms on `_phi2_route`'s path at tolerance tol: its
+    shorter sum (nn is updated in place) or its snap.  A call of
+    _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid) also stops
+    each sum of _TAIL_MIN_TERMS terms up to _SNAP_MIN_TERMS at
+    `_phi2_tail`'s count."""
     direct = fr > 0.0
     phi = np.full(fr.shape, PI2_OVER_36)
     err = np.where(direct, 1.0 / (6.0 * nn), 0.0)
     long = direct & (nn >= _SNAP_MIN_TERMS)
     if fr.size >= _TAIL_VEC_ROWS:
-        _phi2_tail_rows(fr, nn, tol, err, np.flatnonzero(direct & ~long & (nn >= _TAIL_MIN_TERMS)))
+        walk = np.flatnonzero(direct & ~long & (nn >= _TAIL_MIN_TERMS))
+        nn[walk], err[walk] = _phi2_tail(fr[walk], tol[walk])
     for i in np.flatnonzero(long):
         snap, nn[i], err[i] = _phi2_route(float(fr[i]), float(tol[i]))
         if snap is not None:
@@ -892,11 +866,11 @@ class _FTable:
     of them) stops its sum at `_phi2_tail`'s proven count: 4.23e7 terms in
     all, 29% of the full counts, of which `_phi2_sums` sums 4.73e7, each
     row's count rounded up on _PHI2_COUNTS; the largest node error is
-    9.99968e-5.  The nodes are built _NODE_BLOCK at a time, in sequence,
-    each block's Phi2 and J sums on the pool, so the build's transient
-    memory is one block's.  Every Phi2 and J sum depends on its own row
-    alone, so the table has the same bits at any block size and worker
-    count.
+    9.99968e-5.  The nodes are built in blocks of _NODE_BLOCK, the
+    build's one pool_map call, and everything inside a block runs serially
+    in its worker, so the build's transient memory is one block's per
+    worker.  Every Phi2 and J sum depends on its own row alone, so the
+    table has the same bits at any block size and worker count.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
@@ -947,12 +921,14 @@ class _FTable:
         # view, and slope[size] = 0 makes x >= 1 return f[size], as np.interp does
         self._sf = np.zeros(size + 1, dtype=np.complex128)
         self.f = self._sf.imag
-        node_err = 0.0
-        edges = [*range(0, size, _NODE_BLOCK), size + 1]  # the last block takes x = 1 too
-        for lo, hi in zip(edges[:-1], edges[1:]):
+
+        def block(lo, hi):
             psi, psie = _psi_vec(xs[lo:hi], 1e-4)
             self.f[lo:hi] = 0.5 * a1 - 0.5 * xs[lo:hi] - psi
-            node_err = max(node_err, float(psie.max()))
+            return float(psie.max())
+
+        edges = [*range(0, size, _NODE_BLOCK), size + 1]  # the last block takes x = 1 too
+        node_err = max(pool_map(lambda e: block(*e), zip(edges[:-1], edges[1:])))
         self._sf.real[:-1] = np.diff(self.f) / np.diff(xs)
         self.err_bound = node_err + a1e + _interp_error(h)
         self._inv_h = size / (1.0 - xmin)

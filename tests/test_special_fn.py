@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -515,9 +516,10 @@ class TestFTable:
         assert proc.stdout.split() == ["1", "1"]
 
     def test_build_memory_peak(self):
-        # in node blocks the build's tracemalloc peak was 13.3-13.6 MB at 2
-        # workers and 20.2-20.4 MB at 8; over all nodes at once it was 36.8
-        # and 60.2 MB, growing 4 MB per worker with the J blocks
+        # with 2^12-node blocks on the pool the build's tracemalloc peak is
+        # 11.1 MB at 2 workers (set by the slopes after the blocks) and
+        # 17.3-18.5 MB at 8, about 1.2 MB per worker; 2^13-node blocks reached
+        # 12.1 and 25.1 MB, and all nodes at once 36.8 and 60.2 MB
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         for cpus, bound in ((2, 16), (8, 24)):
             code = f"""if True:
@@ -601,50 +603,69 @@ class TestFTable:
         monkeypatch.setattr(sf, "_NODE_BLOCK", sf._NODE_BLOCK // 2)
         assert sf._FTable().f.tobytes() == tab.f.tobytes()
 
-    def test_pooled_sums_do_not_depend_on_worker_count(self, monkeypatch):
-        # at 1e-6 the top buckets are above _POOL_MIN, so they run on the
-        # pool; frequent thread switches would expose a lost or shared write
-        fr, nn = _psi_phi2_inputs(1e-6)
-        assert nn.max() * np.sum(nn > nn.max() / 2) >= sf._POOL_MIN
-        sums = []
+    def test_table_bits_do_not_depend_on_worker_count(self, monkeypatch):
+        # the node blocks at 1, 2 and 3 workers, and on a pool that runs its
+        # items last-first; frequent thread switches would expose a lost or
+        # shared write
+        tab = sf._ftable()
+        tables = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for cpus in (1, 2, 3):
                 monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: cpus)
-                sums.append(sf._phi2_sums(fr, nn))
-            monkeypatch.setattr(sf, "_POOL_MIN", 1 << 16)  # many parts in each bucket
-            sums.append(sf._phi2_sums(fr, nn))
+                tables.append(sf._FTable())
+
+            def last_first(fn, items):
+                items = list(items)
+                return [fn(item) for item in items[::-1]][::-1]
+
+            monkeypatch.setattr(sf, "pool_map", last_first)
+            tables.append(sf._FTable())
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(sums[0], s) for s in sums[1:])
+        assert all(t.f.tobytes() == tab.f.tobytes() for t in tables)
+        assert all(t.err_bound == tab.err_bound for t in tables)
 
-    def test_j_sums_do_not_depend_on_worker_count(self, monkeypatch):
+    def test_build_runs_one_pool_level(self, monkeypatch):
+        # one pool_map call per build, over the node blocks, and none inside
+        # an item: a thread-local depth counts the items running in a thread
+        depth, calls = threading.local(), []
+
+        def recording(fn, items):
+            items = list(items)
+            calls.append((getattr(depth, "n", 0), items))
+
+            def run(item):
+                depth.n = getattr(depth, "n", 0) + 1
+                try:
+                    return fn(item)
+                finally:
+                    depth.n -= 1
+
+            return cf_dynamics.pool_map(run, items)
+
+        monkeypatch.setattr(sf, "pool_map", recording)
+        tab = sf._FTable()
+        size = tab.xs.size - 1
+        edges = [*range(0, size, sf._NODE_BLOCK), size + 1]
+        assert len(edges) > 3
+        assert calls == [(0, list(zip(edges[:-1], edges[1:])))]
+
+    def test_j_sums_match_serial_pieces(self):
         # a quarter of the F table's nodes at its tolerance (about 53 blocks of
-        # whole pieces) and four grids over three pieces long; frequent thread
-        # switches would expose a lost or shared write
+        # whole pieces) and four grids over three pieces long
         xs = np.linspace(1e-3, 1.0, 1 << 16)
         nj, _ = sf._j_terms(xs, 1e-4)
         at = [100, 20_000, 40_000, 60_000]
         T = np.insert(1.0 / xs, at, [1.0, 1.3, 2.0, 7.5])
         nj = np.insert(nj, at, 3 * sf._J_BLOCK + 7)
         assert nj.sum() > 20 * sf._J_BLOCK
-        ref = _j_sums_serial(T, nj)
-        sums = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for cpus in (1, 2, 3):
-                monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: cpus)
-                sums.append(sf._j_sums(T, nj))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(s, ref) for s in sums)
+        assert np.array_equal(sf._j_sums(T, nj), _j_sums_serial(T, nj))
 
     def test_j_sums_add_blocks_in_block_order(self, monkeypatch):
         # at 64 terms per piece, grids 40 pieces long have piece sums of
-        # comparable size, so the order they are added in shows in the bits;
-        # a pool that finishes its items last-first must change nothing
+        # comparable size, so the order they are added in shows in the bits
         monkeypatch.setattr(sf, "_J_BLOCK", 64)
         xs = np.linspace(1e-3, 1.0, 1 << 12)
         nj, _ = sf._j_terms(xs, 1e-4)
@@ -653,12 +674,6 @@ class TestFTable:
         nj = np.insert(nj, at, 40 * 64 + 7)
         ref = _j_sums_serial(T, nj)
         assert not np.array_equal(_j_sums_serial(T, nj, last_first=True), ref)
-
-        def last_first(fn, items):
-            items = list(items)
-            return [fn(item) for item in items[::-1]][::-1]
-
-        monkeypatch.setattr(sf, "pool_map", last_first)
         assert np.array_equal(sf._j_sums(T, nj), ref)
 
 
