@@ -18,7 +18,7 @@ piecewise linear in (logit u, log t) through 4096 Gamma(K+1) quantile
 nodes per K, and each draw carries its exact density, all that importance
 sampling needs of a proposal, so any nodes keep it exact.  The quantiles
 are this module's own (_gamma_quantiles, within 1e-14 of scipy's
-gammaincinv), so neither route imports scipy.
+gammaincinv), and the package imports no scipy.
 """
 
 from __future__ import annotations

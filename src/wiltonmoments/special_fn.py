@@ -321,7 +321,10 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     adding a chunk's sum loses at most 3e-17, 1e-21 per term.  A call of
     at most _ROW_BLOCK terms in all (scalar H's) lays its rows end to end
     instead, in groups of the rows that start in one run of _RAGGED_GROUP
-    terms, with the same bits.
+    terms, with the same bits.  Each layout alone keeps every bit but is
+    slower (2 vCPU): buckets alone take pointwise-g's wall from 0.48-0.50
+    to 0.54-0.55 s, and end-to-end runs alone take the fresh-process F-table
+    build from 0.35-0.45 to 0.43-0.50 s (2^15-term groups; 0.68 s at 2^13).
     """
     if not fr.size:
         return np.zeros(0)
@@ -606,7 +609,7 @@ def _a_with_err(lam: float, tol: float) -> tuple[float, float]:
         val, err = _a_with_err(1.0 / lam, tol / lam)
         return lam * val, lam * err
     a1, a1e = a1_constant()
-    psi, psie = _psi_vec(lam, tol / 2.0)
+    psi, psie = _psi_vec(lam, max(tol / 2.0, math.ulp(0.0)))  # tol / 2 may round to 0
     val = -0.5 * lam * math.log(lam) + 0.5 * (1.0 + a1) * lam + float(psi[0])
     return val, 0.5 * lam * a1e + float(psie[0])
 

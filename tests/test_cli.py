@@ -51,6 +51,13 @@ class TestEval:
     def test_missing_points_is_usage_error(self, capsys):
         assert run(["eval", "--fn", "A"]) == 2
 
+    @pytest.mark.parametrize("x", ["0.7", "1.5"])
+    def test_a_at_least_subnormal_tolerance(self, x, capsys):
+        status, out = run_capture(["eval", "--fn", "A", "--abs-tol", "5e-324", "--x", x], capsys)
+        assert status == 0
+        (row,) = json.loads(out)
+        assert math.isfinite(row["value"]) and math.isfinite(row["est_error"])
+
     @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]], ids=["json", "csv"])
     @pytest.mark.parametrize(
         "argv",
@@ -398,6 +405,18 @@ class TestVerifyCmd:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_measure_invariance_runs_without_scipy(self):
+        code = """if True:
+            import sys
+            sys.modules["scipy"] = None  # any import of scipy now fails
+            from wiltonmoments.cli import run
+            sys.exit(run(["verify", "--suite", "measure-invariance"]))
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "KS statistic 0.00072 (tol 0.002)" in proc.stdout
 
 
 class TestConfigPrecedence:

@@ -211,6 +211,15 @@ class TestBigA:
         # two calls, so agreement is at the truncation level, not exact
         assert sf.big_a(4.0, CFG) == pytest.approx(4.0 * sf.big_a(0.25, CFG), abs=1e-9)
 
+    @pytest.mark.parametrize("lam", [0.7, 3.0])
+    def test_subnormal_tolerance_is_finite(self, lam):
+        # tol / 2 (and tol / lam above 1) rounds to 0 at the least subnormal
+        cfg = ToleranceConfig(abs_tol=5e-324)
+        val, err = sf._a_with_err(lam, cfg.abs_tol)
+        assert sf.big_a(lam, cfg) == val
+        assert math.isfinite(val) and math.isfinite(err) and err > 0.0
+        assert val == pytest.approx(sf.big_a(lam, CFG), abs=1e-8)
+
     def test_huge_lambda_is_finite(self):
         # A(lam) = lam A(1/lam) with 1/lam far below the psi underflow point
         val = sf.big_a(1e300, CFG)
