@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub, "moment", _cmd_moment, "--seed --format --output",
         help="estimate int |g|^K dx",
         description="Estimate M(K) = int_0^1 |g|^K dx.  g is evaluated at fixed tolerances "
-        "(W at 1% of the F-table error, H tail 2e-4, F table 1e-4), so there is no --abs-tol.",
+        "(F table within 1.28e-4, W at 1% of that, H tail 2e-4), so there is no --abs-tol.",
     )
     p_m.add_argument("--k", required=True, help="comma-separated K list, ascending")
     p_m.add_argument("--samples", type=int, default=1_000_000)
@@ -182,9 +182,7 @@ def _parse_points(args) -> list[float]:
     if getattr(args, "x", None):
         pts = [float(tok) for tok in str(args.x).split(",") if tok]
     elif getattr(args, "grid", None):
-        lo, hi, n = str(args.grid).split(":")
-        n = _bounded("--grid", int(n))
-        pts = [float(v) for v in np.linspace(float(lo), float(hi), n)]
+        pts = _parse_grid(str(args.grid))
     elif getattr(args, "sample", None) is not None:
         if args.sample <= 0:
             raise SystemExit2(f"--sample must be positive, got {args.sample}")
@@ -195,6 +193,18 @@ def _parse_points(args) -> list[float]:
     if not pts:
         raise SystemExit2("the point list is empty")
     return pts
+
+
+def _parse_grid(grid: str) -> list[float]:
+    usage = f"--grid lo:hi:n needs two numbers and a whole count n >= 1, got {grid!r}"
+    try:
+        lo, hi, n = grid.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise SystemExit2(usage) from None
+    if n < 1:
+        raise SystemExit2(usage)
+    return [float(v) for v in np.linspace(lo, hi, _bounded("--grid", n))]
 
 
 class SystemExit2(SystemExit):

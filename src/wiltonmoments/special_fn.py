@@ -39,12 +39,13 @@ one J sum (`_j_sums`).  A Phi2 sum of 2048 terms or more walks exact_cf
 once: it stops where a proven continued-fraction tail bound allows, and
 takes nearby_fraction's p/q, where close and cheaper, in closed form, a
 csc^2(pi r/q) sum over r <= q/2 (`_phi2_rational`).  In a call of 512
-rows or more (the F table), a sum of 256 to 2047 terms stops at the same
-bound, found by one int64 Euclid over all those rows (`_phi2_tail`).
-Otherwise it is one direct sum of ceil(1/(6 tol)) terms.  `_phi2_sums`
-rounds each count up on a fixed 1.25 grid, so a row's bits depend on the
-row alone.  The module's one pool_map call runs the F table's node blocks,
-and every sum inside a block runs serially.
+rows or more (the F table), every sum of 256 terms or more stops at the
+same bound instead, found by one int64 Euclid over all those rows
+(`_phi2_tail`), without a snap.  Otherwise it is one direct sum of
+ceil(1/(6 tol)) terms.  `_phi2_sums` rounds each count up on a fixed 1.25
+grid, so a row's bits depend on the row alone.  The module's one pool_map
+call runs the F table's node blocks, and every sum inside a block runs
+serially.
 """
 
 from __future__ import annotations
@@ -82,12 +83,16 @@ _SNAP_EPS = 1e-12
 # Below about 2k terms the direct Phi2 sum costs less than the route search.
 _SNAP_MIN_TERMS = 2048
 # A call of this many rows or more stops each row of _TAIL_MIN_TERMS terms or
-# more at _phi2_tail's count.  Break-even 250-450 rows of F-table-like rows
-# (2 vCPU, timing _phi2_vec): below, numpy's per-step overhead on the walk
-# costs more than the terms it saves.  H's calls (at most MAX_TERMS + 1 rows)
-# stay below it.
+# more at _phi2_tail's count, rows of _SNAP_MIN_TERMS terms or more too (the
+# F table's nodes above x = 0.58: the per-row _phi2_route made its build
+# 0.68-0.78 s instead of 0.13-0.18 s, 2 vCPU).  Break-even 250-450 rows of
+# F-table-like rows (2 vCPU, timing _phi2_vec): below, numpy's per-step
+# overhead on the walk costs more than the terms it saves.  H's calls (at
+# most MAX_TERMS + 1 rows) stay below it, so every scalar path keeps the
+# route.
 _TAIL_VEC_ROWS = 512
-_TAIL_MIN_TERMS = 256  # the F table: 39% of its rows below it, 6% of its terms
+_TAIL_MIN_TERMS = 256  # the F table: 21% of its rows below it, 1% of its terms
+_TAIL_MIN_TOL = 1e-8  # _phi2_tail's domain: 3 q^2 and (q + 1) r exact doubles
 _C_MARGIN = 2.0**-50  # _phi2_tail's relative inflation of c_k
 _J_MAX_TERMS = 3_000_000
 # G evaluations per _j_sums piece and block, about 1.3 MB of temporaries on
@@ -98,6 +103,9 @@ _J_BLOCK = 1 << 14
 # built about 8% faster (2 vCPU), but its 2.4 MB per worker put the build's
 # tracemalloc peak at 25 MB with 8 workers
 _NODE_BLOCK = 1 << 12
+# the F table's err_bound at most: its value with 2^18 segments and 1e-4 nodes,
+# which sets W's tolerance in g_batch (err_bound / 100)
+_F_BUDGET = 1.2761131942231886e-4
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
 _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in L2
@@ -509,15 +517,18 @@ def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarr
     rounded up on the count grid (`_phi2_sums`), error 1/(6 nn), or from
     _SNAP_MIN_TERMS terms on `_phi2_route`'s path at tolerance tol: its
     shorter sum (nn is updated in place) or its snap.  A call of
-    _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid) also stops
-    each sum of _TAIL_MIN_TERMS terms up to _SNAP_MIN_TERMS at
-    `_phi2_tail`'s count."""
+    _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid) instead stops
+    each sum of _TAIL_MIN_TERMS terms or more at `_phi2_tail`'s count,
+    without a snap, where tol is in that walk's domain (>= _TAIL_MIN_TOL);
+    its rows of _SNAP_MIN_TERMS terms or more below it take the route."""
     direct = fr > 0.0
     phi = np.full(fr.shape, PI2_OVER_36)
     err = np.where(direct, 1.0 / (6.0 * nn), 0.0)
     long = direct & (nn >= _SNAP_MIN_TERMS)
     if fr.size >= _TAIL_VEC_ROWS:
-        walk = np.flatnonzero(direct & ~long & (nn >= _TAIL_MIN_TERMS))
+        walk = direct & (nn >= _TAIL_MIN_TERMS) & (tol >= _TAIL_MIN_TOL)
+        long &= ~walk
+        walk = np.flatnonzero(walk)
         nn[walk], err[walk] = _phi2_tail(fr[walk], tol[walk])
     for i in np.flatnonzero(long):
         snap, nn[i], err[i] = _phi2_route(float(fr[i]), float(tol[i]))
@@ -556,10 +567,10 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
 
     Phi2 comes from `_phi2_vec` at tolerance tol/x^2: N = ceil(x^2/(6 tol))
     terms (at most 2^26), or from 2048 on (from 256 on in a call of 512
-    rows or more) as few as its tail bound allows; J takes the `_j_terms`
-    count at tol.  Below x = 1e-9, |psi| <= (pi^2/72) x^2 + 0.072 x^3 is far
-    below any working tolerance (and x^2 may underflow), so psi is 0 with
-    bound 0.14 x^2.
+    rows or more, there without a snap) as few as its tail bound allows;
+    J takes the `_j_terms` count at tol.  Below x = 1e-9, |psi| <= (pi^2/72)
+    x^2 + 0.072 x^3 is far below any working tolerance (and x^2 may
+    underflow), so psi is 0 with bound 0.14 x^2.
     """
     x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     tol = np.broadcast_to(tol, x.shape)
@@ -863,13 +874,19 @@ def g_func(
 # ----------------------------------------------------------------------
 
 class _FTable:
-    """Uniform table of F on [xmin, 1] = [1e-5, 1]: 2^18 segments of width
-    h = (1 - xmin)/2^18, nodes built at psi tolerance 1e-4, and linear
-    interpolation between them.  Each node with 256 Phi2 terms or more (61%
-    of them) stops its sum at `_phi2_tail`'s proven count: 4.23e7 terms in
-    all, 29% of the full counts, of which `_phi2_sums` sums 4.73e7, each
-    row's count rounded up on _PHI2_COUNTS; the largest node error is
-    9.99968e-5.  The nodes are built in blocks of _NODE_BLOCK, the
+    """Uniform table of F on [xmin, 1] = [1e-5, 1]: 2^16 segments of width
+    h = (1 - xmin)/2^16, nodes built at psi tolerance 2.773e-5, and linear
+    interpolation between them.  err_bound stays within _F_BUDGET: the table
+    takes the fewest power-of-two segments whose interpolation term fits it
+    with A(1)'s error, and the nodes the rest.  Each node with 256 Phi2
+    terms or more (79% of them, 42% with 2048 or more) stops its sum at
+    `_phi2_tail`'s proven count: 1.97e7 terms in all, 15% of the full
+    counts, of which `_phi2_sums` sums 2.20e7, each row's count rounded up
+    on _PHI2_COUNTS; the largest node error is 2.7727e-5.  Against F at
+    1e-9 the table misses by at most 3.97e-6 on 400 seeded points (1.05e-5
+    with 2^18 segments and 1e-4 nodes) and by 3.44e-5 next to the kinks q/p,
+    p < 60 (4.63e-5): the nodes' error, not interpolation's, dominated the
+    finer table's.  The nodes are built in blocks of _NODE_BLOCK, the
     build's one pool_map call, and everything inside a block runs serially
     in its worker, so the build's transient memory is one block's per
     worker.  Every Phi2 and J sum depends on its own row alone, so the
@@ -877,7 +894,7 @@ class _FTable:
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
-    2^18 + 1).  Slope and F are stored interleaved, one complex128 per node
+    2^16 + 1).  Slope and F are stored interleaved, one complex128 per node
     (f is a view of it), so lookup finds the segment by direct index on the
     uniform grid, recomputes its two end nodes, gathers (slope, F) once and
     returns exactly what np.interp(x, xs, f) returns for finite x >= xmin.
@@ -894,7 +911,7 @@ class _FTable:
 
     - |1/x - 1/y| <= d/y^2.  If d/y^2 <= 1/3, where w still increases,
       the first term is at most (y^2/2) w(d/y^2) = (d/2)(log(y^2/(3d)) + 2)
-      <= w(d)/2.  Otherwise (y < sqrt(3h), 3.4e-3 here) the range of Phi2,
+      <= w(d)/2.  Otherwise (y < sqrt(3h), 6.8e-3 here) the range of Phi2,
       [-pi^2/72, pi^2/36], bounds it by (y^2/2)(pi^2/24) < 0.62 d, below
       w(d)/2 for d <= 1e-3.
     - |x^2 - y^2|/2 <= d and |Phi2| <= pi^2/36.
@@ -908,16 +925,16 @@ class _FTable:
 
     def __init__(self):
         self.xmin = xmin = 1e-5
-        # the fewest power-of-two segments whose interpolation term stays
-        # within 3e-5, so err_bound stays below 1.3e-4: 2.76e-5 here,
-        # 5.26e-5 at 2^17.  More would not help: 0.3 and 0.5 of a segment
-        # from the kinks q/p, p < 60, this table misses F by at most 4.52e-5
-        # and a 2^20 one by 4.68e-5 (largest near 1/11, where the nodes sum
-        # fewer than 256 terms), an error the 1e-4 nodes make.
-        size = 1 << 18
-        self._h = h = (1.0 - xmin) / size
         a1, a1e = a1_constant()
         self.a1 = a1
+        # the fewest power-of-two segments whose interpolation term fits the
+        # budget with A(1)'s error (2^16: 9.99e-5; 2^15 would need 1.89e-4),
+        # and the nodes take what is left
+        size = 1 << 10  # h <= 1e-3, _interp_error's domain
+        while _interp_error((1.0 - xmin) / size) >= _F_BUDGET - a1e:
+            size *= 2
+        self._h = h = (1.0 - xmin) / size
+        node_tol = _F_BUDGET - a1e - _interp_error(h)
         # node i is i h + xmin, as lookup computes it: np.linspace(xmin, 1, size + 1)'s bits
         self.xs = xs = np.arange(size + 1) * h + xmin
         # (slope, F) per node, interleaved so lookup gathers both at once; f is a
@@ -926,7 +943,7 @@ class _FTable:
         self.f = self._sf.imag
 
         def block(lo, hi):
-            psi, psie = _psi_vec(xs[lo:hi], 1e-4)
+            psi, psie = _psi_vec(xs[lo:hi], node_tol)
             self.f[lo:hi] = 0.5 * a1 - 0.5 * xs[lo:hi] - psi
             return float(psie.max())
 
@@ -962,12 +979,12 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The Wilton sum and the H sum share one compacting orbit sweep
     (wilton._orbit_series, the loop wilton_batch also runs); a point stops
     once the W rule holds at err_bound / 100 and the H tail 2 beta sup|F|
-    is below 2e-4, within MAX_TERMS steps.  F comes from `_FTable`: 2^18
-    segments, nodes built at psi tolerance 1e-4, and an err_bound (about
-    1.28e-4) that adds the interpolation term _interp_error(h) = 2.76e-5,
-    proven given _snap_error's modulus of Phi2.  Every orbit point's error
-    carries at least 2 err_bound of F, so W's truncation (below twice its
-    tolerance) is 1% of it or less.  Below SMALLX_CUT the exact relation
+    is below 2e-4, within MAX_TERMS steps.  F comes from `_FTable`: 2^16
+    segments, nodes built at psi tolerance 2.773e-5, and an err_bound
+    (about 1.28e-4, at most _F_BUDGET) that adds the interpolation term
+    _interp_error(h) = 9.99e-5, proven given _snap_error's modulus of Phi2.
+    Every orbit point's error carries at least 2 err_bound of F, so W's
+    truncation (below twice its tolerance) is 1% of it or less.  Below SMALLX_CUT the exact relation
     g(x) = log(1/x) - 2F(x) - x g(alpha(x)) collapses to g(x) = log(1/x)
     - A(1) + O(720 x), so those points skip the orbit (a double cannot
     resolve {1/x} there anyway).

@@ -71,6 +71,14 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", ["3", "a:b:3", "0.1:0.2:-1", "0.1:0.2:2.5"])
+    def test_malformed_grid_is_usage_error(self, grid, capsys):
+        assert run(["eval", "--fn", "F", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("usage error: --grid lo:hi:n ") and repr(grid) in captured.err
+
     def test_out_of_domain_point_is_valid_json(self, capsys):
         status, out = run_capture(["eval", "--fn", "g", "--x", "2"], capsys)
         assert status == 1
@@ -235,13 +243,13 @@ class TestMomentCmd:
         assert out1 == out2
 
     def test_fixed_tolerances_are_documented(self, capsys):
-        # g_batch runs W to 1% of the F table's error, the H tail to 2e-4 and
-        # the 1e-4 F table, so moment takes no --abs-tol, and the help text says so
+        # g_batch runs the F table within 1.28e-4, W to 1% of that and the H
+        # tail to 2e-4, so moment takes no --abs-tol, and the help text says so
         argv = ["moment", "--k", "2", "--samples", "2000", "--seed", "3"]
         assert run(argv + ["--abs-tol", "1e-2"]) == 2
         assert run(["moment", "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert "fixed tolerances (W at 1% of the F-table error, H tail 2e-4, F table 1e-4)" in text
+        assert "fixed tolerances (F table within 1.28e-4, W at 1% of that, H tail 2e-4)" in text
         assert "there is no --abs-tol" in text
 
     def test_csv_columns(self, capsys):
@@ -378,16 +386,16 @@ class TestVerifyCmd:
         assert "no-such-suite" in captured.err
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats costs 0.8 s and 46 MB at import; only one suite needs it
+        # scipy.stats costs 0.8 s and 46 MB at import; no command needs it
         code = "import sys, wiltonmoments.cli; print('scipy.stats' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
-    def test_only_verify_loads_scipy(self):
+    def test_no_command_loads_scipy(self):
         # scipy.special costs about 0.24 s and 23 MB at import; moment takes its
-        # Gamma quantiles and Gamma function from moments and math, so only
-        # verify's measure-invariance suite (scipy.stats.kstest) needs scipy
+        # Gamma quantiles and Gamma function from moments and math, and verify's
+        # measure-invariance suite its KS statistic from numpy
         code = """if True:
             import contextlib, io, sys
             import wiltonmoments, wiltonmoments.cli
@@ -399,6 +407,7 @@ class TestVerifyCmd:
                 assert run(["cotangent-dist", "--b", "1009", "--kmax", "2"]) == 0
                 assert run(["moment", "--k", "2", "--samples", "2000"]) == 0
                 assert run(["moment", "--k", "2", "--method", "quad"]) == 0
+                assert run(["verify", "--suite", "measure-invariance"]) == 0
             print(sorted(k for k in sys.modules if k.startswith("scipy")))
         """
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

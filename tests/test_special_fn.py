@@ -525,12 +525,11 @@ class TestFTable:
         assert proc.stdout.split() == ["1", "1"]
 
     def test_build_memory_peak(self):
-        # with 2^12-node blocks on the pool the build's tracemalloc peak is
-        # 11.1 MB at 2 workers (set by the slopes after the blocks) and
-        # 17.3-18.5 MB at 8, about 1.2 MB per worker; 2^13-node blocks reached
-        # 12.1 and 25.1 MB, and all nodes at once 36.8 and 60.2 MB
+        # with 2^16 segments in 2^12-node blocks on the pool the build's
+        # tracemalloc peak is 4.5-5.0 MB at 2 workers and 11.2-12.6 MB at 8,
+        # about 1.2 MB per worker; 2^18 segments reached 11.1 and 17.3-18.6 MB
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        for cpus, bound in ((2, 16), (8, 24)):
+        for cpus, bound in ((2, 8), (8, 16)):
             code = f"""if True:
                 import os, tracemalloc
                 os.cpu_count = lambda: {cpus}
@@ -562,7 +561,7 @@ class TestFTable:
     def test_nodes_are_linspace_and_f_is_a_view(self):
         # lookup recomputes node i as i h + xmin and gathers (slope, F) from one array
         tab = sf._ftable()
-        assert tab.xs.tobytes() == np.linspace(tab.xmin, 1.0, (1 << 18) + 1).tobytes()
+        assert tab.xs.tobytes() == np.linspace(tab.xmin, 1.0, tab.xs.size).tobytes()
         assert np.shares_memory(tab.f, tab._sf)
 
     def test_bound_holds_next_to_kinks(self):
@@ -575,10 +574,13 @@ class TestFTable:
         xs = [k + s for k in kinks for s in offsets if k + s <= 1.0]
         ref = np.array([sf._f_with_err(x, 2e-7) for x in xs])
         assert (np.abs(tab.lookup(np.array(xs)) - ref[:, 0]) <= tab.err_bound - ref[:, 1]).all()
-        assert tab.err_bound <= 1.3e-4
+        # err_bound stays within its value at 2^18 segments and 1e-4 nodes, and
         # the table has the fewest power-of-two segments whose interpolation
-        # term fits in 3e-5
-        assert sf._interp_error(h) <= 3e-5 < sf._interp_error(2.0 * h)
+        # term fits that budget with A(1)'s error
+        assert tab.err_bound <= 1.2761131942231886e-4
+        room = sf._F_BUDGET - sf.a1_constant()[1]
+        assert (len(tab.xs) - 1).bit_count() == 1
+        assert sf._interp_error(h) < room <= sf._interp_error(2.0 * h)
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_blocked_psi_matches_outer_reference(self, tol):
@@ -839,22 +841,44 @@ class TestPhi2TailBound:
                 sf._phi2_tail(np.array([0.5, off]), np.full(2, 1e-4))
 
     def test_array_form_matches_scalar_route_on_table_nodes(self, monkeypatch):
-        # on 2000 seeded F-table nodes that walk (256 to 2047 terms at psi
-        # tolerance 1e-4), against the scalar route with its 2048-term floor
-        # removed: never fewer terms, the same count almost everywhere (the
-        # array form inflates c_k), and an error within the tolerance
-        size = 1 << 18
-        xs = np.arange(size + 1) * ((1.0 - 1e-5) / size) + 1e-5
+        # on 2000 seeded F-table nodes that walk (256 terms or more at the
+        # table's psi tolerance, 2048 or more for about half of them), against
+        # the scalar route with its 2048-term floor removed: never fewer terms,
+        # the same count almost everywhere (the array form inflates c_k), and
+        # an error within the tolerance
+        tab = sf._ftable()
+        xs = tab.xs
+        h = (1.0 - tab.xmin) / (xs.size - 1)
+        psi_tol = sf._F_BUDGET - sf.a1_constant()[1] - sf._interp_error(h)
         T = 1.0 / xs
-        fr, tol, nn = T - np.floor(T), 1e-4 / (xs * xs), np.ceil(xs * xs / 6e-4)
-        walks = np.flatnonzero((fr > 0.0) & (nn >= sf._TAIL_MIN_TERMS) & (nn < sf._SNAP_MIN_TERMS))
+        fr, tol, nn = T - np.floor(T), psi_tol / (xs * xs), np.ceil(xs * xs / (6.0 * psi_tol))
+        walks = np.flatnonzero((fr > 0.0) & (nn >= sf._TAIL_MIN_TERMS))
         rows = np.random.default_rng(28).choice(walks, 2000, replace=False)
+        assert (nn[rows] >= sf._SNAP_MIN_TERMS).sum() >= 800
         n, err = sf._phi2_tail(fr[rows], tol[rows])
         monkeypatch.setattr(sf, "_SNAP_MIN_TERMS", 0)
         scalar = np.array([sf._phi2_route(float(fr[i]), float(tol[i]))[1] for i in rows])
         assert (n >= scalar).all()
         assert np.mean(n == scalar) >= 0.99
         assert (err <= tol[rows]).all()
+
+    def test_big_call_walks_long_rows_within_the_walk_domain(self):
+        # in a call of _TAIL_VEC_ROWS rows, rows of 2048 terms or more at tol
+        # >= _TAIL_MIN_TOL stop at `_phi2_tail`'s count without a snap; those
+        # below it keep `_phi2_route`'s path and a scalar call's bits
+        fr = _on_tail_grid(np.random.default_rng(32).uniform(0.0, 1.0, sf._TAIL_VEC_ROWS))
+        fr[:4] = _on_tail_grid([1.0 / 3.0 + 1e-13, 0.3, GOLDEN, 1.0 / math.pi])
+        tol = np.full(fr.size, 1e-5)
+        tol[:4] = 5e-9
+        nn = np.ceil(np.minimum(1.0 / (6.0 * tol), sf._PHI2_MAX_TERMS))
+        assert fr.size == sf._TAIL_VEC_ROWS and (nn >= sf._SNAP_MIN_TERMS).all()
+        phi, err, snapped = sf._phi2_vec(fr, nn, tol)
+        n, walk_err = sf._phi2_tail(fr[4:], tol[4:])
+        assert np.array_equal(nn[4:], n) and np.array_equal(err[4:], walk_err)
+        assert np.array_equal(phi[4:], sf._phi2_sums(fr[4:], n)) and not snapped[4:].any()
+        assert snapped[:4].any()
+        for i in range(4):
+            assert (phi[i], err[i], snapped[i]) == sf._phi2_core(float(fr[i]), float(tol[i]))
 
     def test_route_edges(self):
         # tol >= 1/6 takes one term, frac = 0 is pi^2/36 exactly
