@@ -266,10 +266,29 @@ def _cmd_wilton(args) -> tuple[int, str]:
     return status, _table(header, rows, args.format)
 
 
+def _keep_heap_pages() -> None:
+    # moment's 2^15-row blocks allocate and free a few MB each.  glibc raises
+    # its trim threshold only when it frees an mmap'd block larger than the
+    # last one (about 1 MB after the F-table build), so under it each block's
+    # heap pages go back to the OS and fault in again: about 36k minor faults
+    # per moment(2) at 5e5 samples, and about 10 with these fixed thresholds,
+    # the ones glibc sets after freeing a 4 MB block.  Other C libraries have
+    # no mallopt, or ignore it.
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def _cmd_moment(args) -> tuple[int, str]:
     ks = [float(tok) for tok in args.k.split(",") if tok]
     if not ks:
         raise SystemExit2(f"--k needs at least one value, got {args.k!r}")
+    _keep_heap_pages()
     ests = moments.gamma_ratio_sweep(ks, seed=args.seed, samples=args.samples, method=args.method)
     header = "K value std_error gamma_ratio target_ratio rejections".split()
     rows = [[getattr(e, name) for name in header] for e in ests]

@@ -883,13 +883,11 @@ class _FTable:
     `_phi2_tail`'s proven count: 1.97e7 terms in all, 15% of the full
     counts, of which `_phi2_sums` sums 2.20e7, each row's count rounded up
     on _PHI2_COUNTS; the largest node error is 2.7727e-5.  Against F at
-    1e-9 the table misses by at most 3.97e-6 on 400 seeded points (1.05e-5
-    with 2^18 segments and 1e-4 nodes) and by 3.44e-5 next to the kinks q/p,
-    p < 60 (4.63e-5): the nodes' error, not interpolation's, dominated the
-    finer table's.  The nodes are built in blocks of _NODE_BLOCK, the
-    build's one pool_map call, and everything inside a block runs serially
-    in its worker, so the build's transient memory is one block's per
-    worker.  Every Phi2 and J sum depends on its own row alone, so the
+    1e-9 the table misses by at most 3.97e-6 on 400 seeded points and by
+    3.44e-5 next to the kinks q/p, p < 60.  The nodes are built in blocks of
+    _NODE_BLOCK, the build's one pool_map call, and everything inside a
+    block runs serially in its worker, so the build's transient memory is
+    one block's per worker.  Every Phi2 and J sum depends on its own row alone, so the
     table has the same bits at any block size and worker count.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is

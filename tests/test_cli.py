@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,26 @@ class TestMomentCmd:
         s2, out2 = run_capture(argv, capsys)
         assert s1 == s2 == 0
         assert out1 == out2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_rerun_reuses_heap_pages(self):
+        # a second moment(2) at 2e5 samples page-faults 0.1-1.6k times with
+        # moment's fixed malloc thresholds and 11-15k times under glibc's
+        # dynamic ones, which return each block's heap pages to the OS
+        code = """if True:
+            import contextlib, io, resource
+            from wiltonmoments.cli import run
+            argv = ["moment", "--k", "2", "--samples", "200000", "--seed", "3"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert run(argv) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 5000
 
     def test_fixed_tolerances_are_documented(self, capsys):
         # g_batch runs the F table within 1.28e-4, W to 1% of that and the H
