@@ -17,7 +17,10 @@ and rows alike, that ends or refuses a series whose orbit ended first.
 pool_map is the one thread pool and the one reader of the CPU count: the
 row sweeps, the inverse-CDF draws, the direct sums and the F-table build's
 node blocks run their independent work items on it, and once builds their
-shared set-up once.
+shared set-up once.  Those blocks and scalar H's Phi2 sums allocate and
+free a few MB at a time, so under glibc this module fixes malloc's mmap and
+trim thresholds when it loads (_keep_heap_pages), for every caller of the
+package, the CLI and the library alike.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
 seed, so parallel callers stay deterministic.
@@ -26,6 +29,7 @@ seed, so parallel callers stay deterministic.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
 import math
 import os
@@ -52,6 +56,26 @@ _CANDIDATE_ALPHA, _CANDIDATE_BETA = 1e-4, 1.0 / (2 * RATIONAL_QMAX + 2)
 # rows per pool_map block of an array sweep: a thread's temporaries stay a few
 # MB (per-CPU halves raised peak RSS 10-15%), and 2^13 was bound by the GIL
 _BLOCK = 1 << 15
+
+
+def _keep_heap_pages() -> None:
+    # a _BLOCK-row block allocates and frees a few MB.  glibc raises its trim
+    # threshold only when it frees an mmap'd block larger than the last one
+    # (about 1 MB after the F-table build), so under it each block's heap
+    # pages go back to the OS and fault in again: 27-32k minor faults per
+    # moment(2) at 5e5 samples, and a few to a few hundred with these fixed
+    # thresholds, the ones glibc sets after freeing a 4 MB block.  Scalar H's
+    # Phi2 sums (up to 2^15 terms per call) would shrink and regrow the heap
+    # the same way.  Other C libraries have no mallopt, or ignore it.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_heap_pages()
 
 
 class EffectiveRationalError(ArithmeticError):

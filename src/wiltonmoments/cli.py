@@ -4,15 +4,18 @@ Subcommands: eval, cf, wilton, moment, cotangent-dist, verify.  Each takes,
 after its name, only the settings it reads, declared once in _SETTINGS; any
 other flag, or a flag before the subcommand, is a usage error.  argv is
 the whole configuration: no environment variable is read.  A bad
-tolerance, an unwritable output path and a point count above
-moments.MAX_SAMPLES are usage errors too.  moment --k takes an ascending
-comma-separated K list.  --abs-tol is the one numerical setting: the
-orbit depth of cf and the term budget of the series are the constants
-cf_dynamics.MAX_ORBIT_DEPTH and MAX_TERMS.  Composite-b cotangent sums run
-on one thread per CPU.  JSON output comes from the json module: floats
-round-trip exactly and nan/inf are written as null.  CSV carries 12
-significant digits; both use '.' as the decimal separator and LF line
-endings, and CSV has a header row.
+tolerance, a negative --seed (whether or not the run draws from it), an
+unwritable output path and a point count above moments.MAX_SAMPLES are
+usage errors too.  moment --k takes an ascending comma-separated K list.
+--abs-tol is the one numerical setting: the orbit depth of cf and the
+term budget of the series are the constants cf_dynamics.MAX_ORBIT_DEPTH
+and MAX_TERMS.  Composite-b cotangent sums run on one thread per CPU.
+JSON output comes from the json module: floats round-trip exactly and
+nan/inf are written as null.  CSV carries 12 significant digits; both use
+'.' as the decimal separator and LF line endings, and CSV has a header
+row.  glibc's malloc thresholds are not set here: cf_dynamics fixes them
+when the package loads, so `wm moment` and a library caller of moments
+run under the same policy.
 Exit codes: 0 success, 1 computation or verification failure, 2 usage.
 """
 
@@ -79,9 +82,21 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _seed(text: str) -> int:
+    # checked here, not where numpy first draws from it: a run that draws
+    # nothing would accept a seed that one with a sampled point set refuses
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"needs a non-negative integer, got {text!r}")
+    return seed
+
+
 # Every setting flag, declared once; each subcommand names the ones it reads.
 _SETTINGS = {
-    "--seed": dict(type=int, default=0, help="RNG seed (default %(default)s)"),
+    "--seed": dict(type=_seed, default=0, help="RNG seed, at least 0 (default %(default)s)"),
     "--abs-tol": dict(
         type=float, default=DEFAULT_CONFIG.abs_tol, help="absolute tolerance (default %(default)s)"
     ),
@@ -266,29 +281,10 @@ def _cmd_wilton(args) -> tuple[int, str]:
     return status, _table(header, rows, args.format)
 
 
-def _keep_heap_pages() -> None:
-    # moment's 2^15-row blocks allocate and free a few MB each.  glibc raises
-    # its trim threshold only when it frees an mmap'd block larger than the
-    # last one (about 1 MB after the F-table build), so under it each block's
-    # heap pages go back to the OS and fault in again: about 36k minor faults
-    # per moment(2) at 5e5 samples, and about 10 with these fixed thresholds,
-    # the ones glibc sets after freeing a 4 MB block.  Other C libraries have
-    # no mallopt, or ignore it.
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
-
 def _cmd_moment(args) -> tuple[int, str]:
     ks = [float(tok) for tok in args.k.split(",") if tok]
     if not ks:
         raise SystemExit2(f"--k needs at least one value, got {args.k!r}")
-    _keep_heap_pages()
     ests = moments.gamma_ratio_sweep(ks, seed=args.seed, samples=args.samples, method=args.method)
     header = "K value std_error gamma_ratio target_ratio rejections".split()
     rows = [[getattr(e, name) for name in header] for e in ests]

@@ -89,21 +89,28 @@ def log_moment_calibration(
     log(1/x), so a match against Gamma(K+1) validates the integrator
     itself.  quad runs on 2^14 panels; mc weighs each Gamma draw t by its
     own density p, Gamma(K+1) mean(t^K e^{-t} / (Gamma(K+1) p)), so it also
-    tests p.
+    tests p.  It refuses the inputs moment refuses, and raises
+    NonConvergenceError where the estimate leaves double range: from about
+    K = 130 on quad, where log(1/x)^K overflows first, and past K = 170 on mc.
     """
-    if K <= 0.0:
-        raise ValueError("K must be positive")
-    if method == "quad":
-        return _quad_log_substitution(
-            lambda x: np.power(-np.log(x), K), K, 0.0, 1 << 14
-        )
-    if method == "mc":
-        _, t, p, n1 = _mixture_samples(K, samples, seed)
-        t, p = t[:n1], p[:n1]
-        log_gamma = math.lgamma(K + 1.0)
-        ratio = np.exp(K * np.log(t) - t - log_gamma) / p
-        return float(np.exp(log_gamma) * np.mean(ratio))
-    raise ValueError(f"unknown calibration method {method!r}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "quad":
+            value = _quad_log_substitution(lambda x: np.power(-np.log(x), K), K, 0.0, 1 << 14)
+        elif method == "mc":
+            if not 2 <= samples <= MAX_SAMPLES:
+                raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
+            _, t, p, n1 = _mixture_samples(K, samples, seed)
+            t, p = t[:n1], p[:n1]
+            log_gamma = math.lgamma(K + 1.0)
+            ratio = np.exp(K * np.log(t) - t - log_gamma) / p
+            value = float(np.exp(log_gamma) * np.mean(ratio))
+        else:
+            raise ValueError(f"unknown calibration method {method!r}")
+    if not math.isfinite(value):
+        raise NonConvergenceError(f"estimate of Gamma({K + 1.0:g}) out of double range: {value}")
+    return value
 
 
 def _gamma_log_density(a: float, w: np.ndarray) -> np.ndarray:
@@ -289,11 +296,14 @@ def moment(
     added in block order, so the worker count never moves a bit.
 
     quad: deterministic panel quadrature on (log 2, inf)
-    with the refinement difference as the error field.
+    with the refinement difference as the error field.  panels must be at
+    least 2, so that the half-resolution pass has a panel.
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     if method == "quad":
+        if panels < 2:
+            raise ValueError(f"panels must be at least 2, got {panels}")
         def f(x):
             g, _, ok = g_batch(x)
             return np.where(ok, np.abs(g), 0.0) ** K

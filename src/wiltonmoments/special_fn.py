@@ -109,10 +109,6 @@ _F_BUDGET = 1.2761131942231886e-4
 _G_CUT = 64  # exact segments below, Bernoulli asymptotics above
 _G_ABS = 0.06  # |G(y)| <= _G_ABS / y^3 for y >= 1
 _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in L2
-# terms per row group of _phi2_sums' end-to-end form, 64 KB per array: at 2^15
-# (one group per call) pointwise-g's p99 latency rose 12%, the heap regrowing
-# under its largest calls
-_RAGGED_GROUP = 1 << 13
 # the term counts _phi2_sums sums: ceil(1.25^k) below the cap, and the cap
 _PHI2_COUNTS = np.array(
     sorted({-(-(5**k) // 4**k) for k in range(81)} | {_PHI2_MAX_TERMS}), dtype=np.float64
@@ -328,11 +324,11 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     allowance of `_phi2_route`, 1e-20 per term, covers the extra terms:
     adding a chunk's sum loses at most 3e-17, 1e-21 per term.  A call of
     at most _ROW_BLOCK terms in all (scalar H's) lays its rows end to end
-    instead, in groups of the rows that start in one run of _RAGGED_GROUP
-    terms, with the same bits.  Each layout alone keeps every bit but is
-    slower (2 vCPU): buckets alone take pointwise-g's wall from 0.48-0.50
-    to 0.54-0.55 s, and end-to-end runs alone take the fresh-process F-table
-    build from 0.35-0.45 to 0.43-0.50 s (2^15-term groups; 0.68 s at 2^13).
+    instead, in one pass, with the same bits.  Each layout alone keeps every
+    bit but is slower (2 vCPU): buckets alone take pointwise-g's wall from
+    0.48-0.50 to 0.54-0.55 s, and end-to-end runs alone take the
+    fresh-process F-table build from 0.35-0.45 to 0.43-0.50 s (in 2^15-term
+    pieces; 0.68 s in 2^13-term ones).
     """
     if not fr.size:
         return np.zeros(0)
@@ -340,18 +336,12 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     if count.sum() <= _ROW_BLOCK:
         each = count.astype(np.intp)
         start = np.cumsum(each) - each
-        out = np.empty(fr.size)
-        runs = np.arange(0, start[-1] + 1, _RAGGED_GROUP)
-        cuts = [*np.unique(np.searchsorted(start, runs)), fr.size]
-        for r0, r1 in zip(cuts[:-1], cuts[1:]):
-            c, at = each[r0:r1], start[r0:r1] - start[r0]
-            n = np.arange(1.0, at[-1] + c[-1] + 1.0)
-            n -= np.repeat(at, c)
-            t = np.repeat(fr[r0:r1], c)
-            t *= n
-            n *= n
-            out[r0:r1] = np.add.reduceat(_b2_terms(t, n, np.empty_like(t)), at)
-        return out
+        n = np.arange(1.0, start[-1] + each[-1] + 1.0)
+        n -= np.repeat(start, each)
+        t = np.repeat(fr, each)
+        t *= n
+        n *= n
+        return np.add.reduceat(_b2_terms(t, n, np.empty_like(t)), start)
     order = np.argsort(count, kind="stable")
     fr_s, n_s = fr[order], count[order]
     res = np.zeros(len(fr_s))
@@ -766,6 +756,8 @@ def decomposition_values(
     n-independence spread does not depend on its precision; it is evaluated
     at a capped tolerance.
     """
+    if not ns:
+        raise ValueError("ns must name at least one n")
     k = wilton(x, cfg).terms_used
     if max(ns) + 2 >= k:
         raise ValueError(f"requested n {max(ns)} too deep for stop index {k}")

@@ -506,6 +506,20 @@ class TestConfigPrecedence:
         assert captured.out == ""
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize(
+        "cmd",
+        [["wilton", "--x", "0.3"], ["wilton", "--sample", "5"],
+         ["moment", "--k", "2", "--method", "quad"], ["moment", "--k", "2", "--samples", "2000"],
+         ["cotangent-dist", "--b", "1009"], ["cotangent-dist", "--b", "1009", "--sample", "5"]],
+    )
+    def test_bad_seed_is_named_whether_or_not_it_is_drawn_from(self, seed, cmd, capsys):
+        assert run(cmd + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert "--seed" in captured.err
+
     def test_threads_flag_is_gone(self, capsys):
         assert run(["--threads", "2", "cotangent-dist", "--b", "101"]) == 2
         assert run(["cotangent-dist", "--b", "101", "--threads", "2"]) == 2

@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -40,6 +41,24 @@ class TestCalibration:
             mo.log_moment_calibration(0.0)
         with pytest.raises(ValueError):
             mo.log_moment_calibration(1.0, method="simpson")
+
+    @pytest.mark.parametrize("samples", [0, 1, mo.MAX_SAMPLES + 1])
+    def test_mc_refuses_the_sample_counts_moment_refuses(self, samples):
+        for estimate in (mo.moment, mo.log_moment_calibration):
+            with pytest.raises(ValueError, match="samples"):
+                estimate(2.0, method="mc", samples=samples)
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf])
+    def test_non_finite_k(self, K):
+        with pytest.raises(ValueError, match="finite"):
+            mo.log_moment_calibration(K)
+
+    @pytest.mark.parametrize("K,method", [(200.0, "quad"), (200.0, "mc"), (130.0, "quad")])
+    def test_result_out_of_double_range_is_refused(self, K, method):
+        # quad's log(1/x)^K overflows from about K = 130, Gamma(K+1) past 170;
+        # Tier-1 turns an overflow warning into an error, so none is raised
+        with pytest.raises(mo.NonConvergenceError, match="double range"):
+            mo.log_moment_calibration(K, method=method, samples=2000)
 
 
 QUANTILE_KS = [0.01, 0.5, 2.0, 20.0, 40.0, 169.0]
@@ -220,6 +239,27 @@ class TestMoment:
         assert [builders for builders, _ in outs] == ["[True]", "[False]"]
         assert outs[0][1] == outs[1][1]
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_library_rerun_reuses_heap_pages(self):
+        # the package fixes malloc's thresholds when it loads, so a library
+        # caller's blocks reuse freed heap pages as wm moment's do: a second
+        # moment(2) at 2e5 samples page-faults 1-130 times at 1 and 2
+        # workers, at most about 1.8k at 4 and 8 (2 vCPU), and 12-16k times
+        # under glibc's dynamic thresholds
+        code = """if True:
+            import resource, sys
+            from wiltonmoments import moments
+            moments.moment(2.0, seed=3, samples=200_000)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            moments.moment(2.0, seed=3, samples=200_000)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            assert "wiltonmoments.cli" not in sys.modules
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2000
+
     def test_refusal_in_a_later_block_weighs_zero(self, monkeypatch):
         n = 3 * mo._BLOCK + 123
         x, t, p, n1 = mo._mixture_samples(2.0, n, 1)
@@ -265,6 +305,18 @@ class TestMoment:
             mo.moment(0.0)
         with pytest.raises(ValueError):
             mo.moment(1.0, method="trapezoid")
+
+    @pytest.mark.parametrize("panels", [0, 1])
+    def test_quad_needs_two_panels(self, panels):
+        # one panel would leave the half-resolution pass none, and report
+        # the value itself as its error
+        with pytest.raises(ValueError, match="panels"):
+            mo.moment(2.0, method="quad", panels=panels)
+
+    def test_quad_on_two_panels(self):
+        est = mo.moment(2.0, method="quad", panels=2)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert 0.0 < est.std_error < est.value and est.samples == 32
 
     @pytest.mark.parametrize("method", ["mc_stratified", "quad_log_substitution"])
     def test_one_name_per_method(self, method):

@@ -377,6 +377,10 @@ class TestG:
         with pytest.raises(ValueError):
             sf.g_func(0.3, "nope")
 
+    def test_decomposition_needs_some_n(self):
+        with pytest.raises(ValueError, match="ns"):
+            sf.decomposition_values(1.0 / math.pi, [], CFG)
+
     def test_decomposition_n_independent(self):
         vals = sf.decomposition_values(1.0 / math.pi, [0, 2, 5, 9], CFG)
         spread = max(vals.values()) - min(vals.values())
@@ -600,13 +604,34 @@ class TestFTable:
         assert np.array_equal(sf._phi2_sums(fr[1000:1300], nn[1000:1300]), full[1000:1300])
         for i in (0, 2000, fr.size - 1):
             assert sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == full[i]
-        # a call as small as scalar H's runs end to end in row groups; a row
-        # more than two groups long spans several runs
+        # a call as small as scalar H's runs end to end in one pass, a row of
+        # 20k terms among short ones too
         nn = np.array([50.0, 20_000, 3000, 9, 700, 100])
-        assert sf._phi2_count(nn).sum() <= sf._ROW_BLOCK and nn[1] > 2 * sf._RAGGED_GROUP
-        grouped = sf._phi2_sums(fr[:6], nn)
-        assert np.array_equal(grouped, _phi2_sums_outer(fr[:6], nn))
-        assert all(sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == grouped[i] for i in range(6))
+        assert sf._phi2_count(nn).sum() <= sf._ROW_BLOCK
+        one_pass = sf._phi2_sums(fr[:6], nn)
+        assert np.array_equal(one_pass, _phi2_sums_outer(fr[:6], nn))
+        assert all(sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == one_pass[i] for i in range(6))
+
+    @pytest.mark.parametrize("extra", [[], [1.0]], ids=["at_row_block", "one_term_above"])
+    def test_layouts_meet_at_row_block(self, extra, monkeypatch):
+        # rounded counts that sum to exactly _ROW_BLOCK take the one-pass
+        # layout, one term more takes the buckets (_phi2_rows); each row keeps
+        # its bits in either, and alone
+        nn = np.array([12_000.0, 5000, 3000, 700, 100, 9, 7524, 517, 5] + extra)
+        assert sf._phi2_count(nn).sum() == sf._ROW_BLOCK + len(extra)
+        fr = np.random.default_rng(8).random(nn.size)
+        bucket_calls = []
+        rows = sf._phi2_rows
+
+        def counting_rows(*args):
+            bucket_calls.append(1)
+            return rows(*args)
+
+        monkeypatch.setattr(sf, "_phi2_rows", counting_rows)
+        out = sf._phi2_sums(fr, nn)
+        assert bool(bucket_calls) == bool(extra)
+        assert np.array_equal(out, _phi2_sums_outer(fr, nn))
+        assert all(sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == out[i] for i in range(nn.size))
 
     def test_table_bits_do_not_depend_on_node_blocks(self, monkeypatch):
         # Phi2 and J sums by rows alone: the same table from blocks half as long
