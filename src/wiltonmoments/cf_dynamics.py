@@ -237,16 +237,20 @@ def orbit_step(
     """One step of orbit() on rows: from alpha_k and beta_{k-1}, (alpha_{k+1},
     beta_k, ended), row i starting at x[idx[i]] (x[i] if idx is None), and
     ended marks where orbit() ends, by its end test (467 candidate rows of
-    moment(2)'s 5e5, seed 11).  The caller drops ended rows.
+    moment(2)'s 5e5, seed 11).  Only the rows with alpha_{k+1} below
+    RATIONAL_GUARD or _CANDIDATE_ALPHA, or nan, are looked at again, so
+    beta_k is tested on those alone.  The caller drops ended rows.
     """
     beta_next = beta * alpha
-    z = 1.0 / alpha
-    alpha_next = z - np.floor(z)
-    ended = ~(alpha_next >= RATIONAL_GUARD)  # also nan
-    candidates = (alpha_next < _CANDIDATE_ALPHA) & (beta_next > _CANDIDATE_BETA) & ~ended
-    for i in np.flatnonzero(candidates):
-        if effective_denominator(float(x[i if idx is None else idx[i]])):
-            ended[i] = True
+    alpha_next = np.divide(1.0, alpha)
+    alpha_next -= np.floor(alpha_next)
+    ended = np.zeros(alpha_next.shape, dtype=bool)
+    low = (~(alpha_next >= max(RATIONAL_GUARD, _CANDIDATE_ALPHA))).nonzero()[0]  # also nan
+    if low.size:
+        ended[low] = end = ~(alpha_next[low] >= RATIONAL_GUARD)
+        for i in low[~end & (beta_next[low] > _CANDIDATE_BETA)]:
+            if effective_denominator(float(x[i if idx is None else idx[i]])):
+                ended[i] = True
     return alpha_next, beta_next, ended
 
 

@@ -65,16 +65,16 @@ def _panel_edges(K: float, lo: float, panels: int) -> np.ndarray:
     return np.concatenate(([lo], np.linspace(lo, t_hi, panels + 1)[1:]))
 
 
-def _quad_log_substitution(f_of_x, K: float, lo: float, panels: int) -> float:
-    """int_lo^inf f(x(t)) e^{-t} dt with x = e^{-t}, Gauss-Legendre panels."""
+def _quad_log_substitution(integrand, K: float, lo: float, panels: int) -> float:
+    """int_lo^inf integrand(t) dt on Gauss-Legendre panels; after x = e^{-t},
+    int_0^{e^-lo} f(x) dx is the integral of f(e^{-t}) e^{-t}."""
     edges = _panel_edges(K, lo, panels)
     nodes, weights = np.polynomial.legendre.leggauss(16)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
-    vals = f_of_x(np.exp(-t)) * np.exp(-t)
-    return float(w @ vals)
+    return float(w @ integrand(t))
 
 
 def log_moment_calibration(
@@ -89,15 +89,16 @@ def log_moment_calibration(
     log(1/x), so a match against Gamma(K+1) validates the integrator
     itself.  quad runs on 2^14 panels; mc weighs each Gamma draw t by its
     own density p, Gamma(K+1) mean(t^K e^{-t} / (Gamma(K+1) p)), so it also
-    tests p.  It refuses the inputs moment refuses, and raises
-    NonConvergenceError where the estimate leaves double range: from about
-    K = 130 on quad, where log(1/x)^K overflows first, and past K = 170 on mc.
+    tests p.  quad takes log(1/x)^K x = e^{K log t - t} at t = log(1/x) in
+    one exp, so no factor overflows before the integral does.  It refuses
+    the inputs moment refuses, and raises NonConvergenceError where the
+    estimate leaves double range: past K = 170 on either route.
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "quad":
-            value = _quad_log_substitution(lambda x: np.power(-np.log(x), K), K, 0.0, 1 << 14)
+            value = _quad_log_substitution(lambda t: np.exp(K * np.log(t) - t), K, 0.0, 1 << 14)
         elif method == "mc":
             if not 2 <= samples <= MAX_SAMPLES:
                 raise ValueError(f"samples must be in [2, {MAX_SAMPLES}], got {samples}")
@@ -304,9 +305,10 @@ def moment(
     if method == "quad":
         if panels < 2:
             raise ValueError(f"panels must be at least 2, got {panels}")
-        def f(x):
+        def f(t):
+            x = np.exp(-t)
             g, _, ok = g_batch(x)
-            return np.where(ok, np.abs(g), 0.0) ** K
+            return np.where(ok, np.abs(g), 0.0) ** K * x
 
         with np.errstate(over="ignore", invalid="ignore"):
             value = 2.0 * _quad_log_substitution(f, K, LOG2, panels)

@@ -886,8 +886,10 @@ class _FTable:
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
     2^16 + 1).  Slope and F are stored interleaved, one complex128 per node
     (f is a view of it), so lookup finds the segment by direct index on the
-    uniform grid, recomputes its two end nodes, gathers (slope, F) once and
-    returns exactly what np.interp(x, xs, f) returns for finite x >= xmin.
+    uniform grid, takes x's offset from its recomputed node once, gathers
+    (slope, F) once and returns exactly what np.interp(x, xs, f) returns for
+    finite x >= xmin; only rows that may lie in the next or previous segment
+    take the exact search.
 
     err_bound is the largest node error, plus A(1)'s, plus _interp_error(h)
     = w(h)/2 + 0.55 h, where w(d) = d (log(1/(3d)) + 2) is _snap_error's
@@ -943,18 +945,47 @@ class _FTable:
         self.err_bound = node_err + a1e + _interp_error(h)
         self._inv_h = size / (1.0 - xmin)
         self._last = size - 1
+        self._rare_d = 0.999 * h
 
     def lookup(self, x: np.ndarray) -> np.ndarray:
+        """F at each x: np.interp(x, xs, f) bit for bit for finite x >= xmin,
+        and the small-x form below xmin.
+
+        The segment i is read off (x - xmin)/h, and d = x - (i h + xmin) is
+        taken once.  A row with 0 <= d < 0.999 h lies in segment i (node i + 1
+        is h past node i, far more than d's rounding), so its F is slope_i d +
+        F_i, np.interp's value; at the last node (x >= 1) slope 0 gives f[-1],
+        and nan stays nan.  The other rows (next to node i + 1, rounded one
+        segment up, below xmin: about 0.1% of uniform x) take _lookup_rows.
+        """
+        t = x - self.xmin
+        t *= self._inv_h
+        np.fmax(t, 0.0, out=t)  # fmax and fmin send nan to 0
+        np.fmin(t, self._last + 1, out=t)
+        i = np.trunc(t, out=t).astype(np.intp)
+        t *= self._h
+        t += self.xmin
+        d = np.subtract(x, t, out=t)
+        sf = self._sf.take(i)
+        rare = ((d < 0.0) | (d >= self._rare_d)).nonzero()[0]
+        d *= sf.real
+        d += sf.imag
+        if rare.size:
+            d[rare] = self._lookup_rows(x[rare])
+        return d
+
+    def _lookup_rows(self, x: np.ndarray) -> np.ndarray:
+        # the small-x form below xmin; elsewhere the segment by a clamped
+        # index, off by at most one either way
         h, xmin = self._h, self.xmin
-        i = np.fmin(np.fmax((x - xmin) * self._inv_h, 0.0), self._last)
-        i = i.astype(np.intp)
-        # the rounded index is off by at most one segment either way
+        out = 0.5 * self.a1 - 0.5 * x
+        r = np.flatnonzero(x >= xmin)
+        x = x[r]
+        i = np.fmin(np.fmax((x - xmin) * self._inv_h, 0.0), self._last).astype(np.intp)
         i -= (x < i * h + xmin) & (i > 0)
         i += x >= (i + 1) * h + xmin
         sf = self._sf[i]
-        out = sf.real * (x - (i * h + xmin)) + sf.imag
-        low = np.flatnonzero(x < xmin)
-        out[low] = 0.5 * self.a1 - 0.5 * x[low]
+        out[r] = sf.real * (x - (i * h + xmin)) + sf.imag
         return out
 
 
@@ -966,10 +997,12 @@ def _ftable() -> _FTable:
 def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized g = W + H over an array of points.
 
-    The Wilton sum and the H sum share one compacting orbit sweep
-    (wilton._orbit_series, the loop wilton_batch also runs); a point stops
-    once the W rule holds at err_bound / 100 and the H tail 2 beta sup|F|
-    is below 2e-4, within MAX_TERMS steps.  F comes from `_FTable`: 2^16
+    The Wilton sum and the H sum share one orbit sweep (wilton._orbit_series,
+    the loop wilton_batch also runs, stepping with orbit_step and reading F
+    with _FTable.lookup); a point stops once the W rule holds at err_bound /
+    100 and the H tail 2 beta sup|F| is below 2e-4, within MAX_TERMS steps,
+    and its row keeps stepping, unread, until its block next compacts
+    (wilton._COMPACT_SHARE).  F comes from `_FTable`: 2^16
     segments, nodes built at psi tolerance 2.773e-5, and an err_bound
     (about 1.28e-4, at most _F_BUDGET) that adds the interpolation term
     _interp_error(h) = 9.99e-5, proven given _snap_error's modulus of Phi2.

@@ -53,9 +53,15 @@ class TestCalibration:
         with pytest.raises(ValueError, match="finite"):
             mo.log_moment_calibration(K)
 
-    @pytest.mark.parametrize("K,method", [(200.0, "quad"), (200.0, "mc"), (130.0, "quad")])
+    @pytest.mark.parametrize("K", [150.0, 170.0])
+    def test_quad_stays_in_range_up_to_170(self, K):
+        # e^{K log t - t} stays finite wherever Gamma(K+1) does
+        v = mo.log_moment_calibration(K, method="quad")
+        assert abs(math.log(v) - math.lgamma(K + 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("K,method", [(200.0, "quad"), (200.0, "mc"), (171.0, "quad")])
     def test_result_out_of_double_range_is_refused(self, K, method):
-        # quad's log(1/x)^K overflows from about K = 130, Gamma(K+1) past 170;
+        # Gamma(K+1) leaves double range past K = 170 (171! > DBL_MAX);
         # Tier-1 turns an overflow warning into an error, so none is raised
         with pytest.raises(mo.NonConvergenceError, match="double range"):
             mo.log_moment_calibration(K, method=method, samples=2000)
@@ -243,9 +249,9 @@ class TestMoment:
     def test_library_rerun_reuses_heap_pages(self):
         # the package fixes malloc's thresholds when it loads, so a library
         # caller's blocks reuse freed heap pages as wm moment's do: a second
-        # moment(2) at 2e5 samples page-faults 1-130 times at 1 and 2
-        # workers, at most about 1.8k at 4 and 8 (2 vCPU), and 12-16k times
-        # under glibc's dynamic thresholds
+        # moment(2) at 2e5 samples page-faults 0 times at 1 worker, 8-109 at
+        # 2, 78-238 at 4 and 108-1561 at 8 (8 fresh processes each, 2 vCPU),
+        # and 12-16k times under glibc's dynamic thresholds
         code = """if True:
             import resource, sys
             from wiltonmoments import moments
