@@ -45,14 +45,21 @@ same bound instead, found by one int64 Euclid over all those rows
 ceil(1/(6 tol)) terms.  `_phi2_sums` rounds each count up on a fixed 1.25
 grid, so a row's bits depend on the row alone.  The module's one pool_map
 call runs the F table's node blocks, and every sum inside a block runs
-serially.
+serially.  `_ftable` builds the F table once per source version, not once
+per process: it keeps a digest-checked copy in the package's __pycache__,
+keyed by the package's source, numpy, the machine, the C library and
+numpy's CPU features, and reads it back bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import platform
+from hashlib import blake2b
 from itertools import chain, islice, takewhile
+from pathlib import Path
 
 import numpy as np
 
@@ -113,6 +120,8 @@ _ROW_BLOCK = 1 << 15  # elements per _phi2_sums work buffer; two of them fit in 
 _PHI2_COUNTS = np.array(
     sorted({-(-(5**k) // 4**k) for k in range(81)} | {_PHI2_MAX_TERMS}), dtype=np.float64
 )
+# where _ftable keeps the F table for later processes, one file per _table_key()
+_CACHE_DIR = Path(__file__).parent / "__pycache__"
 
 # Bernoulli polynomials B3..B8, descending powers, for the G asymptotics.
 _BPOLY = {
@@ -880,7 +889,10 @@ class _FTable:
     _NODE_BLOCK, the build's one pool_map call, and everything inside a
     block runs serially in its worker, so the build's transient memory is
     one block's per worker.  Every Phi2 and J sum depends on its own row alone, so the
-    table has the same bits at any block size and worker count.
+    table has the same bits at any block size and worker count.  _FTable()
+    builds (0.15-0.23 s on 2 vCPU); _FTable(stored) adopts the (_sf,
+    err_bound) of an earlier build that `_ftable` read back from its file,
+    with xs recomputed and f a view of _sf as in a build.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
@@ -915,37 +927,49 @@ class _FTable:
     lookup.
     """
 
-    def __init__(self):
-        self.xmin = xmin = 1e-5
-        a1, a1e = a1_constant()
-        self.a1 = a1
-        # the fewest power-of-two segments whose interpolation term fits the
-        # budget with A(1)'s error (2^16: 9.99e-5; 2^15 would need 1.89e-4),
-        # and the nodes take what is left
-        size = 1 << 10  # h <= 1e-3, _interp_error's domain
-        while _interp_error((1.0 - xmin) / size) >= _F_BUDGET - a1e:
-            size *= 2
+    xmin = 1e-5
+
+    def __init__(self, stored: tuple[np.ndarray, float] | None = None):
+        xmin = self.xmin
+        self.a1 = a1_constant()[0]
+        size = self._segments()
         self._h = h = (1.0 - xmin) / size
-        node_tol = _F_BUDGET - a1e - _interp_error(h)
         # node i is i h + xmin, as lookup computes it: np.linspace(xmin, 1, size + 1)'s bits
-        self.xs = xs = np.arange(size + 1) * h + xmin
-        # (slope, F) per node, interleaved so lookup gathers both at once; f is a
-        # view, and slope[size] = 0 makes x >= 1 return f[size], as np.interp does
-        self._sf = np.zeros(size + 1, dtype=np.complex128)
+        self.xs = np.arange(size + 1) * h + xmin
+        self._sf, self.err_bound = self._build() if stored is None else stored
         self.f = self._sf.imag
+        self._inv_h = size / (1.0 - xmin)
+        self._last = size - 1
+        self._rare_d = 0.999 * h
+
+    @classmethod
+    def _segments(cls) -> int:
+        # the fewest power-of-two segments whose interpolation term fits the
+        # budget with A(1)'s error (2^16: 9.99e-5; 2^15 would need 1.89e-4)
+        size, room = 1 << 10, _F_BUDGET - a1_constant()[1]  # h <= 1e-3, _interp_error's domain
+        while _interp_error((1.0 - cls.xmin) / size) >= room:
+            size *= 2
+        return size
+
+    def _build(self) -> tuple[np.ndarray, float]:
+        # (slope, F) per node, interleaved so lookup gathers both at once, and
+        # err_bound; the nodes take what the interpolation term leaves of the
+        # budget, and slope[size] = 0 makes x >= 1 return f[size], as np.interp does
+        a1, a1e = a1_constant()
+        xs, size = self.xs, self.xs.size - 1
+        node_tol = _F_BUDGET - a1e - _interp_error(self._h)
+        sf = np.zeros(size + 1, dtype=np.complex128)
+        f = sf.imag
 
         def block(lo, hi):
             psi, psie = _psi_vec(xs[lo:hi], node_tol)
-            self.f[lo:hi] = 0.5 * a1 - 0.5 * xs[lo:hi] - psi
+            f[lo:hi] = 0.5 * a1 - 0.5 * xs[lo:hi] - psi
             return float(psie.max())
 
         edges = [*range(0, size, _NODE_BLOCK), size + 1]  # the last block takes x = 1 too
         node_err = max(pool_map(lambda e: block(*e), zip(edges[:-1], edges[1:])))
-        self._sf.real[:-1] = np.diff(self.f) / np.diff(xs)
-        self.err_bound = node_err + a1e + _interp_error(h)
-        self._inv_h = size / (1.0 - xmin)
-        self._last = size - 1
-        self._rare_d = 0.999 * h
+        sf.real[:-1] = np.diff(f) / np.diff(xs)
+        return sf, node_err + a1e + _interp_error(self._h)
 
     def lookup(self, x: np.ndarray) -> np.ndarray:
         """F at each x: np.interp(x, xs, f) bit for bit for finite x >= xmin,
@@ -989,9 +1013,100 @@ class _FTable:
         return out
 
 
+def _table_key() -> bytes:
+    """blake2b over what the F table's bits depend on: the bytes of the
+    package's .py files, numpy's version, the machine, the C library and
+    numpy's enabled CPU features (_seg_anti's J sums call np.log, whose SIMD
+    loop may round differently on another CPU)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        libc = None
+    key = blake2b(digest_size=16)
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        key.update(f"{path.name}\0{len(source)}\0".encode())
+        key.update(source)
+    cpu = sorted(name for name, on in __cpu_features__.items() if on)
+    key.update(repr((np.__version__, platform.machine(), libc, cpu)).encode())
+    return key.digest()
+
+
+def _table_digest(body: np.ndarray, key: bytes) -> bytes:
+    return blake2b(body, digest_size=16, key=key).digest()
+
+
+def _read_table(path: Path, key: bytes) -> tuple[np.ndarray, float] | None:
+    """(_sf, err_bound) of the F table stored at path under key, or None.
+    The file is one complex128 row: _sf, then err_bound, then the 16-byte
+    blake2b of those two under key; it must load without pickles, have that
+    dtype and shape, and carry its digest."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.complex128
+        and data.shape == (_FTable._segments() + 3,)
+        and _table_digest(data[:-1], key) == data[-1:].tobytes()
+    ):
+        return data[:-2], float(data[-2].real)
+    return None
+
+
+def _write_table(tab: _FTable, path: Path, key: bytes) -> None:
+    """Store tab at path in _read_table's layout, through a temporary file in
+    the same directory and os.replace, so a reader sees a whole file or
+    none, and remove every other ftable-* file: the tables of other keys
+    and the temporary files that killed writers left.  A write that fails
+    (OSError: a read-only install, say) removes its temporary file and
+    changes nothing else."""
+    data = np.empty(tab._sf.size + 2, dtype=np.complex128)
+    data[:-2], data[-2] = tab._sf, tab.err_bound
+    data.view(np.uint8)[-16:] = np.frombuffer(_table_digest(data[:-1], key), dtype=np.uint8)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(exist_ok=True)
+        fh = open(tmp, "wb")  # the pid keeps live writers apart
+    except OSError:
+        return
+    try:
+        with fh:
+            np.save(fh, data, allow_pickle=False)
+        os.replace(tmp, path)
+        # a live writer whose temporary file goes here fails its os.replace
+        # and keeps the table it built
+        for old in path.parent.glob("ftable-*"):
+            if old != path:
+                old.unlink(missing_ok=True)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+
+
 @once
 def _ftable() -> _FTable:
-    return _FTable()
+    """The process's F table, _FTable()'s bit for bit.  It is read from
+    _CACHE_DIR/ftable-<key>.npy (the package's __pycache__) if that file
+    holds a table written under _table_key(), which covers everything the
+    bits depend on: about 1 ms for the key and 2-3 ms for the read and its
+    digest, on 2 vCPU.  Otherwise it is built and written there, 1 MB, for
+    the next process, and the tables of other keys are removed; a read-only
+    install builds in every process, as before.  Deleting the file is always
+    safe: the next process builds it again."""
+    key = _table_key()
+    path = _CACHE_DIR / f"ftable-{key.hex()}.npy"
+    stored = _read_table(path, key)
+    if stored is not None:
+        return _FTable(stored)
+    tab = _FTable()
+    _write_table(tab, path, key)
+    return tab
 
 
 def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1019,8 +1134,9 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raises) or run MAX_TERMS steps; a caller weighs them 0.  Every other
     value and error is bit for bit that of the float orbit at any CPU count:
     the sweep runs in _BLOCK-row blocks on pool_map, and the F table, sup|F|
-    and A(1) are built once, by whichever thread asks first.  Input that is
-    not 1-D raises ValueError.
+    and A(1) are made once, by whichever thread asks first: the F table read
+    from the file an earlier process wrote (`_ftable`), or built and written
+    there.  Input that is not 1-D raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64)
     if x.ndim != 1:

@@ -196,10 +196,10 @@ def crit_distribution_link() -> tuple[bool, str]:
     m2 = sweep.normalized_moments[0]
     h1 = moments.h_moment(1, seed=20_26_11, samples=1_000_000)
     rel = abs(m2 - h1.value) / h1.value
-    ok = rel < 0.10
+    ok = rel < 0.02
     return ok, (
         f"sweep moment {m2:.5f} vs H1 {h1.value:.5f} "
-        f"(+-{h1.std_error:.5f}), rel diff {rel:.2%} (tol 10%)"
+        f"(+-{h1.std_error:.5f}), rel diff {rel:.2%} (tol 2%)"
     )
 
 

@@ -215,20 +215,24 @@ class TestMoment:
             ests.append(mo.moment(2.0, seed=3, samples=n))
         assert ests[0] == ests[1]
 
-    def test_cold_pass_is_the_warm_pass(self):
-        # in a fresh process the first block to need the F table builds it,
-        # on a pool thread at 2 workers (its own pool_map nested in the pool),
-        # while the other blocks wait; the estimate keeps every bit
+    def test_cold_pass_is_the_warm_pass(self, tmp_path):
+        # in a fresh process on an empty cache directory the first block to
+        # need the F table builds it, on a pool thread at 2 workers (its own
+        # pool_map nested in the pool), while the other blocks wait; a fresh
+        # process on the written file builds nothing; the estimate keeps
+        # every bit
         code = """if True:
             import dataclasses, os, sys, threading
+            from pathlib import Path
             os.cpu_count = lambda: int(sys.argv[1])
             from wiltonmoments import moments, special_fn
+            special_fn._CACHE_DIR = Path(sys.argv[2])
             builders = []
-            init = special_fn._FTable.__init__
-            def recording_init(self):
+            build = special_fn._FTable._build
+            def recording_build(self):
                 builders.append(threading.current_thread() is threading.main_thread())
-                init(self)
-            special_fn._FTable.__init__ = recording_init
+                return build(self)
+            special_fn._FTable._build = recording_build
             n = 3 * moments._BLOCK + 123
             cold, warm = (moments.moment(2.0, seed=3, samples=n) for _ in range(2))
             assert cold == warm, (cold, warm)
@@ -237,13 +241,15 @@ class TestMoment:
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         outs = []
         for cpus in (1, 2):
-            proc = subprocess.run(
-                [sys.executable, "-c", code, str(cpus)], env=env, capture_output=True, text=True
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout.split(" ", 1))
-        assert [builders for builders, _ in outs] == ["[True]", "[False]"]
-        assert outs[0][1] == outs[1][1]
+            for _ in ("cold", "warm"):
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, str(cpus), str(tmp_path / f"cache{cpus}")],
+                    env=env, capture_output=True, text=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outs.append(proc.stdout.split(" ", 1))
+        assert [builders for builders, _ in outs] == ["[True]", "[]", "[False]", "[]"]
+        assert len({est for _, est in outs}) == 1
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
     def test_library_rerun_reuses_heap_pages(self):

@@ -495,23 +495,27 @@ def _phi2_sums_outer(fr, nn):
 
 
 class TestFTable:
-    def test_concurrent_first_calls_build_once(self):
-        # two threads make a fresh process's first g_batch calls at once: the
-        # F table and A(1)'s J sum are each computed by one of them
+    def test_concurrent_first_calls_build_once(self, tmp_path):
+        # two threads make a fresh process's first g_batch calls at once: on an
+        # empty cache directory the F table is built, and A(1)'s J sum
+        # computed, by one of them; on the written file the table is read, and
+        # nothing builds it
         code = """if True:
-            import threading
+            import sys, threading
+            from pathlib import Path
             import numpy as np
             from wiltonmoments import special_fn as sf
+            sf._CACHE_DIR = Path(sys.argv[1])
             builds, a1_sums = [], []
-            init, j_sums = sf._FTable.__init__, sf._j_sums
-            def counting_init(self):
+            build, j_sums = sf._FTable._build, sf._j_sums
+            def counting_build(self):
                 builds.append(1)
-                init(self)
+                return build(self)
             def counting_j(T, nj):
                 if T.size == 1 and T[0] == 1.0:
                     a1_sums.append(1)
                 return j_sums(T, nj)
-            sf._FTable.__init__, sf._j_sums = counting_init, counting_j
+            sf._FTable._build, sf._j_sums = counting_build, counting_j
             start = threading.Barrier(2)
             def first_call():
                 start.wait()
@@ -524,9 +528,14 @@ class TestFTable:
             print(len(builds), len(a1_sums))
         """
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["1", "1"]
+        outs = []
+        for _ in ("cold", "warm"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.split())
+        assert outs == [["1", "1"], ["0", "1"]]
 
     def test_build_memory_peak(self):
         # with 2^16 segments in 2^12-node blocks on the pool the build's
