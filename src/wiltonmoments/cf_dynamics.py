@@ -15,11 +15,11 @@ tolerance, abs_tol.  orbit_step, the one vectorized step, ends a row by
 orbit's end test, and float_end_error is the one rule, for scalar series
 and rows alike, that ends or refuses a series whose orbit ended first.
 pool_map is the one thread pool and the one reader of the CPU count: the
-row sweeps, the inverse-CDF draws, the direct sums and the F-table build's
-node blocks run their independent work items on it, and once builds their
-shared set-up once.  Those blocks and scalar H's Phi2 sums allocate and
-free a few MB at a time, so under glibc this module fixes malloc's mmap and
-trim thresholds when it loads (_keep_heap_pages), for every caller of the
+row sweeps, moment's blocks and the direct sums run their work items on it,
+none inside another's, and once builds their shared set-up (the F table
+among it) once.  Those blocks and scalar H's Phi2 sums allocate and free a few MB at
+a time, so under glibc this module fixes malloc's mmap and trim
+thresholds when it loads (_keep_heap_pages), for every caller of the
 package, the CLI and the library alike.
 
 Everything here is a pure function of its inputs; sampling takes an explicit
@@ -258,11 +258,10 @@ def pool_map(fn: Callable, items: Iterable) -> list:
     """[fn(item) for item in items] on min(os.cpu_count(), len(items)) threads,
     inline for one item (before asking for the CPU count) or one CPU, each
     item in a copy of the caller's context (np.errstate is a context variable
-    in numpy 2).  Row sweeps pass _BLOCK-row blocks and the F-table build its
-    node blocks, each run serially inside its item; every caller's items
-    write disjoint rows or return what the caller combines in item order (or
-    by max), so the worker count changes the wall time only, never a bit of
-    the result."""
+    in numpy 2).  Each item of its callers (_orbit_series, moment, the direct
+    sums) runs serially, calls no pool_map, and writes disjoint rows or
+    returns what the caller combines in item order, so the worker count
+    changes the wall time only, never a bit of the result."""
     items = list(items)
     workers = min(os.cpu_count() or 1, len(items)) if len(items) > 1 else 1
     if workers <= 1:

@@ -43,12 +43,12 @@ rows or more (the F table), every sum of 256 terms or more stops at the
 same bound instead, found by one int64 Euclid over all those rows
 (`_phi2_tail`), without a snap.  Otherwise it is one direct sum of
 ceil(1/(6 tol)) terms.  `_phi2_sums` rounds each count up on a fixed 1.25
-grid, so a row's bits depend on the row alone.  The module's one pool_map
-call runs the F table's node blocks, and every sum inside a block runs
-serially.  `_ftable` builds the F table once per source version, not once
-per process: it keeps a digest-checked copy in the package's __pycache__,
-keyed by the package's source, numpy, the machine, the C library and
-numpy's CPU features, and reads it back bit for bit.
+grid, so a row's bits depend on the row alone.  The F table's build runs
+its node blocks one after another in the calling thread.  `_ftable` builds
+it once per source version, not once per process: it keeps a
+digest-checked copy in the package's __pycache__, keyed by the package's
+source, numpy, the machine, the C library and numpy's CPU features, and
+reads it back bit for bit.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .cf_dynamics import (
     once,
     orbit,
     orbit_arrays,
-    pool_map,
 )
 from .wilton import _alternating_sum, _orbit_series, wilton
 
@@ -103,13 +102,13 @@ _TAIL_MIN_TOL = 1e-8  # _phi2_tail's domain: 3 q^2 and (q + 1) r exact doubles
 _C_MARGIN = 2.0**-50  # _phi2_tail's relative inflation of c_k
 _J_MAX_TERMS = 3_000_000
 # G evaluations per _j_sums piece and block, about 1.3 MB of temporaries on
-# the F table's terms: 2^16 put 5 MB on each worker, 2^13 made the build 13%
-# slower (2 vCPU), and 2^20 ran 2.7x slower (cache)
+# the F table's terms: 2^16 held 5 MB, 2^13 made the build 13% slower
+# (2 vCPU), and 2^20 ran 2.7x slower (cache)
 _J_BLOCK = 1 << 14
-# F-table nodes per pool_map item, about 1.2 MB of temporaries each: 2^13
-# built about 8% faster (2 vCPU), but its 2.4 MB per worker put the build's
-# tracemalloc peak at 25 MB with 8 workers
-_NODE_BLOCK = 1 << 12
+# F-table nodes per block of the serial build, a tracemalloc peak of 7.4 MB:
+# 2^13 (4.4 MB) took 6% longer and 2^15 (13.2 MB) 2% longer (medians of 12
+# alternated fresh processes, 2 vCPU)
+_NODE_BLOCK = 1 << 14
 # the F table's err_bound at most: its value with 2^18 segments and 1e-4 nodes,
 # which sets W's tolerance in g_batch (err_bound / 100)
 _F_BUDGET = 1.2761131942231886e-4
@@ -237,7 +236,9 @@ def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
     evaluated in blocks of whole pieces, those that start in one run of
     _J_BLOCK terms.  np.add.reduceat sums each piece, and a point's pieces
     are added in order, so a sum's bits depend on its own T_i and nj_i
-    alone, not on the other points of the call.
+    alone, not on the other points of the call.  J through `_phi2_sums`'
+    count buckets instead kept every bit but made the J sums 25% slower at
+    abs_tol 1e-9 (0.44-0.46 -> 0.55-0.60 s over 120 g_func calls, 2 vCPU).
     """
     if not len(T):
         return np.zeros(0)
@@ -337,7 +338,8 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
     bit but is slower (2 vCPU): buckets alone take pointwise-g's wall from
     0.48-0.50 to 0.54-0.55 s, and end-to-end runs alone take the
     fresh-process F-table build from 0.35-0.45 to 0.43-0.50 s (in 2^15-term
-    pieces; 0.68 s in 2^13-term ones).
+    pieces; 0.68 s in 2^13-term ones).  So does Phi2 through `_j_sums`'
+    pieces: 27% slower at abs_tol 1e-9, and the cold F-table build 17%.
     """
     if not fr.size:
         return np.zeros(0)
@@ -886,13 +888,13 @@ class _FTable:
     on _PHI2_COUNTS; the largest node error is 2.7727e-5.  Against F at
     1e-9 the table misses by at most 3.97e-6 on 400 seeded points and by
     3.44e-5 next to the kinks q/p, p < 60.  The nodes are built in blocks of
-    _NODE_BLOCK, the build's one pool_map call, and everything inside a
-    block runs serially in its worker, so the build's transient memory is
-    one block's per worker.  Every Phi2 and J sum depends on its own row alone, so the
-    table has the same bits at any block size and worker count.  _FTable()
-    builds (0.15-0.23 s on 2 vCPU); _FTable(stored) adopts the (_sf,
-    err_bound) of an earlier build that `_ftable` read back from its file,
-    with xs recomputed and f a view of _sf as in a build.
+    _NODE_BLOCK, one after another in the calling thread, so the build holds
+    one block's temporaries (a tracemalloc peak of 7.4 MB) at any CPU count.
+    Every Phi2 and J sum depends on its own row alone, so the table has the
+    same bits at any block size and on any thread.  _FTable() builds
+    (0.15-0.22 s on 2 vCPU); _FTable(stored) adopts the (_sf, err_bound) of
+    an earlier build that `_ftable` read back from its file, with xs
+    recomputed and f a view of _sf as in a build.
 
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
@@ -960,14 +962,12 @@ class _FTable:
         node_tol = _F_BUDGET - a1e - _interp_error(self._h)
         sf = np.zeros(size + 1, dtype=np.complex128)
         f = sf.imag
-
-        def block(lo, hi):
+        node_err = 0.0
+        edges = [*range(0, size, _NODE_BLOCK), size + 1]  # the last block takes x = 1 too
+        for lo, hi in zip(edges[:-1], edges[1:]):
             psi, psie = _psi_vec(xs[lo:hi], node_tol)
             f[lo:hi] = 0.5 * a1 - 0.5 * xs[lo:hi] - psi
-            return float(psie.max())
-
-        edges = [*range(0, size, _NODE_BLOCK), size + 1]  # the last block takes x = 1 too
-        node_err = max(pool_map(lambda e: block(*e), zip(edges[:-1], edges[1:])))
+            node_err = max(node_err, float(psie.max()))
         sf.real[:-1] = np.diff(f) / np.diff(xs)
         return sf, node_err + a1e + _interp_error(self._h)
 

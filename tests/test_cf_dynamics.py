@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiltonmoments import cf_dynamics
+from wiltonmoments import cf_dynamics, special_fn
 from wiltonmoments.cf_dynamics import (
     EffectiveRationalError,
     Interval,
@@ -508,7 +508,8 @@ class TestPoolMap:
 
     def test_scalar_g_never_asks_for_the_cpu_count(self, monkeypatch):
         # one item or none runs inline; each scalar psi has one J block and no
-        # pooled Phi2 bucket, and os.cpu_count reads /sys on every call
+        # pooled Phi2 bucket, the F table builds in the calling thread, and
+        # os.cpu_count reads /sys on every call
         def no_count():
             raise AssertionError("os.cpu_count called")
 
@@ -517,6 +518,7 @@ class TestPoolMap:
         monkeypatch.setattr(cf_dynamics.os, "cpu_count", no_count)
         assert pool_map(lambda i: i + 1, [1]) == [2] and pool_map(abs, []) == []
         g_func(0.31830988618379067, cfg=cfg)
+        special_fn._FTable()
 
     def test_array_routes_do_not_depend_on_worker_count(self, monkeypatch):
         xs = np.append(

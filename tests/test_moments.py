@@ -217,15 +217,16 @@ class TestMoment:
 
     def test_cold_pass_is_the_warm_pass(self, tmp_path):
         # in a fresh process on an empty cache directory the first block to
-        # need the F table builds it, on a pool thread at 2 workers (its own
-        # pool_map nested in the pool), while the other blocks wait; a fresh
-        # process on the written file builds nothing; the estimate keeps
-        # every bit
+        # need the F table builds it, on a pool thread at 2 workers (in that
+        # thread, with no pool_map inside the item: a thread-local depth
+        # counts the items running in a thread), while the other blocks wait;
+        # a fresh process on the written file builds nothing; the estimate
+        # keeps every bit
         code = """if True:
             import dataclasses, os, sys, threading
             from pathlib import Path
             os.cpu_count = lambda: int(sys.argv[1])
-            from wiltonmoments import moments, special_fn
+            from wiltonmoments import cf_dynamics, moments, special_fn
             special_fn._CACHE_DIR = Path(sys.argv[2])
             builders = []
             build = special_fn._FTable._build
@@ -233,6 +234,19 @@ class TestMoment:
                 builders.append(threading.current_thread() is threading.main_thread())
                 return build(self)
             special_fn._FTable._build = recording_build
+            depth, pool = threading.local(), cf_dynamics.pool_map
+            def checked_pool(fn, items):
+                assert getattr(depth, "n", 0) == 0, "pool_map inside a pool_map item"
+                def run(item):
+                    depth.n = getattr(depth, "n", 0) + 1
+                    try:
+                        return fn(item)
+                    finally:
+                        depth.n -= 1
+                return pool(run, items)
+            for mod in list(sys.modules.values()):  # each module that imported it
+                if getattr(mod, "pool_map", None) is pool:
+                    mod.pool_map = checked_pool
             n = 3 * moments._BLOCK + 123
             cold, warm = (moments.moment(2.0, seed=3, samples=n) for _ in range(2))
             assert cold == warm, (cold, warm)

@@ -538,11 +538,12 @@ class TestFTable:
         assert outs == [["1", "1"], ["0", "1"]]
 
     def test_build_memory_peak(self):
-        # with 2^16 segments in 2^12-node blocks on the pool the build's
-        # tracemalloc peak is 4.5-5.0 MB at 2 workers and 11.2-12.6 MB at 8,
-        # about 1.2 MB per worker; 2^18 segments reached 11.1 and 17.3-18.6 MB
+        # the build runs its 2^14-node blocks one after another in one thread,
+        # so its tracemalloc peak is 7.4 MB at 1 and at 8 CPUs alike; a pool
+        # of node blocks would add one block's temporaries per worker (2^12-node
+        # blocks on 8 workers peaked at 11.8-12.3 MB)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        for cpus, bound in ((2, 8), (8, 16)):
+        for cpus in (1, 8):
             code = f"""if True:
                 import os, tracemalloc
                 os.cpu_count = lambda: {cpus}
@@ -554,7 +555,7 @@ class TestFTable:
             """
             proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            assert int(proc.stdout) <= bound * 2**20, cpus
+            assert int(proc.stdout) <= 10 * 2**20, cpus
 
     def test_lookup_is_interp_bit_for_bit(self):
         tab = sf._ftable()
@@ -649,53 +650,37 @@ class TestFTable:
         assert sf._FTable().f.tobytes() == tab.f.tobytes()
 
     def test_table_bits_do_not_depend_on_worker_count(self, monkeypatch):
-        # the node blocks at 1, 2 and 3 workers, and on a pool that runs its
-        # items last-first; frequent thread switches would expose a lost or
+        # three builds at once on pool threads (a cold moment's first block
+        # builds on one); frequent thread switches would expose a lost or
         # shared write
         tab = sf._ftable()
-        tables = []
+        monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for cpus in (1, 2, 3):
-                monkeypatch.setattr(cf_dynamics.os, "cpu_count", lambda: cpus)
-                tables.append(sf._FTable())
-
-            def last_first(fn, items):
-                items = list(items)
-                return [fn(item) for item in items[::-1]][::-1]
-
-            monkeypatch.setattr(sf, "pool_map", last_first)
-            tables.append(sf._FTable())
+            tables = cf_dynamics.pool_map(lambda _: sf._FTable(), range(3))
         finally:
             sys.setswitchinterval(interval)
+        assert len(tables) == 3
         assert all(t.f.tobytes() == tab.f.tobytes() for t in tables)
         assert all(t.err_bound == tab.err_bound for t in tables)
 
-    def test_build_runs_one_pool_level(self, monkeypatch):
-        # one pool_map call per build, over the node blocks, and none inside
-        # an item: a thread-local depth counts the items running in a thread
-        depth, calls = threading.local(), []
+    def test_build_runs_in_the_calling_thread(self, monkeypatch):
+        # the node blocks run in order in the thread that builds, on no pool
+        assert not hasattr(sf, "pool_map")
+        calls, psi_vec = [], sf._psi_vec
 
-        def recording(fn, items):
-            items = list(items)
-            calls.append((getattr(depth, "n", 0), items))
+        def recording(xs, tol):
+            calls.append((threading.current_thread(), xs.size))
+            return psi_vec(xs, tol)
 
-            def run(item):
-                depth.n = getattr(depth, "n", 0) + 1
-                try:
-                    return fn(item)
-                finally:
-                    depth.n -= 1
-
-            return cf_dynamics.pool_map(run, items)
-
-        monkeypatch.setattr(sf, "pool_map", recording)
+        monkeypatch.setattr(sf, "_psi_vec", recording)
         tab = sf._FTable()
         size = tab.xs.size - 1
         edges = [*range(0, size, sf._NODE_BLOCK), size + 1]
         assert len(edges) > 3
-        assert calls == [(0, list(zip(edges[:-1], edges[1:])))]
+        here = threading.current_thread()
+        assert calls == [(here, hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
 
     def test_j_sums_match_serial_pieces(self):
         # a quarter of the F table's nodes at its tolerance (about 53 blocks of
