@@ -236,6 +236,14 @@ def _mixture_samples(K: float, n: int, seed: int, lo: int = 0, hi: int | None = 
     return x, np.concatenate((t1, t2)), np.concatenate((p1, _gamma_density(a, t2))), n1
 
 
+def _log_weight(K: float, g: np.ndarray, ok: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log(|g|^K x) at x = e^-t in one piece, so |g|^K cannot overflow
+    before x scales it down; -inf (weight 0) where g is 0 or not ok."""
+    absg = np.abs(g)
+    live = ok & (absg > 0.0)
+    return np.where(live, K * np.log(np.where(live, absg, 1.0)) - t, -np.inf)
+
+
 def _block_sums(K: float, n: int, seed: int, lo: int):
     """moment's pass over rows [lo, lo + _BLOCK) of n: draw, evaluate g and
     weigh each row by f/p, f = |g|^K e^-t on t > log 2 and p the mixture's
@@ -247,9 +255,8 @@ def _block_sums(K: float, n: int, seed: int, lo: int):
     # at large K the weights leave double range; the result is then rejected
     with np.errstate(over="ignore", invalid="ignore"):
         p = n1 / n * p + (n - n1) / n * np.where(t > LOG2, 2.0 * np.exp(-t), 0.0)
-        absg = np.abs(g)
-        logf = np.where(absg > 0.0, K * np.log(np.where(absg > 0, absg, 1.0)) - t, -np.inf)
-        f_over_p = np.where((t > LOG2) & ok & np.isfinite(logf), np.exp(logf) / p, 0.0)
+        logf = _log_weight(K, g, ok, t)
+        f_over_p = np.where((t > LOG2) & np.isfinite(logf), np.exp(logf) / p, 0.0)
         k = min(max(n1 - lo, 0), x.size)
         parts = [_part(y) for y in (f_over_p[:k], f_over_p[k:])]
     return int(np.count_nonzero(~ok)), *parts
@@ -297,8 +304,9 @@ def moment(
     added in block order, so the worker count never moves a bit.
 
     quad: deterministic panel quadrature on (log 2, inf)
-    with the refinement difference as the error field.  panels must be at
-    least 2, so that the half-resolution pass has a panel.
+    with the refinement difference as the error field, weighing |g|^K x by
+    _log_weight as mc does.  panels must be at least 2, so that the
+    half-resolution pass has a panel.
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
@@ -306,9 +314,8 @@ def moment(
         if panels < 2:
             raise ValueError(f"panels must be at least 2, got {panels}")
         def f(t):
-            x = np.exp(-t)
-            g, _, ok = g_batch(x)
-            return np.where(ok, np.abs(g), 0.0) ** K * x
+            g, _, ok = g_batch(np.exp(-t))
+            return np.exp(_log_weight(K, g, ok, t))
 
         with np.errstate(over="ignore", invalid="ignore"):
             value = 2.0 * _quad_log_substitution(f, K, LOG2, panels)

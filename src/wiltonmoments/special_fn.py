@@ -899,11 +899,11 @@ class _FTable:
     Below xmin the exact small-x form F = A(1)/2 - x/2 applies (psi is
     O(x^2)).  Node i is i h + xmin, the bits of np.linspace(xmin, 1,
     2^16 + 1).  Slope and F are stored interleaved, one complex128 per node
-    (f is a view of it), so lookup finds the segment by direct index on the
-    uniform grid, takes x's offset from its recomputed node once, gathers
-    (slope, F) once and returns exactly what np.interp(x, xs, f) returns for
-    finite x >= xmin; only rows that may lie in the next or previous segment
-    take the exact search.
+    (f is a view of it), so lookup indexes each row's segment on the uniform
+    grid, takes x's offset from its recomputed node and gathers (slope, F)
+    once, with no search; that is np.interp(x, xs, f) bit for bit for finite
+    x >= xmin but one ulp below a node (147 of the 65,536 such doubles),
+    where it may take the next segment's line, within 1.7e-16.
 
     err_bound is the largest node error, plus A(1)'s, plus _interp_error(h)
     = w(h)/2 + 0.55 h, where w(d) = d (log(1/(3d)) + 2) is _snap_error's
@@ -926,7 +926,9 @@ class _FTable:
     Each bound grows with y, so their sum is largest next to x = 1, at
     w(d)/2 + (pi^2/18) d, which grows with d up to _interp_error(h);
     pi^2/18 = 0.5483 leaves 0.0017 h for rounding in the nodes and in
-    lookup.
+    lookup, a line evaluated one rounding delta past its segment's end
+    included: that misses the neighbouring line by |slope_i - slope_{i+-1}|
+    delta, under 5.9e-16 on this table with delta one ulp of x.
     """
 
     xmin = 1e-5
@@ -941,8 +943,6 @@ class _FTable:
         self._sf, self.err_bound = self._build() if stored is None else stored
         self.f = self._sf.imag
         self._inv_h = size / (1.0 - xmin)
-        self._last = size - 1
-        self._rare_d = 0.999 * h
 
     @classmethod
     def _segments(cls) -> int:
@@ -972,45 +972,26 @@ class _FTable:
         return sf, node_err + a1e + _interp_error(self._h)
 
     def lookup(self, x: np.ndarray) -> np.ndarray:
-        """F at each x: np.interp(x, xs, f) bit for bit for finite x >= xmin,
-        and the small-x form below xmin.
-
-        The segment i is read off (x - xmin)/h, and d = x - (i h + xmin) is
-        taken once.  A row with 0 <= d < 0.999 h lies in segment i (node i + 1
-        is h past node i, far more than d's rounding), so its F is slope_i d +
-        F_i, np.interp's value; at the last node (x >= 1) slope 0 gives f[-1],
-        and nan stays nan.  The other rows (next to node i + 1, rounded one
-        segment up, below xmin: about 0.1% of uniform x) take _lookup_rows.
+        """F at each x: slope_i (x - (i h + xmin)) + F_i on segment
+        i = trunc((x - xmin)/h), clamped to [0, size], then A(1)/2 - x/2 on
+        the rows below xmin.  At x >= 1 slope 0 gives f[-1], nan stays nan,
+        and one ulp below a node the index may name the next segment (_FTable).
         """
         t = x - self.xmin
         t *= self._inv_h
         np.fmax(t, 0.0, out=t)  # fmax and fmin send nan to 0
-        np.fmin(t, self._last + 1, out=t)
+        np.fmin(t, self.xs.size - 1, out=t)
         i = np.trunc(t, out=t).astype(np.intp)
         t *= self._h
         t += self.xmin
         d = np.subtract(x, t, out=t)
         sf = self._sf.take(i)
-        rare = ((d < 0.0) | (d >= self._rare_d)).nonzero()[0]
         d *= sf.real
         d += sf.imag
-        if rare.size:
-            d[rare] = self._lookup_rows(x[rare])
+        small = (x < self.xmin).nonzero()[0]
+        if small.size:
+            d[small] = 0.5 * self.a1 - 0.5 * x[small]
         return d
-
-    def _lookup_rows(self, x: np.ndarray) -> np.ndarray:
-        # the small-x form below xmin; elsewhere the segment by a clamped
-        # index, off by at most one either way
-        h, xmin = self._h, self.xmin
-        out = 0.5 * self.a1 - 0.5 * x
-        r = np.flatnonzero(x >= xmin)
-        x = x[r]
-        i = np.fmin(np.fmax((x - xmin) * self._inv_h, 0.0), self._last).astype(np.intp)
-        i -= (x < i * h + xmin) & (i > 0)
-        i += x >= (i + 1) * h + xmin
-        sf = self._sf[i]
-        out[r] = sf.real * (x - (i * h + xmin)) + sf.imag
-        return out
 
 
 def _table_key() -> bytes:
@@ -1114,8 +1095,9 @@ def g_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The Wilton sum and the H sum share one orbit sweep (wilton._orbit_series,
     the loop wilton_batch also runs, stepping with orbit_step and reading F
-    with _FTable.lookup); a point stops once the W rule holds at err_bound /
-    100 and the H tail 2 beta sup|F| is below 2e-4, within MAX_TERMS steps,
+    once per step with _FTable.lookup, one indexed segment per row and the
+    small-x form below xmin); a point stops once the W rule holds at
+    err_bound / 100 and the H tail 2 beta sup|F| is below 2e-4, within MAX_TERMS steps,
     and its row keeps stepping, unread, until its block next compacts
     (wilton._COMPACT_SHARE).  F comes from `_FTable`: 2^16
     segments, nodes built at psi tolerance 2.773e-5, and an err_bound

@@ -186,7 +186,8 @@ def _orbit_series(
     float_end_error: unless x is effectively rational it writes its sum
     through term k, k + 1, ok = True and the error of wilton and _h_with_err,
     720 beta_k + ulp(value) + 4 beta_k supf, plus 2 f_err sum_{j<=k}
-    beta_{j-1}.  Other points are left as they were.
+    beta_{j-1}.  Other points are left as they were.  Each step reads f
+    once, at every row's alpha_k, ended rows included.
 
     The stop rules are tested only on the rows with gamma_k < tol and the
     rows whose orbit ended, and a step with neither tests nothing.  A
@@ -213,10 +214,11 @@ def _orbit_series(
     k = 0
     while running and k < MAX_TERMS:
         alpha_next, beta_next, ended = orbit_step(alpha, beta, x, idx)
+        step = f(alpha)
         e = ended.nonzero()[0]
         if e.size:  # the orbit ended after alpha_k: sum through term k, as scalar series do
             b = beta[e]
-            v = val[e] + sign * (prev_g[e] - 2.0 * b * f(alpha[e]))
+            v = val[e] + sign * (prev_g[e] - 2.0 * b * step[e])
             tail = (720.0 + 4.0 * supf) * beta_next[e] + 2.0 * f_err * (beta_sum[e] + b)
             tail += np.spacing(np.abs(v))
             fin = np.array([not float_end_error(float(x[j]), "a row", k + 1) for j in idx[e]], bool)
@@ -250,7 +252,6 @@ def _orbit_series(
         if w.size and not compact:  # they step on until a later compaction
             alpha_next[w], beta_next[w], g_next[w] = _GOLDEN, 1.0, np.inf
 
-        step = f(alpha)
         step *= 2.0 * beta
         np.subtract(prev_g, step, out=step)
         if sign > 0:

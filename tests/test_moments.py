@@ -332,6 +332,14 @@ class TestMoment:
         with pytest.raises(ValueError):
             mo.moment(1.0, method="trapezoid")
 
+    @pytest.mark.parametrize("K", [140.0, 169.0])
+    def test_quad_stays_in_range_at_large_k(self, K):
+        # |g|^K x as one exp of K log|g| - t: |g|^K alone leaves double range
+        # from K = 130-140, long before the estimate does
+        est = mo.moment(K, method="quad")
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert abs(est.gamma_ratio - mo.TARGET_RATIO) < 1e-9
+
     @pytest.mark.parametrize("panels", [0, 1])
     def test_quad_needs_two_panels(self, panels):
         # one panel would leave the half-resolution pass none, and report

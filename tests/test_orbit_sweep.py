@@ -5,7 +5,9 @@ and compaction was deferred: every step tests every row, and the rows that
 stop leave the working arrays at once (flatnonzero, then take of all nine).
 Its stepper and F lookup are the matching full-array forms: the end test on
 every row, and the segment search that corrects the rounded index on every
-row.  The package must give the same bytes, at 1 and 2 workers.
+row (np.interp's segment; the package keeps the rounded index, which differs
+only one ulp below a node).  The package must give the same bytes, at 1 and
+2 workers.
 """
 
 import math
@@ -33,7 +35,7 @@ wilton_module = sys.modules["wiltonmoments.wilton"]
 
 def _reference_lookup(tab, x):
     h, xmin = tab._h, tab.xmin
-    i = np.fmin(np.fmax((x - xmin) * tab._inv_h, 0.0), tab._last)
+    i = np.fmin(np.fmax((x - xmin) * tab._inv_h, 0.0), len(tab.xs) - 2)
     i = i.astype(np.intp)
     i -= (x < i * h + xmin) & (i > 0)
     i += x >= (i + 1) * h + xmin
@@ -150,6 +152,29 @@ def test_sweep_keeps_every_bit_of_the_reference(name, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert _bytes(sf.g_batch(x)) == _bytes(ref_g), cpus
         assert _bytes(wilton_module.wilton_batch(x)) == _bytes(ref_w), cpus
+
+
+def test_sweep_reads_f_once_per_step(monkeypatch):
+    # one lookup per orbit step, of every row stepped, on steps where rows end
+    # on RATIONAL_GUARD or at a candidate step as on any other
+    steps, looked_up = [], []
+    step, lookup = wilton_module.orbit_step, sf._FTable.lookup
+
+    def counting_step(alpha, beta, x, idx):
+        out = step(alpha, beta, x, idx)
+        steps.append((alpha.size, int(out[2].sum())))
+        return out
+
+    def counting_lookup(self, x):
+        looked_up.append(x.size)
+        return lookup(self, x)
+
+    monkeypatch.setattr(wilton_module, "orbit_step", counting_step)
+    monkeypatch.setattr(sf._FTable, "lookup", counting_lookup)
+    sf.g_batch(np.concatenate([INPUTS[name] for name in ("mixture-K2", "tiny", "fractions-q10000")]))
+    rows, ended = np.array(steps).sum(axis=0)
+    assert ended > 0
+    assert len(looked_up) == len(steps) and sum(looked_up) == rows
 
 
 @pytest.mark.parametrize("name,all_ok", [("tiny", True), ("fractions-q10000", False)])

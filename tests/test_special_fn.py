@@ -557,20 +557,26 @@ class TestFTable:
             assert proc.returncode == 0, proc.stderr
             assert int(proc.stdout) <= 10 * 2**20, cpus
 
-    def test_lookup_is_interp_bit_for_bit(self):
+    def test_lookup_indexes_every_segment(self):
+        # every row takes the line of segment trunc((x - xmin)/h): np.interp's
+        # value bit for bit but one ulp below a node, where rounding may name
+        # the next segment; the small-x form below xmin, and nan stays nan
         tab = sf._ftable()
         xs = tab.xs
         rng = np.random.default_rng(20261018)
-        inside = np.concatenate([
+        exact = np.concatenate([
             xs,
-            np.nextafter(xs[1:], -np.inf),
             np.nextafter(xs[:-1], np.inf),
             [np.nextafter(1.0, np.inf), 1.5],
             rng.uniform(tab.xmin, 1.0, 1_000_000),
         ])
-        assert np.array_equal(tab.lookup(inside), np.interp(inside, xs, tab.f))
-        below = np.array([np.nextafter(tab.xmin, 0.0), 0.5 * tab.xmin, 1e-300, 0.0])
+        assert np.array_equal(tab.lookup(exact), np.interp(exact, xs, tab.f))
+        below_node = np.nextafter(xs[1:], -np.inf)
+        miss = np.abs(tab.lookup(below_node) - np.interp(below_node, xs, tab.f))
+        assert miss.max() <= 2.0**-52
+        below = np.array([np.nextafter(tab.xmin, 0.0), 0.5 * tab.xmin, 1e-300, 0.0, -1.0])
         assert np.array_equal(tab.lookup(below), 0.5 * tab.a1 - 0.5 * below)
+        assert np.isnan(tab.lookup(np.array([np.nan, 0.5, np.nan]))).tolist() == [True, False, True]
 
     def test_nodes_are_linspace_and_f_is_a_view(self):
         # lookup recomputes node i as i h + xmin and gathers (slope, F) from one array
