@@ -5,7 +5,8 @@ after its name, only the settings it reads, declared once in _SETTINGS; any
 other flag, or a flag before the subcommand, is a usage error.  argv is
 the whole configuration: no environment variable is read.  A bad
 tolerance, a negative --seed (whether or not the run draws from it), an
-unwritable output path and a point count above moments.MAX_SAMPLES are
+unwritable output path, a point count above moments.MAX_SAMPLES and a
+second point source (eval takes --x or --grid, wilton --x or --sample) are
 usage errors too.  moment --k takes an ascending comma-separated K list.
 --abs-tol is the one numerical setting: the orbit depth of cf and the
 term budget of the series are the constants cf_dynamics.MAX_ORBIT_DEPTH
@@ -132,8 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluate g, W, H, A, F or Phi2",
     )
     p_eval.add_argument("--fn", required=True, choices=("g", "W", "H", "A", "F", "Phi2"))
-    p_eval.add_argument("--x", default=None, help="comma-separated points")
-    p_eval.add_argument("--grid", default=None, help="lo:hi:n evaluation grid")
+    points = p_eval.add_mutually_exclusive_group(required=True)
+    points.add_argument("--x", default=None, help="comma-separated points")
+    points.add_argument("--grid", default=None, help="lo:hi:n evaluation grid")
     p_eval.add_argument(
         "--method", default="wilton_plus_H",
         choices=("wilton_plus_H", "direct_series"), help="g route"
@@ -154,9 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed --abs-tol --format --output",
         help="evaluate Wilton's function",
     )
-    p_w.add_argument("--x", default=None, help="comma-separated points")
-    p_w.add_argument("--sample", type=int, default=None,
-                     help="evaluate at this many measure-distributed samples")
+    points = p_w.add_mutually_exclusive_group(required=True)
+    points.add_argument("--x", default=None, help="comma-separated points")
+    points.add_argument("--sample", type=int, default=None,
+                        help="evaluate at this many measure-distributed samples")
 
     p_m = _add_command(
         sub, "moment", _cmd_moment, "--seed --format --output",
@@ -194,17 +197,16 @@ def _bounded(flag: str, n: int) -> int:
 
 
 def _parse_points(args) -> list[float]:
-    if getattr(args, "x", None):
+    # the parser gives eval (--x or --grid) and wilton (--x or --sample) one source
+    if args.x is not None:
         pts = [float(tok) for tok in str(args.x).split(",") if tok]
-    elif getattr(args, "grid", None):
+    elif getattr(args, "grid", None) is not None:
         pts = _parse_grid(str(args.grid))
-    elif getattr(args, "sample", None) is not None:
+    else:
         if args.sample <= 0:
             raise SystemExit2(f"--sample must be positive, got {args.sample}")
         n = _bounded("--sample", args.sample)
         pts = [float(v) for v in cf_dynamics.sample_gauss_measure(n, args.seed)]
-    else:
-        raise SystemExit2("one of --x / --grid / --sample is required")
     if not pts:
         raise SystemExit2("the point list is empty")
     return pts

@@ -35,16 +35,20 @@ and makes |psi| = O(x^2) so tiny arguments cost nothing.
 
 `_psi_vec` is the one psi evaluator, for the F table and for scalar F, A
 and H alike, on one Phi2 route (`_phi2_vec`, also under scalar Phi2) and
-one J sum (`_j_sums`).  A Phi2 sum of 2048 terms or more walks exact_cf
+J at `_j_terms`' count.  A Phi2 sum of 2048 terms or more walks exact_cf
 once: it stops where a proven continued-fraction tail bound allows, and
-takes nearby_fraction's p/q, where close and cheaper, in closed form, a
+takes the first convergent p/q close enough (nearby_fraction's exact
+integer test, run inline on that walk), where cheaper, in closed form, a
 csc^2(pi r/q) sum over r <= q/2 (`_phi2_rational`).  In a call of 512
 rows or more (the F table), every sum of 256 terms or more stops at the
 same bound instead, found by one int64 Euclid over all those rows
 (`_phi2_tail`), without a snap.  Otherwise it is one direct sum of
-ceil(1/(6 tol)) terms.  `_phi2_sums` rounds each count up on a fixed 1.25
-grid, so a row's bits depend on the row alone.  The F table's build runs
-its node blocks one after another in the calling thread.  `_ftable` builds
+ceil(1/(6 tol)) terms.  One row-sum engine, `_phi2_sums`, sums every
+direct Phi2 row and every J row, each a series over the multiples n v of
+its row with its own term kernel (`_b2_terms`, `_g_terms`); it rounds each
+count up on a fixed 1.25 grid, so a row's bits depend on the row alone.
+The F table's build runs its node blocks one after another in the calling
+thread.  `_ftable` builds
 it once per source version, not once per process: it keeps a
 digest-checked copy in the package's __pycache__, keyed by the package's
 source, numpy, the machine, the C library and numpy's CPU features, and
@@ -101,10 +105,6 @@ _TAIL_MIN_TERMS = 256  # the F table: 21% of its rows below it, 1% of its terms
 _TAIL_MIN_TOL = 1e-8  # _phi2_tail's domain: 3 q^2 and (q + 1) r exact doubles
 _C_MARGIN = 2.0**-50  # _phi2_tail's relative inflation of c_k
 _J_MAX_TERMS = 3_000_000
-# G evaluations per _j_sums piece and block, about 1.3 MB of temporaries on
-# the F table's terms: 2^16 held 5 MB, 2^13 made the build 13% slower
-# (2 vCPU), and 2^20 ran 2.7x slower (cache)
-_J_BLOCK = 1 << 14
 # F-table nodes per block of the serial build, a tracemalloc peak of 7.4 MB:
 # 2^13 (4.4 MB) took 6% longer and 2^15 (13.2 MB) 2% longer (medians of 12
 # alternated fresh processes, 2 vCPU)
@@ -173,27 +173,37 @@ def _seg_anti(u, m):
 
 
 def _g_asym(y):
+    # in four arrays of y's size: the fraction, the sum, a Bernoulli
+    # polynomial (Horner, in np.polyval's order) and j y^j
     f = y - np.floor(y)
-    out = np.zeros_like(y)
+    out, b, d = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
     for j, coef in _BPOLY.items():
-        b = coef[0]  # Horner, in np.polyval's order
-        for c in coef[1:]:
-            b = b * f + c
-        out -= b / (j * y**j)
+        np.multiply(f, coef[0], out=b)
+        b += coef[1]
+        for c in coef[2:]:
+            b *= f
+            b += c
+        np.power(y, j, out=d)
+        d *= j
+        b /= d
+        out -= b
     return out
 
 
 @once
-def _g_cum() -> np.ndarray:
+def _g_cum() -> tuple[np.ndarray, np.ndarray]:
+    # end[m] = _seg_anti(m + 1, m), the top of segment m, for m < _G_CUT
+    # (recomputed per point, it took a quarter of the F-table build's J time);
     # cum[k] = G(k) for k = 1.._G_CUT; cum[0] is never dereferenced because
     # the partial-segment formula carries any y in (0, 1) up to u = 1.
+    m = np.arange(float(_G_CUT))
     cum = np.zeros(_G_CUT + 1)
     cum[_G_CUT] = float(_g_asym(np.float64(_G_CUT)))
     for i in range(_G_CUT - 1, 0, -1):
         mi = float(i)
         seg = float(_seg_anti(mi + 1.0, mi) - _seg_anti(mi, mi))
         cum[i] = seg + cum[i + 1]
-    return cum
+    return _seg_anti(m + 1.0, m), cum
 
 
 def g_tail_integral(y):
@@ -213,54 +223,25 @@ def g_tail_integral(y):
         out[big] = _g_asym(y[big])
     small = ~big
     if small.any():
-        cum = _g_cum()
+        end, cum = _g_cum()
         ys = y[small]
         m = np.floor(ys)
-        partial = _seg_anti(m + 1.0, m) - _seg_anti(ys, m)
-        out[small] = partial + cum[m.astype(np.int64) + 1]
+        k = m.astype(np.intp)
+        out[small] = (end[k] - _seg_anti(ys, m)) + cum[k + 1]
     return float(out[0]) if scalar else out
 
 
 def _j_terms(x, tol):
-    """Term count n of J(1/x) = sum_n G(n/x) at tolerance tol, and its bound
-    G_ABS x^3/(2 n^2) + 5e-16 n (truncation, plus rounding in any order)."""
-    n = np.clip(np.ceil(np.sqrt(_G_ABS * x**3 / tol)), 1, _J_MAX_TERMS).astype(np.int64)
+    """Term count N of J(1/x) = sum_n G(n/x) at tolerance tol, rounded up on
+    `_phi2_sums`' count grid, and its bound G_ABS x^3/(2 N^2) + 5e-16 N
+    (truncation, plus rounding in any order)."""
+    n = _phi2_count(np.clip(np.ceil(np.sqrt(_G_ABS * x**3 / tol)), 1, _J_MAX_TERMS))
     return n, _G_ABS * x**3 / (2.0 * n * n) + 5e-16 * n
 
 
-def _j_sums(T: np.ndarray, nj: np.ndarray) -> np.ndarray:
-    """sum_{n <= nj_i} G(n T_i) for each i, nj_i >= 1.
-
-    Each point's n-grid is cut from its own start into pieces of _J_BLOCK
-    terms (the last one shorter), and the pieces, laid end to end, are
-    evaluated in blocks of whole pieces, those that start in one run of
-    _J_BLOCK terms.  np.add.reduceat sums each piece, and a point's pieces
-    are added in order, so a sum's bits depend on its own T_i and nj_i
-    alone, not on the other points of the call.  J through `_phi2_sums`'
-    count buckets instead kept every bit but made the J sums 25% slower at
-    abs_tol 1e-9 (0.44-0.46 -> 0.55-0.60 s over 120 g_func calls, 2 vCPU).
-    """
-    if not len(T):
-        return np.zeros(0)
-    pieces = (nj + _J_BLOCK - 1) // _J_BLOCK
-    first = np.cumsum(pieces) - pieces  # each point's first piece
-    row = np.repeat(np.arange(len(T)), pieces)
-    k0 = (np.arange(row.size) - first[row]) * _J_BLOCK  # terms before the piece in its grid
-    size = np.minimum(nj[row] - k0, _J_BLOCK)
-    start = np.cumsum(size) - size
-    cuts = [*np.searchsorted(start, np.arange(0, start[-1] + 1, _J_BLOCK)), row.size]
-
-    def block(p0, p1):
-        at, n = start[p0:p1] - start[p0], size[p0:p1]
-        k = np.arange(1, at[-1] + n[-1] + 1) + np.repeat(k0[p0:p1] - at, n)
-        return np.add.reduceat(g_tail_integral(k * np.repeat(T[row[p0:p1]], n)), at)
-
-    sums = np.concatenate([block(p0, p1) for p0, p1 in zip(cuts[:-1], cuts[1:])])
-    out = sums[first]
-    for j in range(1, int(pieces.max())):
-        more = np.flatnonzero(pieces > j)
-        out[more] += sums[first[more] + j]
-    return out
+def _g_terms(t, n, out):
+    # G(t), J's kernel for `_phi2_sums`: J(T) = sum_n G(n T)
+    return g_tail_integral(t)
 
 
 # ----------------------------------------------------------------------
@@ -288,34 +269,35 @@ def _phi2_rational(p: int, q: int) -> float:
     return float(math.pi * math.pi * (b2 @ w + 1.0 / 36.0) / (q * q))
 
 
-def _b2_terms(t: np.ndarray, n2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # out = B2(t) / n2, t left as its fractional part: the one elementwise
-    # kernel of both _phi2_sums paths, so that they agree bit for bit
+def _b2_terms(t: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out = B2(t) / n^2, t left as its fractional part: Phi2's kernel for
+    # `_phi2_sums`, Phi2(v) = sum_n B2(n v) / n^2
     np.floor(t, out=out)
     t -= out
     np.multiply(t, t, out=out)
     out -= t
     out += 1.0 / 6.0
-    out /= n2
+    out /= n * n
     return out
 
 
-def _phi2_rows(pts: np.ndarray, acc: np.ndarray, n_use: int, width: int) -> None:
-    # acc += sum_{n <= n_use} B2(n pts) / n^2, width columns per chunk, each
+def _phi2_rows(pts: np.ndarray, acc: np.ndarray, n_use: int, width: int, kernel) -> None:
+    # acc += sum_{n <= n_use} kernel(n pts, n), width columns per chunk, each
     # chunk of a row summed by np.add.reduceat
     rows = min(len(pts), _ROW_BLOCK // width)
     tbuf = np.empty(rows * width)
     fbuf = np.empty_like(tbuf)
     for c0 in range(0, n_use, width):
         nb = np.arange(c0 + 1, min(c0 + width, n_use) + 1, dtype=np.float64)
-        nb2 = nb * nb
         for r0 in range(0, len(pts), rows):
             p = pts[r0 : r0 + rows]
             t = tbuf[: p.size * nb.size].reshape(p.size, nb.size)
             f = fbuf[: t.size].reshape(t.shape)
             np.multiply.outer(p, nb, out=t)
-            terms = _b2_terms(t, nb2, f).reshape(-1)
-            acc[r0 : r0 + rows] += np.add.reduceat(terms, np.arange(0, terms.size, nb.size))
+            # one expression, so that a kernel's own result array is freed
+            # before the next chunk's
+            starts = np.arange(0, t.size, nb.size)
+            acc[r0 : r0 + rows] += np.add.reduceat(kernel(t, nb, f).reshape(-1), starts)
 
 
 def _phi2_count(nn: np.ndarray) -> np.ndarray:
@@ -324,24 +306,29 @@ def _phi2_count(nn: np.ndarray) -> np.ndarray:
     return _PHI2_COUNTS[np.searchsorted(_PHI2_COUNTS, nn)]
 
 
-def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
-    """sum_{n <= N_i} B2(n fr_i) / n^2 for each i, N_i = _phi2_count(nn_i).
+def _phi2_sums(v: np.ndarray, nn: np.ndarray, kernel) -> np.ndarray:
+    """sum_{n <= N_i} kernel(n v_i, n) for each i, N_i = _phi2_count(nn_i):
+    the one row-sum engine, for Phi2's rows (kernel `_b2_terms`, v the
+    fractional part) and J's (`_g_terms`, v = T).
 
     The rows of one count N form a bucket, summed in column chunks of
     min(N, _ROW_BLOCK) terms that fix each row's summation order, so a
-    row's bits depend on fr_i and N_i alone, not on the other rows.  N >=
-    nn_i keeps a caller's truncation bound for nn_i, and the rounding
-    allowance of `_phi2_route`, 1e-20 per term, covers the extra terms:
-    adding a chunk's sum loses at most 3e-17, 1e-21 per term.  A call of
-    at most _ROW_BLOCK terms in all (scalar H's) lays its rows end to end
-    instead, in one pass, with the same bits.  Each layout alone keeps every
-    bit but is slower (2 vCPU): buckets alone take pointwise-g's wall from
-    0.48-0.50 to 0.54-0.55 s, and end-to-end runs alone take the
-    fresh-process F-table build from 0.35-0.45 to 0.43-0.50 s (in 2^15-term
-    pieces; 0.68 s in 2^13-term ones).  So does Phi2 through `_j_sums`'
-    pieces: 27% slower at abs_tol 1e-9, and the cold F-table build 17%.
+    row's bits depend on v_i and N_i alone, not on the other rows.  N >=
+    nn_i keeps a caller's truncation bound for nn_i; for Phi2 the rounding
+    allowance of `_phi2_route`, 1e-20 per term, covers the extra terms
+    (adding a chunk's sum loses at most 3e-17, 1e-21 per term), and
+    `_j_terms` gives its bound at N itself.  A call of at most _ROW_BLOCK
+    terms in all (scalar H's) lays its rows end to end instead, in one
+    pass, with the same bits.  Each layout alone keeps every bit but is
+    slower (2 vCPU): buckets alone take pointwise-g's wall from 0.48-0.50
+    to 0.54-0.55 s, and end-to-end runs alone take the fresh-process
+    F-table build from 0.35-0.45 to 0.43-0.50 s (in 2^15-term pieces; 0.68
+    s in 2^13-term ones).  J's counts come rounded too (`_j_terms`), so the
+    engine treats every row alike; J's exact counts were no faster (120
+    g_func calls at abs_tol 1e-9: medians 1.78 s against 1.81 s on the
+    grid, quartiles 0.08-0.10 s apart, 10 alternated processes, 2 vCPU).
     """
-    if not fr.size:
+    if not v.size:
         return np.zeros(0)
     count = _phi2_count(nn)
     if count.sum() <= _ROW_BLOCK:
@@ -349,17 +336,16 @@ def _phi2_sums(fr: np.ndarray, nn: np.ndarray) -> np.ndarray:
         start = np.cumsum(each) - each
         n = np.arange(1.0, start[-1] + each[-1] + 1.0)
         n -= np.repeat(start, each)
-        t = np.repeat(fr, each)
+        t = np.repeat(v, each)
         t *= n
-        n *= n
-        return np.add.reduceat(_b2_terms(t, n, np.empty_like(t)), start)
+        return np.add.reduceat(kernel(t, n, np.empty_like(t)), start)
     order = np.argsort(count, kind="stable")
-    fr_s, n_s = fr[order], count[order]
-    res = np.zeros(len(fr_s))
+    v_s, n_s = v[order], count[order]
+    res = np.zeros(len(v_s))
     starts = np.flatnonzero(np.diff(n_s, prepend=0.0))
     for start, stop in zip(starts, [*starts[1:], len(n_s)]):
         n_use = int(n_s[start])
-        _phi2_rows(fr_s[start:stop], res[start:stop], n_use, min(n_use, _ROW_BLOCK))
+        _phi2_rows(v_s[start:stop], res[start:stop], n_use, min(n_use, _ROW_BLOCK), kernel)
     out = np.empty_like(res)
     out[order] = res
     return out
@@ -536,7 +522,7 @@ def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarr
         if snap is not None:
             phi[i] = _phi2_rational(*snap)
             direct[i] = False
-    phi[direct] = _phi2_sums(fr[direct], nn[direct])
+    phi[direct] = _phi2_sums(fr[direct], nn[direct], _b2_terms)
     return phi, err, ~direct
 
 
@@ -569,7 +555,9 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     Phi2 comes from `_phi2_vec` at tolerance tol/x^2: N = ceil(x^2/(6 tol))
     terms (at most 2^26), or from 2048 on (from 256 on in a call of 512
     rows or more, there without a snap) as few as its tail bound allows;
-    J takes the `_j_terms` count at tol.  Below x = 1e-9, |psi| <= (pi^2/72)
+    J takes the `_j_terms` count at tol, on the count grid.  Both direct
+    sums run on the one row-sum engine, `_phi2_sums`, with the kernels
+    `_b2_terms` and `_g_terms`.  Below x = 1e-9, |psi| <= (pi^2/72)
     x^2 + 0.072 x^3 is far below any working tolerance (and x^2 may
     underflow), so psi is 0 with bound 0.14 x^2.
     """
@@ -583,7 +571,7 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     val[big], err[big] = _half_x2_phi2(x, T, tol)
     with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the cap
         nj, jerr = _j_terms(x, tol)
-    val[big] -= _j_sums(T, nj)
+    val[big] -= _phi2_sums(T, nj, _g_terms)
     err[big] += jerr
     return val, err
 
@@ -606,7 +594,7 @@ def a1_constant() -> tuple[float, float]:
     against.
     """
     nj, jerr = _j_terms(np.ones(1), 1e-11)
-    (jval,) = _j_sums(np.ones(1), nj)
+    (jval,) = _phi2_sums(np.ones(1), nj, _g_terms)
     return 1.0 + PI2_OVER_36 - 2.0 * float(jval), 2.0 * float(jerr[0])
 
 
@@ -885,7 +873,8 @@ class _FTable:
     terms or more (79% of them, 42% with 2048 or more) stops its sum at
     `_phi2_tail`'s proven count: 1.97e7 terms in all, 15% of the full
     counts, of which `_phi2_sums` sums 2.20e7, each row's count rounded up
-    on _PHI2_COUNTS; the largest node error is 2.7727e-5.  Against F at
+    on _PHI2_COUNTS, and 1.37e6 J terms on the same grid; the largest node
+    error is 2.7727e-5.  Against F at
     1e-9 the table misses by at most 3.97e-6 on 400 seeded points and by
     3.44e-5 next to the kinks q/p, p < 60.  The nodes are built in blocks of
     _NODE_BLOCK, one after another in the calling thread, so the build holds

@@ -52,6 +52,22 @@ class TestEval:
     def test_missing_points_is_usage_error(self, capsys):
         assert run(["eval", "--fn", "A"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--fn", "Phi2", "--x", "0.3", "--grid", "0.1:0.9:3"],
+         ["eval", "--fn", "Phi2", "--grid", "0.1:0.9:3", "--x", "0.3"],
+         ["wilton", "--x", "0.3", "--sample", "3"],
+         ["wilton", "--sample", "3", "--x", "0.3"]],
+        ids=["eval_x_grid", "eval_grid_x", "wilton_x_sample", "wilton_sample_x"],
+    )
+    def test_two_point_sources_are_usage_error(self, argv, capsys):
+        # a command takes one point source, not --x with the other one dropped
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert "not allowed with argument" in captured.err
+
     @pytest.mark.parametrize("x", ["0.7", "1.5"])
     def test_a_at_least_subnormal_tolerance(self, x, capsys):
         status, out = run_capture(["eval", "--fn", "A", "--abs-tol", "5e-324", "--x", x], capsys)

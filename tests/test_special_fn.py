@@ -113,7 +113,7 @@ class TestPhi2:
 
     def test_rational_matches_direct(self):
         v_rat = sf._phi2_rational(37, 100)
-        v_dir = float(sf._phi2_sums(np.array([0.37]), np.array([2_000_000]))[0])
+        v_dir = float(sf._phi2_sums(np.array([0.37]), np.array([2_000_000]), sf._b2_terms)[0])
         assert v_rat == pytest.approx(v_dir, abs=2e-7)
 
     def test_bounded_by_max(self):
@@ -183,7 +183,7 @@ class TestBigA:
         (val,), (err,) = sf._psi_vec(lam, tol)
         pval, perr, snapped = sf._phi2_core(1.0 / lam, tol / (lam * lam))
         nj, _ = sf._j_terms(np.array([lam]), tol)
-        (jval,) = sf._j_sums(np.array([1.0 / lam]), nj)
+        (jval,) = sf._phi2_sums(np.array([1.0 / lam]), nj, sf._g_terms)
         assert pval == sf.PI2_OVER_36 and perr == 0.0 and snapped
         assert abs(jval) <= 0.072 * lam**3
         assert val == 0.0 and err <= 1e-24
@@ -474,22 +474,34 @@ class TestGBatch:
         assert not ok[~((xs > 0.0) & (xs < 1.0))].any()
 
 
-def _phi2_sums_outer(fr, nn):
+def _b2_reference(t, n):
+    f = t - np.floor(t)
+    return (f * f - f + 1.0 / 6.0) / (n * n)
+
+
+# the kernels of the one row-sum engine, sf._phi2_sums: (kernel, its terms at
+# t = n v written plainly, a row value v made from u uniform in [0, 1))
+KERNELS = {
+    "phi2": (sf._b2_terms, _b2_reference, lambda u: u),
+    "j": (sf._g_terms, lambda t, n: sf.g_tail_integral(t), lambda u: 1.0 + 80.0 * u),
+}
+
+
+def _phi2_sums_outer(v, nn, name):
     """sf._phi2_sums with each column chunk as one plain np.outer product:
     each row sums the least count ceil(1.25^k) (or the cap 2^26) at or
     above its nn."""
     grid = sorted({math.ceil(Fraction(5, 4) ** k) for k in range(81)} | {1 << 26})
     counts = np.array([grid[np.searchsorted(grid, n)] for n in nn])
-    out = np.zeros_like(fr)
+    terms = KERNELS[name][1]
+    out = np.zeros_like(v)
     for n_use in np.unique(counts):
         rows = counts == n_use
         n_arr = np.arange(1, n_use + 1, dtype=np.float64)
         step = min(n_use, sf._ROW_BLOCK)
         for c0 in range(0, n_use, step):
             nb = n_arr[c0 : c0 + step]
-            t = np.outer(fr[rows], nb)
-            f = t - np.floor(t)
-            b = ((f * f - f + 1.0 / 6.0) / (nb * nb)).ravel()
+            b = terms(np.outer(v[rows], nb), nb).ravel()
             out[rows] += np.add.reduceat(b, np.arange(0, b.size, nb.size))
     return out
 
@@ -507,15 +519,15 @@ class TestFTable:
             from wiltonmoments import special_fn as sf
             sf._CACHE_DIR = Path(sys.argv[1])
             builds, a1_sums = [], []
-            build, j_sums = sf._FTable._build, sf._j_sums
+            build, row_sums = sf._FTable._build, sf._phi2_sums
             def counting_build(self):
                 builds.append(1)
                 return build(self)
-            def counting_j(T, nj):
-                if T.size == 1 and T[0] == 1.0:
+            def counting_sums(v, nn, kernel):
+                if kernel is sf._g_terms and v.tolist() == [1.0]:
                     a1_sums.append(1)
-                return j_sums(T, nj)
-            sf._FTable._build, sf._j_sums = counting_build, counting_j
+                return row_sums(v, nn, kernel)
+            sf._FTable._build, sf._phi2_sums = counting_build, counting_sums
             start = threading.Barrier(2)
             def first_call():
                 start.wait()
@@ -602,40 +614,51 @@ class TestFTable:
         assert (len(tab.xs) - 1).bit_count() == 1
         assert sf._interp_error(h) < room <= sf._interp_error(2.0 * h)
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
-    def test_blocked_psi_matches_outer_reference(self, tol):
-        # the Phi2 kernel on the term counts _psi_vec gives it: at 1e-6 the
-        # largest buckets need many column chunks; at both tolerances each
-        # chunk spans many row blocks
-        fr, nn = _psi_phi2_inputs(tol)
-        assert np.array_equal(sf._phi2_sums(fr, nn), _phi2_sums_outer(fr, nn))
+    # Phi2 at 1e-6 and J at 1e-11 have buckets over several column chunks (up
+    # to 6 and 3); in every case the largest buckets span several row blocks
+    @pytest.mark.parametrize(
+        "name,tol", [("phi2", 1e-4), ("phi2", 1e-6), ("j", 1e-8), ("j", 1e-11)],
+        ids=["0.0001", "1e-06", "j-1e-08", "j-1e-11"],
+    )
+    def test_blocked_psi_matches_outer_reference(self, name, tol):
+        # each kernel on the term counts _psi_vec gives it
+        v, nn = _psi_inputs(name, tol)
+        kernel = KERNELS[name][0]
+        assert np.array_equal(sf._phi2_sums(v, nn, kernel), _phi2_sums_outer(v, nn, name))
 
-    def test_row_sums_do_not_depend_on_other_rows(self):
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_row_sums_do_not_depend_on_other_rows(self, name):
         # a row sums its own count off the grid, so it keeps its bits in any
         # call: alone, in a slice, beside other rows, or in reverse order
-        fr, nn = _psi_phi2_inputs(1e-6)
-        full = sf._phi2_sums(fr, nn)
+        v, nn = _psi_inputs(name, 1e-6 if name == "phi2" else 1e-8)
+        kernel = KERNELS[name][0]
+        full = sf._phi2_sums(v, nn, kernel)
         assert sf._phi2_count(nn).sum() < 1.02 * 1.25 * nn.sum()
-        assert np.array_equal(sf._phi2_sums(fr[::-1], nn[::-1]), full[::-1])
-        assert np.array_equal(sf._phi2_sums(fr[1000:1300], nn[1000:1300]), full[1000:1300])
-        for i in (0, 2000, fr.size - 1):
-            assert sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == full[i]
+        assert np.array_equal(sf._phi2_sums(v[::-1], nn[::-1], kernel), full[::-1])
+        part = slice(v.size // 4, v.size // 3)
+        assert np.array_equal(sf._phi2_sums(v[part], nn[part], kernel), full[part])
+        for i in (0, v.size // 2, v.size - 1):
+            assert sf._phi2_sums(v[i : i + 1], nn[i : i + 1], kernel)[0] == full[i]
         # a call as small as scalar H's runs end to end in one pass, a row of
         # 20k terms among short ones too
         nn = np.array([50.0, 20_000, 3000, 9, 700, 100])
         assert sf._phi2_count(nn).sum() <= sf._ROW_BLOCK
-        one_pass = sf._phi2_sums(fr[:6], nn)
-        assert np.array_equal(one_pass, _phi2_sums_outer(fr[:6], nn))
-        assert all(sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == one_pass[i] for i in range(6))
+        one_pass = sf._phi2_sums(v[:6], nn, kernel)
+        assert np.array_equal(one_pass, _phi2_sums_outer(v[:6], nn, name))
+        assert all(sf._phi2_sums(v[i : i + 1], nn[i : i + 1], kernel)[0] == one_pass[i] for i in range(6))
 
-    @pytest.mark.parametrize("extra", [[], [1.0]], ids=["at_row_block", "one_term_above"])
-    def test_layouts_meet_at_row_block(self, extra, monkeypatch):
+    @pytest.mark.parametrize(
+        "name,extra", [("phi2", []), ("phi2", [1.0]), ("j", []), ("j", [1.0])],
+        ids=["at_row_block", "one_term_above", "j-at_row_block", "j-one_term_above"],
+    )
+    def test_layouts_meet_at_row_block(self, name, extra, monkeypatch):
         # rounded counts that sum to exactly _ROW_BLOCK take the one-pass
         # layout, one term more takes the buckets (_phi2_rows); each row keeps
         # its bits in either, and alone
         nn = np.array([12_000.0, 5000, 3000, 700, 100, 9, 7524, 517, 5] + extra)
         assert sf._phi2_count(nn).sum() == sf._ROW_BLOCK + len(extra)
-        fr = np.random.default_rng(8).random(nn.size)
+        kernel, _, row = KERNELS[name]
+        v = row(np.random.default_rng(8).random(nn.size))
         bucket_calls = []
         rows = sf._phi2_rows
 
@@ -644,10 +667,10 @@ class TestFTable:
             return rows(*args)
 
         monkeypatch.setattr(sf, "_phi2_rows", counting_rows)
-        out = sf._phi2_sums(fr, nn)
+        out = sf._phi2_sums(v, nn, kernel)
         assert bool(bucket_calls) == bool(extra)
-        assert np.array_equal(out, _phi2_sums_outer(fr, nn))
-        assert all(sf._phi2_sums(fr[i : i + 1], nn[i : i + 1])[0] == out[i] for i in range(nn.size))
+        assert np.array_equal(out, _phi2_sums_outer(v, nn, name))
+        assert all(sf._phi2_sums(v[i : i + 1], nn[i : i + 1], kernel)[0] == out[i] for i in range(nn.size))
 
     def test_table_bits_do_not_depend_on_node_blocks(self, monkeypatch):
         # Phi2 and J sums by rows alone: the same table from blocks half as long
@@ -688,48 +711,14 @@ class TestFTable:
         here = threading.current_thread()
         assert calls == [(here, hi - lo) for lo, hi in zip(edges[:-1], edges[1:])]
 
-    def test_j_sums_match_serial_pieces(self):
-        # a quarter of the F table's nodes at its tolerance (about 53 blocks of
-        # whole pieces) and four grids over three pieces long
-        xs = np.linspace(1e-3, 1.0, 1 << 16)
-        nj, _ = sf._j_terms(xs, 1e-4)
-        at = [100, 20_000, 40_000, 60_000]
-        T = np.insert(1.0 / xs, at, [1.0, 1.3, 2.0, 7.5])
-        nj = np.insert(nj, at, 3 * sf._J_BLOCK + 7)
-        assert nj.sum() > 20 * sf._J_BLOCK
-        assert np.array_equal(sf._j_sums(T, nj), _j_sums_serial(T, nj))
 
-    def test_j_sums_add_blocks_in_block_order(self, monkeypatch):
-        # at 64 terms per piece, grids 40 pieces long have piece sums of
-        # comparable size, so the order they are added in shows in the bits
-        monkeypatch.setattr(sf, "_J_BLOCK", 64)
-        xs = np.linspace(1e-3, 1.0, 1 << 12)
-        nj, _ = sf._j_terms(xs, 1e-4)
-        at = np.arange(100, 4000, 500)
-        T = np.insert(1.0 / xs, at, np.geomspace(1e-3, 10.0, at.size))
-        nj = np.insert(nj, at, 40 * 64 + 7)
-        ref = _j_sums_serial(T, nj)
-        assert not np.array_equal(_j_sums_serial(T, nj, last_first=True), ref)
-        assert np.array_equal(sf._j_sums(T, nj), ref)
-
-
-def _j_sums_serial(T, nj, last_first=False):
-    """sf._j_sums as one serial loop per point: its grid cut from its own
-    start into pieces of _J_BLOCK terms, each summed by np.add.reduceat, and
-    the piece sums added into out in place, in order or last piece first."""
-    out = np.zeros(len(T))
-    for i, (t, n) in enumerate(zip(T, nj)):
-        pieces = range(0, int(n), sf._J_BLOCK)
-        for k0 in reversed(pieces) if last_first else pieces:
-            k = np.arange(k0 + 1, min(k0 + sf._J_BLOCK, int(n)) + 1)
-            out[i] += np.add.reduceat(sf.g_tail_integral(k * t), [0])[0]
-    return out
-
-
-def _psi_phi2_inputs(tol):
-    """The fractional parts and Phi2 term counts _psi_vec makes on a grid."""
+def _psi_inputs(name, tol):
+    """The rows and term counts _psi_vec gives a kernel on a grid: Phi2's
+    fractional parts of T = 1/x, or J's T on every 16th point."""
     xs = np.linspace(1e-3, 1.0, 4097)
     T = 1.0 / xs
+    if name == "j":
+        return T[::16], sf._j_terms(xs[::16], tol)[0]
     keep = T != np.floor(T)
     return (T - np.floor(T))[keep], np.ceil(xs * xs / (6.0 * tol))[keep]
 
@@ -747,27 +736,30 @@ class TestPsiKernels:
             assert abs(v - v1) <= e
 
     def test_j_sums_match_fsum(self):
-        # one grid longer than a block, between many short ones, so blocks
-        # split both it and its neighbours
+        # J's rows at the engine's grid counts, one longer than a column chunk
+        # between many short ones, within the rounding allowance 5e-16 N
         rng = np.random.default_rng(7)
         T = 1.0 + rng.uniform(0.0, 80.0, 301)
-        nj = rng.integers(1, 50, 301)
-        nj[150] = sf._J_BLOCK + 12_345
-        got = sf._j_sums(T, nj)
-        for t, n, g in zip(T, nj, got):
+        nj = rng.integers(1, 50, 301).astype(np.float64)
+        nj[150] = sf._ROW_BLOCK + 12_345
+        got = sf._phi2_sums(T, nj, sf._g_terms)
+        for t, n, g in zip(T, sf._phi2_count(nj).astype(np.int64), got):
             ref = math.fsum(sf.g_tail_integral(np.arange(1, n + 1) * t))
             assert abs(g - ref) <= 5e-16 * n
 
-    def test_long_phi2_sum_works_in_small_buffers(self):
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_long_phi2_sum_works_in_small_buffers(self, name):
         # one 10^6-term sum takes column chunks of _ROW_BLOCK terms, so its
-        # four work arrays stay near 1 MB instead of 4 * 10^6 doubles
+        # work arrays stay near 1 MB (Phi2) or 2 MB (J: G's asymptotics hold
+        # four arrays of their own) instead of 4 * 10^6 doubles
+        kernel, _, row = KERNELS[name]
         tracemalloc.start()
         try:
-            sf._phi2_sums(np.array([0.3711]), np.array([1_000_000]))
+            sf._phi2_sums(row(np.array([0.3711])), np.array([1_000_000]), kernel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 8 * sf._ROW_BLOCK
+        assert peak < (8 if name == "phi2" else 10) * 8 * sf._ROW_BLOCK
 
     def test_route_skips_search_below_min_terms(self):
         # 1/3 snaps to (1, 3) for a long series, never for a short one
@@ -799,13 +791,13 @@ class TestPhi2TailBound:
         # the route's value (its N-term sum, or the closed form where it snaps)
         # against a 2^23-term sum, whose own tail is at most 1/(6 2^23)
         fr = np.array(_phi2_stress_set())
-        ref = sf._phi2_sums(fr, np.full(fr.size, float(1 << 23)))
+        ref = sf._phi2_sums(fr, np.full(fr.size, float(1 << 23)), sf._b2_terms)
         misses = 0
         for f, r in zip(fr, ref):
             for tol in (1e-4, 1e-5, 1e-6):
                 snap, n, err = sf._phi2_route(float(f), tol)
                 if snap is None:
-                    (val,) = sf._phi2_sums(np.array([f]), np.array([float(n)]))
+                    (val,) = sf._phi2_sums(np.array([f]), np.array([float(n)]), sf._b2_terms)
                 else:
                     val = sf._phi2_rational(*snap)
                 misses += abs(val - r) > err + 1.0 / (6 << 23)
@@ -848,10 +840,10 @@ class TestPhi2TailBound:
         # `_phi2_tail` on the stress set moved to the 2^-52 grid, its N-term sums
         # against 2^22-term sums, whose own tail is at most 1/(6 2^22)
         fr = _on_tail_grid(_phi2_stress_set())
-        ref = sf._phi2_sums(fr, np.full(fr.size, float(1 << 22)))
+        ref = sf._phi2_sums(fr, np.full(fr.size, float(1 << 22)), sf._b2_terms)
         for tol in (1e-4, 1e-5, 1e-6):
             n, err = sf._phi2_tail(fr, np.full(fr.size, tol))
-            assert (np.abs(sf._phi2_sums(fr, n) - ref) <= err + 1.0 / (6 << 22)).all(), tol
+            assert (np.abs(sf._phi2_sums(fr, n, sf._b2_terms) - ref) <= err + 1.0 / (6 << 22)).all(), tol
 
     def test_array_form_contract(self):
         # `test_route_contract` on `_phi2_tail`, which refuses fractions off the grid
@@ -900,7 +892,7 @@ class TestPhi2TailBound:
         phi, err, snapped = sf._phi2_vec(fr, nn, tol)
         n, walk_err = sf._phi2_tail(fr[4:], tol[4:])
         assert np.array_equal(nn[4:], n) and np.array_equal(err[4:], walk_err)
-        assert np.array_equal(phi[4:], sf._phi2_sums(fr[4:], n)) and not snapped[4:].any()
+        assert np.array_equal(phi[4:], sf._phi2_sums(fr[4:], n, sf._b2_terms)) and not snapped[4:].any()
         assert snapped[:4].any()
         for i in range(4):
             assert (phi[i], err[i], snapped[i]) == sf._phi2_core(float(fr[i]), float(tol[i]))
@@ -915,8 +907,33 @@ class TestPhi2TailBound:
 # g_func (abs_tol 1e-5) on pairs (x, 1 - x), x = 2^U - 1 with U stratified
 # over ten strata (jitter seed 11), and its (value, est_error) pinned from
 # the Phi2 route that stops each direct sum at its continued-fraction tail
-# bound and sums each row to its own count on the 1.25 grid
+# bound, with every Phi2 and J row summed to its own count on the 1.25 grid
+# by one engine
 _PINNED_G = [
+    (3.4676501105779076, 4.799242763715089e-06),
+    (-3.467650141271536, 5.392796372964012e-06),
+    (0.9602853587333753, 7.221302908685891e-06),
+    (-0.9602853492387614, 7.776625789985498e-06),
+    (0.23561892674463625, 1.1811914563418625e-05),
+    (-0.23561890871855995, 1.1750222007723512e-05),
+    (0.36724834653810723, 1.6080454646853695e-05),
+    (-0.36724834835564374, 1.6183272751454334e-05),
+    (-1.444157643295203, 1.6013789300779396e-05),
+    (1.4441575671690448, 1.630954967813541e-05),
+    (1.0374574694116838, 4.118028321139864e-06),
+    (-1.0374574270616268, 4.125652108931049e-06),
+    (0.5814240815097942, 2.0453681823025025e-06),
+    (-0.5814240747908107, 2.0657845687295445e-06),
+    (-0.24664206579858694, 2.2550684468192015e-06),
+    (0.24664206333211358, 2.268302090374734e-06),
+    (-0.6758656291668113, 1.520020181779004e-05),
+    (0.6758656438477083, 1.457960299916783e-05),
+    (-1.7747058130167814, 1.9338581346057902e-05),
+    (1.7747058367285407, 1.9434767463571288e-05),
+]
+# the same, pinned from the code that summed J in 2^14-term pieces of each
+# row's own count, apart from Phi2's engine
+_PINNED_G_J_PIECES = [
     (3.467650109461142, 4.901805493876275e-06),
     (-3.4676501253058323, 5.510806640249177e-06),
     (0.9602853663023374, 7.275263937769392e-06),
@@ -999,16 +1016,16 @@ def test_g_func_matches_pinned_values():
     gs = [sf.g_func(x, cfg=cfg) for x in _pinned_points()]
     got = [(g.value, float(g.est_error)) for g in gs]
     assert got == _PINNED_G
-    # the shorter sums, and the rows' own counts, move g by less than the
-    # two error bounds together
-    for old in (_PINNED_G_BUCKET_SUMS, _PINNED_G_FULL_SUMS):
+    # the shorter sums, the rows' own counts and J's counts on the grid move
+    # g by less than the two error bounds together
+    for old in (_PINNED_G_J_PIECES, _PINNED_G_BUCKET_SUMS, _PINNED_G_FULL_SUMS):
         for (v, e), (v0, e0) in zip(got, old):
             assert abs(v - v0) <= e + e0
 
 
 # W (value, terms_used, tail_bound) at abs_tol 1e-5 on the points above,
 # pinned from the code that walked 200-step orbit arrays; H (value, err)
-# pinned with _PINNED_G, and from the code of each of its two older lists
+# pinned with _PINNED_G, and from the code of each of its three older lists
 _PINNED_W = [
     (4.718972437420512, 11, 1.2690388640886257e-06),
     (-4.658853855781007, 12, 1.2682571676462962e-06),
@@ -1032,6 +1049,28 @@ _PINNED_W = [
     (2.9566621887353297, 9, 7.583544502029488e-06),
 ]
 _PINNED_H = [
+    (-1.2513223268426044, 3.5302038996264634e-06),
+    (1.1912037145094705, 4.124539205317715e-06),
+    (-1.0321279522216678, 5.516002153351687e-06),
+    (0.570642246679938, 6.071162567725391e-06),
+    (-0.82299338003034, 9.094837278496938e-06),
+    (0.10577994069554163, 9.032824055059562e-06),
+    (-0.8535463566044289, 9.412812258039573e-06),
+    (0.04391779551572981, 9.515609242725076e-06),
+    (-0.47947364356196404, 8.063649195143161e-06),
+    (-0.5620093248086171, 8.358427425827627e-06),
+    (-1.2259385900337174, 3.2620891573479027e-06),
+    (-0.14396818309803988, 3.2698256302929443e-06),
+    (-1.1018840821636164, 1.9837631447109835e-06),
+    (-0.2381116982378286, 2.0087151948225484e-06),
+    (-0.1872123507539597, 2.2086644095947227e-06),
+    (-0.9142378160491786, 2.222567681018048e-06),
+    (0.38769635932527113, 9.158462088823022e-06),
+    (-0.9452848589913397, 8.506823289430708e-06),
+    (0.9252342222570528, 1.1755425193874482e-05),
+    (-1.181956352006789, 1.1851222961541801e-05),
+]
+_PINNED_H_J_PIECES = [
     (-1.2513223279593704, 3.6327666297876493e-06),
     (1.1912037304751741, 4.242549472602881e-06),
     (-1.0321279446527056, 5.569963182435188e-06),
@@ -1106,7 +1145,7 @@ def test_w_and_h_match_pinned_values():
     assert [(w.value, w.terms_used, w.tail_bound) for w in ws] == _PINNED_W
     hs = [tuple(map(float, sf._h_with_err(x, 1e-5))) for x in pts]
     assert hs == _PINNED_H
-    for old in (_PINNED_H_BUCKET_SUMS, _PINNED_H_FULL_SUMS):
+    for old in (_PINNED_H_J_PIECES, _PINNED_H_BUCKET_SUMS, _PINNED_H_FULL_SUMS):
         for (v, e), (v0, e0) in zip(hs, old):
             assert abs(v - v0) <= e + e0
 
