@@ -43,16 +43,17 @@ csc^2(pi r/q) sum over r <= q/2 (`_phi2_rational`).  In a call of 512
 rows or more (the F table), every sum of 256 terms or more stops at the
 same bound instead, found by one int64 Euclid over all those rows
 (`_phi2_tail`), without a snap.  Otherwise it is one direct sum of
-ceil(1/(6 tol)) terms.  One row-sum engine, `_phi2_sums`, sums every
-direct Phi2 row and every J row, each a series over the multiples n v of
-its row with its own term kernel (`_b2_terms`, `_g_terms`); it rounds each
-count up on a fixed 1.25 grid, so a row's bits depend on the row alone.
-The F table's build runs its node blocks one after another in the calling
-thread.  `_ftable` builds
-it once per source version, not once per process: it keeps a
-digest-checked copy in the package's __pycache__, keyed by the package's
-source, numpy, the machine, the C library and numpy's CPU features, and
-reads it back bit for bit.
+ceil(1/(6 tol)) terms.  A Phi2 or J request is a tolerance alone:
+`_phi2_vec` and `_j_terms` work out every row's count.  One row-sum
+engine, `_phi2_sums`, sums every direct Phi2 row and every J row, each a
+series over the multiples n v of its row with its own term kernel
+(`_b2_terms`, `_g_terms`); it rounds each count up on a fixed 1.25 grid,
+so a row's bits depend on the row alone.  The F table's build runs its
+node blocks one after another in the calling thread.  `_ftable` builds it
+once per source version, not once per process: it keeps a digest-checked
+copy in the package's __pycache__, keyed by the package's source, numpy,
+the machine, the C library and numpy's CPU features, and reads it back
+bit for bit.
 """
 
 from __future__ import annotations
@@ -234,8 +235,9 @@ def g_tail_integral(y):
 def _j_terms(x, tol):
     """Term count N of J(1/x) = sum_n G(n/x) at tolerance tol, rounded up on
     `_phi2_sums`' count grid, and its bound G_ABS x^3/(2 N^2) + 5e-16 N
-    (truncation, plus rounding in any order)."""
-    n = _phi2_count(np.clip(np.ceil(np.sqrt(_G_ABS * x**3 / tol)), 1, _J_MAX_TERMS))
+    (truncation, plus rounding in any order); J's callers pass tol alone."""
+    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the cap
+        n = _phi2_count(np.clip(np.ceil(np.sqrt(_G_ABS * x**3 / tol)), 1, _J_MAX_TERMS))
     return n, _G_ABS * x**3 / (2.0 * n * n) + 5e-16 * n
 
 
@@ -281,9 +283,10 @@ def _b2_terms(t: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi2_rows(pts: np.ndarray, acc: np.ndarray, n_use: int, width: int, kernel) -> None:
-    # acc += sum_{n <= n_use} kernel(n pts, n), width columns per chunk, each
-    # chunk of a row summed by np.add.reduceat
+def _phi2_rows(pts: np.ndarray, acc: np.ndarray, n_use: int, kernel) -> None:
+    # acc += sum_{n <= n_use} kernel(n pts, n), in chunks of min(n_use,
+    # _ROW_BLOCK) columns, each chunk of a row summed by np.add.reduceat
+    width = min(n_use, _ROW_BLOCK)
     rows = min(len(pts), _ROW_BLOCK // width)
     tbuf = np.empty(rows * width)
     fbuf = np.empty_like(tbuf)
@@ -345,7 +348,7 @@ def _phi2_sums(v: np.ndarray, nn: np.ndarray, kernel) -> np.ndarray:
     starts = np.flatnonzero(np.diff(n_s, prepend=0.0))
     for start, stop in zip(starts, [*starts[1:], len(n_s)]):
         n_use = int(n_s[start])
-        _phi2_rows(v_s[start:stop], res[start:stop], n_use, min(n_use, _ROW_BLOCK), kernel)
+        _phi2_rows(v_s[start:stop], res[start:stop], n_use, kernel)
     out = np.empty_like(res)
     out[order] = res
     return out
@@ -498,16 +501,19 @@ def _phi2_weights(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.minimum(1.0 / 3.0, 1.0 / (3 * q * q) + d) * (1.0 + _C_MARGIN)
 
 
-def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(Phi2(fr), error bound, whether a closed form gave it) for fr in [0, 1):
-    pi^2/36 with error 0 at fr = 0, else the sum of nn terms, or of nn
+def _phi2_vec(fr: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Phi2(fr), error bound, whether a closed form gave it) for fr in [0, 1)
+    at tolerances tol, neither changed: pi^2/36 with error 0 at fr = 0, else
+    a sum of nn = ceil(1/(6 tol)) terms (1 to 2^26, worked out here alone),
     rounded up on the count grid (`_phi2_sums`), error 1/(6 nn), or from
-    _SNAP_MIN_TERMS terms on `_phi2_route`'s path at tolerance tol: its
-    shorter sum (nn is updated in place) or its snap.  A call of
-    _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid) instead stops
-    each sum of _TAIL_MIN_TERMS terms or more at `_phi2_tail`'s count,
-    without a snap, where tol is in that walk's domain (>= _TAIL_MIN_TOL);
-    its rows of _SNAP_MIN_TERMS terms or more below it take the route."""
+    _SNAP_MIN_TERMS terms on `_phi2_route`'s path: its shorter sum or its
+    snap.  A call of _TAIL_VEC_ROWS rows or more (fr then on the 2^-52 grid)
+    instead stops each sum of _TAIL_MIN_TERMS terms or more at `_phi2_tail`'s
+    count, without a snap, where tol is in that walk's domain (>=
+    _TAIL_MIN_TOL); its rows of _SNAP_MIN_TERMS terms or more below it take
+    the route.  The route and the walk derive their own count from tol."""
+    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the cap
+        nn = np.clip(np.ceil(1.0 / (6.0 * tol)), 1.0, _PHI2_MAX_TERMS)
     direct = fr > 0.0
     phi = np.full(fr.shape, PI2_OVER_36)
     err = np.where(direct, 1.0 / (6.0 * nn), 0.0)
@@ -528,13 +534,10 @@ def _phi2_vec(fr: np.ndarray, nn: np.ndarray, tol: np.ndarray) -> tuple[np.ndarr
 
 def _phi2_core(lam: float, tol: float) -> tuple[float, float, bool]:
     """(Phi2(lam), error bound, whether a closed form gave it): `_phi2_vec`
-    at the periodic reduction of lam, with a direct count of at most N =
-    ceil(1/(6 tol)) (at least 1, at most 2^26; the bound reflects the cap)
-    before `_phi2_sums` rounds it up on its grid."""
+    at the periodic reduction of lam and tolerance tol."""
     if not math.isfinite(lam):
         raise ValueError("phi2 needs a finite argument")
-    nn = np.array([max(1, math.ceil(min(1.0 / (6.0 * tol), _PHI2_MAX_TERMS)))], dtype=float)
-    phi, err, snapped = _phi2_vec(np.array([lam - math.floor(lam)]), nn, np.array([tol]))
+    phi, err, snapped = _phi2_vec(np.array([lam - math.floor(lam)]), np.array([tol]))
     return float(phi[0]), float(err[0]), bool(snapped[0])
 
 
@@ -555,11 +558,12 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     Phi2 comes from `_phi2_vec` at tolerance tol/x^2: N = ceil(x^2/(6 tol))
     terms (at most 2^26), or from 2048 on (from 256 on in a call of 512
     rows or more, there without a snap) as few as its tail bound allows;
-    J takes the `_j_terms` count at tol, on the count grid.  Both direct
-    sums run on the one row-sum engine, `_phi2_sums`, with the kernels
-    `_b2_terms` and `_g_terms`.  Below x = 1e-9, |psi| <= (pi^2/72)
-    x^2 + 0.072 x^3 is far below any working tolerance (and x^2 may
-    underflow), so psi is 0 with bound 0.14 x^2.
+    J from `_j_terms` at tol.  Each works out its own counts, on the count
+    grid, from the tolerances it is passed.  Both direct sums run on the
+    one row-sum engine, `_phi2_sums`, with the kernels `_b2_terms` and
+    `_g_terms`.  Below x = 1e-9, |psi| <= (pi^2/72) x^2 + 0.072 x^3 is far
+    below any working tolerance (and x^2 may underflow), so psi is 0 with
+    bound 0.14 x^2.
     """
     x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     tol = np.broadcast_to(tol, x.shape)
@@ -568,22 +572,13 @@ def _psi_vec(xs, tol) -> tuple[np.ndarray, np.ndarray]:
     big = x >= 1e-9
     x, tol = x[big], tol[big]
     T = 1.0 / x
-    val[big], err[big] = _half_x2_phi2(x, T, tol)
-    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the cap
-        nj, jerr = _j_terms(x, tol)
+    phi, phierr, _ = _phi2_vec(T - np.floor(T), tol / (x * x))
+    half = 0.5 * x * x
+    val[big], err[big] = half * phi, half * phierr
+    nj, jerr = _j_terms(x, tol)
     val[big] -= _phi2_sums(T, nj, _g_terms)
     err[big] += jerr
     return val, err
-
-
-def _half_x2_phi2(x, T, tol):
-    # (x^2/2) Phi2(T), T = 1/x, with its bound at tolerance tol/x^2; a function
-    # of its own, so that its arrays are freed before the J sums
-    with np.errstate(over="ignore"):  # a subnormal tol: inf, clipped to the cap
-        nn = np.clip(np.ceil(x * x / (6.0 * tol)), 1.0, _PHI2_MAX_TERMS)
-    phi, phierr, _ = _phi2_vec(T - np.floor(T), nn, tol / (x * x))
-    half = 0.5 * x * x
-    return half * phi, half * phierr
 
 
 @once

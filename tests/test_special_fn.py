@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -889,13 +890,38 @@ class TestPhi2TailBound:
         tol[:4] = 5e-9
         nn = np.ceil(np.minimum(1.0 / (6.0 * tol), sf._PHI2_MAX_TERMS))
         assert fr.size == sf._TAIL_VEC_ROWS and (nn >= sf._SNAP_MIN_TERMS).all()
-        phi, err, snapped = sf._phi2_vec(fr, nn, tol)
+        phi, err, snapped = sf._phi2_vec(fr, tol)
         n, walk_err = sf._phi2_tail(fr[4:], tol[4:])
-        assert np.array_equal(nn[4:], n) and np.array_equal(err[4:], walk_err)
+        assert np.array_equal(err[4:], walk_err)
         assert np.array_equal(phi[4:], sf._phi2_sums(fr[4:], n, sf._b2_terms)) and not snapped[4:].any()
         assert snapped[:4].any()
         for i in range(4):
             assert (phi[i], err[i], snapped[i]) == sf._phi2_core(float(fr[i]), float(tol[i]))
+
+    def test_phi2_vec_takes_tolerances_only(self):
+        # a request is (fractions, tolerances): a subnormal tolerance (its
+        # count overflows to the 2^26 cap), 1/6 and 0.2 (one term), 1e-9 (the
+        # cap binds) and typical ones, in 1-row calls and in one call of
+        # _TAIL_VEC_ROWS rows; neither argument changes, and (phi, err,
+        # snapped) keep the bits of the callers' counts clip(ceil(1/(6 tol)),
+        # 1, 2^26) from before _phi2_vec worked them out
+        tols = [5e-324, 1.0 / 6.0, 0.2, 1e-9, 1e-3, 1e-5, 1e-8, 3e-7]
+        frs = [0.0, 0.3, *_on_tail_grid([1.0 / 3.0 + 1e-13, GOLDEN, 1.0 / math.pi])]
+        big_fr = _on_tail_grid(np.random.default_rng(39).uniform(0.0, 1.0, sf._TAIL_VEC_ROWS))
+        big_fr[:10] = frs * 2
+        big_tol = np.resize([1e-5, 2.7e-5, 1e-4, 3e-7, 1e-8, 1e-6], big_fr.size)
+        big_tol[:12] = [5e-324] * 5 + [1e-9] * 5 + [1.0 / 6.0, 0.2]
+        assert big_fr.size == sf._TAIL_VEC_ROWS
+        calls = [(np.array([f]), np.array([t])) for t in tols for f in frs] + [(big_fr, big_tol)]
+        outs = []
+        for fr, tol in calls:
+            before = fr.copy(), tol.copy()
+            outs.append(sf._phi2_vec(fr, tol))
+            assert fr.tobytes() == before[0].tobytes() and tol.tobytes() == before[1].tobytes()
+        one_row = hashlib.sha256(b"".join(np.concatenate(o).tobytes() for o in zip(*outs[:-1])))
+        big = hashlib.sha256(b"".join(o.tobytes() for o in outs[-1]))
+        assert one_row.hexdigest() == "6a984dc284eb50fd6e3ef23b79653c902f4e782cb00d66304ad7fcf65737095e"
+        assert big.hexdigest() == "36953822a0ec259765082034bf73d610efb870e4341c1433c30a8079dd91f8d3"
 
     def test_route_edges(self):
         # tol >= 1/6 takes one term, frac = 0 is pi^2/36 exactly
